@@ -29,7 +29,7 @@ from conftest import default_artifact, run_once
 from repro import FunctionTable, ProgramBuilder
 from repro.backends import get_backend
 from repro.pnt import expand_program
-from repro.shm import BatchPolicy, RingChannel, create_ring
+from repro.shm import BatchPolicy, EdgeSpec, get_transport
 from repro.syndex import distribute, ring
 
 WORKERS = 4
@@ -196,16 +196,19 @@ def compare_io(extra_info=None):
     return io_speedup
 
 
-# -- E13: the intra-host transport data plane (ring vs mp.Queue) --------------
+# -- E13: the intra-host transport data plane (ring vs queue) -----------------
 #
 # Two legs.  The *pump* measures raw packet throughput: one producer
 # process streams PUMP_PACKETS df-style small payloads through a single
-# channel while the parent drains it — the pattern where the ring's
-# preallocated slots and batched frames replace a per-packet
-# pickle/pipe/lock cycle.  The *farm* leg runs the same small-payload
-# df program end-to-end under both transports; its dispatch protocol
-# keeps one packet in flight per worker, so batching cannot engage and
-# parity (not speedup) is the honest expectation there.
+# channel of each transport while the parent drains it — preallocated
+# slots and batched frames against a per-packet pickle/pipe cycle.  The
+# *farm* leg runs the same small-payload df program end-to-end under
+# both transports; its dispatch protocol keeps one packet in flight per
+# worker, so batching cannot engage there.  The gated numbers are the
+# ring's *absolute* rates (benchmarks/baselines/shm.json): a ratio
+# against the queue moves whenever the queue does — it fell from ~2.6x
+# to about parity when the queue transport stopped being a
+# ``multiprocessing.Queue`` — and says nothing about the ring.
 
 PUMP_PACKETS = 20000
 #: A typical df dispatch: a tag, a sequence number, a small value.
@@ -235,25 +238,17 @@ def farm_program(table, degree):
     return b.returns(r)
 
 
-def _pump_queue(channel, ready, go):
-    ready.set()
-    go.wait()
-    for _ in range(PUMP_PACKETS):
-        channel.put(PUMP_PAYLOAD)
-    channel.put(PUMP_STOP)
-
-
-def _pump_ring(channel, ready, go):
+def _pump(channel, ready, go):
     ready.set()
     go.wait()
     for _ in range(PUMP_PACKETS):
         channel.put(PUMP_PAYLOAD, timeout=60.0)
     channel.put(PUMP_STOP, timeout=60.0)
-    while channel.has_pending:
+    # A ring may still hold the tail of the stream in its pending batch.
+    while getattr(channel, "has_pending", False):
         if channel.try_flush():
             break
         time.sleep(0.0002)
-    channel.close()
 
 
 def _drain(channel):
@@ -269,15 +264,13 @@ def measure_pump(kind):
     """Seconds to stream PUMP_PACKETS through one ``kind`` channel."""
     ctx = multiprocessing.get_context()
     ready, go = ctx.Event(), ctx.Event()
-    if kind == "queue":
-        channel = ctx.Queue(maxsize=64)
-        producer = ctx.Process(target=_pump_queue,
-                               args=(channel, ready, go))
-    else:
-        channel = RingChannel(create_ring(64, 16384),
-                              policy=BatchPolicy(), label="bench-pump")
-        producer = ctx.Process(target=_pump_ring,
-                               args=(channel, ready, go))
+    channel = get_transport(kind).channel_for(
+        EdgeSpec("e0", "producer", "consumer", "P0", "P1"), ctx,
+        queue_size=64,
+        options={"ring_slots": 64, "ring_slot_bytes": 16384,
+                 "batch_policy": BatchPolicy()},
+    )
+    producer = ctx.Process(target=_pump, args=(channel, ready, go))
     producer.start()
     try:
         if not ready.wait(30.0):
@@ -290,8 +283,7 @@ def measure_pump(kind):
         producer.join(10.0)
         if producer.is_alive():  # pragma: no cover - wedged producer
             producer.terminate()
-        if kind == "ring":
-            channel.destroy()
+        channel.destroy()
     assert got == PUMP_PACKETS, f"lost packets: {got}/{PUMP_PACKETS}"
     return elapsed
 
@@ -325,14 +317,14 @@ def compare_transport(extra_info=None):
     transfers = 2 * FARM_ITEMS  # one dispatch + one collect per item
     print(f"\nE13 transport pump: {PUMP_PACKETS} small packets, "
           "one producer process")
-    print(f"  mp.Queue  {queue_pump_s * 1000:8.1f} ms   "
+    print(f"  queue     {queue_pump_s * 1000:8.1f} ms   "
           f"({PUMP_PACKETS / queue_pump_s / 1000:6.1f} kpps)")
     print(f"  ring      {ring_pump_s * 1000:8.1f} ms   "
           f"({PUMP_PACKETS / ring_pump_s / 1000:6.1f} kpps, "
           f"{pump_speedup:.2f}x)")
     print(f"E13 transport farm: {WORKERS}-worker df, "
           f"{FARM_ITEMS} one-int packets")
-    print(f"  mp.Queue  {queue_farm_s * 1000:8.1f} ms")
+    print(f"  queue     {queue_farm_s * 1000:8.1f} ms")
     print(f"  ring      {ring_farm_s * 1000:8.1f} ms   "
           f"({farm_speedup:.2f}x)")
     if extra_info is not None:
@@ -346,13 +338,6 @@ def compare_transport(extra_info=None):
         extra_info["transport_farm_speedup"] = round(farm_speedup, 2)
         extra_info["transport_farm_ring_kpps"] = round(
             transfers / ring_farm_s / 1000, 1)
-    # The data plane is where the preallocated slots + batching pay off;
-    # the farm leg must simply never lose to the queue badly (its
-    # packet protocol is one-in-flight, so parity is the ceiling).
-    assert pump_speedup >= 1.5, (
-        f"ring should clearly beat mp.Queue on packet throughput, "
-        f"got {pump_speedup:.2f}x"
-    )
     return pump_speedup
 
 

@@ -8,7 +8,7 @@ extend them to real hardware:
 * ``threads``    — generated executive on Python threads (GIL-bound);
 * ``asyncio``    — generated coroutine executive on one event loop
   (cheap massive concurrency for I/O-bound graphs);
-* ``processes``  — generated executive on OS processes (true parallelism);
+* ``processes``  — generated executive on pinned OS processes (true parallelism);
 * ``tcp``        — generated executive on a TCP worker cluster
   (the paper's network-of-workstations target);
 * ``standalone`` — emitted self-contained program (``repro emit``) run

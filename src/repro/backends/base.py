@@ -12,6 +12,7 @@ interface (see :mod:`repro.backends.registry`).
 
 from __future__ import annotations
 
+import os
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.functions import FunctionTable
@@ -21,11 +22,35 @@ from ..machine.executive import RunReport
 from ..machine.trace import Trace
 from ..syndex.distribute import Mapping
 
-__all__ = ["Backend", "BackendError", "report_from_blackboard"]
+__all__ = ["Backend", "BackendError", "pin_to_cpu", "report_from_blackboard"]
 
 
 class BackendError(RuntimeError):
     """A backend could not execute the mapped program."""
+
+
+def pin_to_cpu(index: int) -> Optional[int]:
+    """Pin the calling worker process to one CPU of its inherited mask.
+
+    A mapped processor is *one* Transputer; its OS-process stand-in is
+    a dozen GIL-bound threads, and every migration of those threads
+    between cores turns a GIL hand-off into a cross-core wake.  Worker
+    ``index`` (its rank among the run's workers) takes
+    ``cpus[index % len(cpus)]`` of the affinity mask it inherited, so a
+    restricted mask (``taskset``, a cgroup) is respected and more
+    workers than CPUs wrap.  Call it before any thread is spawned:
+    threads inherit the caller's mask.  Returns the chosen CPU, or
+    ``None`` where there is nothing to choose (a one-CPU mask, or a
+    platform without ``sched_setaffinity``).
+    """
+    if not hasattr(os, "sched_setaffinity"):
+        return None
+    cpus = sorted(os.sched_getaffinity(0))
+    if len(cpus) < 2:
+        return None
+    cpu = cpus[index % len(cpus)]
+    os.sched_setaffinity(0, {cpu})
+    return cpu
 
 
 class Backend:

@@ -1,15 +1,18 @@
 """Multiprocess backend: the generated executive on real OS processes.
 
 The parent generates the executive once, creates the inter-processor
-channels (one bounded multiprocessing queue per remote edge) and the
-shared stop event, then launches one worker process per mapped
-processor.  Each worker builds the executive against a
+channels (one bounded channel per remote edge, built by the selected
+transport) and the shared stop flag, then launches one worker process
+per mapped processor.  Each worker pins itself to one CPU and builds
+the executive against a
 :class:`~repro.backends.process_kernel.ProcessKernel` that only starts
-the threads placed on its processor.  Termination mirrors the thread
-kernel's ``join_``: the parent waits until every sink-owning worker has
-reported its sinks complete, then raises the stop event so blocked
-threads unwind, and finally merges per-worker blackboards and wall-clock
-spans into one :class:`~repro.machine.executive.RunReport`.
+the threads placed on its processor — minus the identity routers the
+mapping lets the kernel fuse away (:func:`fused_routers`).  Termination
+mirrors the thread kernel's ``join_``: the parent waits until every
+sink-owning worker has reported its sinks complete, then raises the
+stop event so blocked threads unwind, and finally merges per-worker
+blackboards and wall-clock spans into one
+:class:`~repro.machine.executive.RunReport`.
 
 A hard ``timeout`` bounds the whole run: a deadlocked executive raises
 :class:`~repro.backends.base.BackendError` (after terminating the
@@ -24,7 +27,7 @@ import queue
 import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
 from ..codegen.pygen import generate_python, load_executive, thread_name
 from ..core.functions import FunctionTable
@@ -42,7 +45,7 @@ from ..shm.registry import (
     build_channels,
 )
 from ..syndex.distribute import Mapping
-from .base import Backend, BackendError, report_from_blackboard
+from .base import Backend, BackendError, pin_to_cpu, report_from_blackboard
 from .process_kernel import SHM_MIN_BYTES, ProcessKernel
 from .registry import register_backend
 
@@ -69,6 +72,9 @@ def _worker_main(payload: Dict[str, Any]) -> None:
     processor = payload["processor"]
     base: Optional[ProcessKernel] = None
     try:
+        # One mapped processor, one core — before any thread exists, so
+        # every executive thread inherits the mask.
+        pin_to_cpu(payload["index"])
         module = load_executive(payload["source"])
         base = ProcessKernel(
             processor,
@@ -80,6 +86,8 @@ def _worker_main(payload: Dict[str, Any]) -> None:
             epoch=payload["epoch"],
             shm_threshold=payload["shm_threshold"],
             record_spans=payload["record_spans"],
+            edge_aliases=payload["edge_aliases"],
+            fused_threads=payload["fused_threads"],
         )
         kernel: Any = base
         faults = payload.get("faults")
@@ -148,12 +156,57 @@ def _worker_main(payload: Dict[str, Any]) -> None:
             # this, a crashed receiver (or an early stop) leaks the
             # segment in /dev/shm for the life of the machine.
             base.release_shm()
-        # Unflushed data queues must not block interpreter exit.
-        for q in payload["remote"].values():
-            try:
-                q.cancel_join_thread()
-            except Exception:
-                pass
+
+
+def fused_routers(
+    mapping: Mapping, fault_plan: Optional[Any] = None
+) -> Tuple[Dict[str, str], FrozenSet[str]]:
+    """The identity routers this mapping lets the kernel fuse away.
+
+    The farm template wraps every worker in an ``M->W`` and a ``W->M``
+    router so that a packet finds its way across any topology; once
+    the mapping has put a router on its worker's processor it forwards
+    between two channels of one process and does nothing else — a
+    thread, a queue and two GIL hand-offs per packet.  Such a router
+    (exactly one in- and one out-edge, the worker it feeds/drains on
+    its own processor) is *fused at the channel table*: the edge on the
+    worker's side becomes an alias of the edge on the far side and the
+    router's thread is never started.  The generated executive, the
+    simulator's model of routers and the wrapper kernels are untouched
+    — they keep addressing the generated edge names.
+
+    A router the ``fault_plan`` names — as ``process``, or through
+    either of its edges — keeps its thread, so every injection site
+    stays where it was.  Returns ``(edge aliases, fused thread names)``.
+    """
+    graph = mapping.graph
+    named = set()
+    for spec in (fault_plan.events if fault_plan is not None else ()):
+        named.update(t for t in (spec.process, spec.edge) if t)
+    ins: Dict[str, List[int]] = {}
+    outs: Dict[str, List[int]] = {}
+    for idx, edge in enumerate(graph.edges):
+        outs.setdefault(edge.src, []).append(idx)
+        ins.setdefault(edge.dst, []).append(idx)
+    aliases: Dict[str, str] = {}
+    fused = set()
+    for kind in (ProcessKind.ROUTER_MW, ProcessKind.ROUTER_WM):
+        for router in graph.by_kind(kind):
+            if len(ins.get(router.id, ())) != 1 \
+                    or len(outs.get(router.id, ())) != 1:
+                continue
+            (i,), (o,) = ins[router.id], outs[router.id]
+            if kind == ProcessKind.ROUTER_MW:
+                worker, near, far = graph.edges[o].dst, o, i
+            else:
+                worker, near, far = graph.edges[i].src, i, o
+            if mapping.processor_of(worker) != mapping.processor_of(router.id):
+                continue
+            if named & {router.id, f"e{i}", f"e{o}"}:
+                continue
+            aliases[f"e{near}"] = f"e{far}"
+            fused.add(thread_name(router.id))
+    return aliases, frozenset(fused)
 
 
 def _collect(results, deadline: float, workers, *,
@@ -313,12 +366,15 @@ def run_multiprocess(
         or (p.kind == ProcessKind.OUTPUT and not p.params.get("discard"))
     }
 
+    edge_aliases, fused_threads = fused_routers(mapping, fault_plan)
+
     epoch = time.perf_counter()
     workers = []
-    for proc_id in participating:
+    for index, proc_id in enumerate(participating):
         payload = {
             "source": source,
             "processor": proc_id,
+            "index": index,
             "placement": placement,
             "remote": remote,
             "stop": stop_event,
@@ -332,6 +388,8 @@ def run_multiprocess(
             "poll_s": poll_s,
             "shm_threshold": shm_threshold,
             "record_spans": record_spans,
+            "edge_aliases": edge_aliases,
+            "fused_threads": fused_threads,
             "faults": faults,
             "realtime": realtime,
         }
@@ -435,9 +493,10 @@ class ProcessBackend(Backend):
     """Run the generated executive with one OS process per processor.
 
     True parallelism for CPU-bound sequential functions (each worker has
-    its own interpreter and GIL); inter-processor edges are built by the
-    selected *transport* — ``queue`` (bounded multiprocessing queues,
-    with shared-memory transfer for large numpy payloads) or ``ring``
+    its own interpreter and GIL, pinned to one core); inter-processor
+    edges are built by the selected *transport* — ``queue`` (bounded
+    pipe channels written from the sending thread, with shared-memory
+    transfer for large numpy payloads) or ``ring``
     (preallocated shared-memory rings with packet batching; see
     :mod:`repro.shm`).  Options: ``start_method`` (``fork``/``spawn``/
     ``forkserver``; default from ``REPRO_MP_START_METHOD`` or ``fork``
@@ -448,7 +507,7 @@ class ProcessBackend(Backend):
     """
 
     name = "processes"
-    description = "generated executive on OS processes (true parallelism)"
+    description = "generated executive on pinned OS processes (true parallelism)"
     real = True
     supports_faults = True
     supports_realtime = True
@@ -486,6 +545,7 @@ class ProcessBackend(Backend):
             start_method=start_method,
             queue_size=queue_size,
             shm_threshold=shm_threshold,
+            record_spans=record_trace,
             fault_plan=fault_plan,
             fault_policy=fault_policy,
             budget=budget,

@@ -7,21 +7,33 @@ module is the second port of the primitive set (after the reference
 executive, unchanged, runs with *true* parallelism — one OS process per
 mapped processor, so CPU-bound sequential functions escape the GIL.
 
-Topology: the parent creates one bounded :class:`multiprocessing.Queue`
-per inter-processor edge and a shared stop event; every worker process
-loads the full generated executive, but :meth:`ProcessKernel.spawn_`
-only starts the threads of the logical processes mapped onto *its*
-processor (co-located processes communicate through plain in-process
-queues, exactly like the thread kernel).  Large numpy payloads cross
-processor boundaries through POSIX shared memory instead of pickle.
+Topology: the parent creates one bounded channel per inter-processor
+edge (built by the selected transport — a pipe channel by default) and
+a shared stop flag; every worker process loads the full generated
+executive, but :meth:`ProcessKernel.spawn_` only starts the threads of
+the logical processes mapped onto *its* processor (co-located processes
+communicate through plain in-process queues, exactly like the thread
+kernel).  Large numpy payloads cross processor boundaries through POSIX
+shared memory instead of pickle.
+
+``alt_`` — the Transputer ALT — *blocks*: remote channels that expose a
+file descriptor are waited on with one ``poll`` per calling thread, and
+local queues ring that thread's doorbell (an eventfd) when a packet
+lands, so a farm master sleeps until a result exists instead of
+sleep-polling every collect edge.  To be waited on this way a channel
+needs only ``fileno()`` (readable while ``get_nowait`` can make
+progress); channels without one — the ``ring`` transport — keep a
+bounded polling tick.
 """
 
 from __future__ import annotations
 
+import os
 import queue
+import select
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from ..codegen.kernel import Shutdown, Stop
 from ..machine.trace import Span
@@ -126,7 +138,8 @@ def _shm_unpack(value: Any) -> Any:
 
 
 class _RemoteStub:
-    """Stand-in for an executive thread hosted by another OS process."""
+    """Stand-in for an executive thread this process does not run:
+    hosted by another OS process, or a router fused away."""
 
     __slots__ = ("name",)
 
@@ -141,6 +154,96 @@ class _RemoteStub:
 
     def __repr__(self) -> str:
         return f"<remote thread {self.name}>"
+
+
+_RING = (1).to_bytes(8, "little")  # an eventfd write is one uint64
+
+
+class _Doorbell:
+    """What a thread parked in ``alt_`` is woken through by local puts.
+
+    ``armed`` is raised by the waiter *before* it scans its queues and
+    lowered by whoever rings, so a sender pays the wake-up syscall only
+    while somebody may be about to sleep — and a packet that lands
+    between the waiter's scan and its ``poll`` still finds the bell
+    armed, which is what makes the wake-up impossible to lose.
+    """
+
+    __slots__ = ("armed", "_rfd", "_wfd")
+
+    def __init__(self) -> None:
+        self.armed = False
+        if hasattr(os, "eventfd"):
+            self._rfd = self._wfd = os.eventfd(
+                0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+        else:  # pragma: no cover - platforms without eventfd
+            self._rfd, self._wfd = os.pipe()
+            os.set_blocking(self._rfd, False)
+            os.set_blocking(self._wfd, False)
+
+    def fileno(self) -> int:
+        return self._rfd
+
+    def ring(self) -> None:
+        self.armed = False
+        try:
+            os.write(self._wfd, _RING)
+        except BlockingIOError:  # pragma: no cover - already rung
+            pass
+
+    def clear(self) -> None:
+        try:
+            os.read(self._rfd, 4096)
+        except BlockingIOError:
+            pass
+
+    def close(self) -> None:
+        os.close(self._rfd)
+        if self._wfd != self._rfd:  # pragma: no cover - pipe fallback
+            os.close(self._wfd)
+
+
+class _LocalChannel(queue.Queue):
+    """An in-process edge; rings the doorbell of a thread ALTing on it."""
+
+    bell: Optional[_Doorbell] = None
+
+    def _put(self, item: Any) -> None:
+        self.queue.append(item)
+        bell = self.bell
+        if bell is not None and bell.armed:
+            bell.ring()
+
+
+class _Waiter:
+    """One thread's ALT over a fixed edge list: poller, doorbell, lookups."""
+
+    __slots__ = ("edges", "local", "by_fd", "bell", "poller")
+
+    def __init__(self, edges: Tuple[str, ...],
+                 channels: List[Any]) -> None:
+        self.edges = edges
+        self.local = [
+            (edge, channel) for edge, channel in zip(edges, channels)
+            if isinstance(channel, _LocalChannel)
+        ]
+        self.by_fd = {
+            channel.fileno(): (edge, channel)
+            for edge, channel in zip(edges, channels)
+            if not isinstance(channel, _LocalChannel)
+        }
+        self.bell = _Doorbell()
+        self.poller = select.poll()
+        self.poller.register(self.bell.fileno(), select.POLLIN)
+        for fd in self.by_fd:
+            self.poller.register(fd, select.POLLIN)
+        for _edge, channel in self.local:
+            channel.bell = self.bell
+
+    def close(self) -> None:
+        for _edge, channel in self.local:
+            channel.bell = None
+        self.bell.close()
 
 
 class ProcessKernel:
@@ -165,12 +268,29 @@ class ProcessKernel:
         epoch: float = 0.0,
         shm_threshold: int = SHM_MIN_BYTES,
         record_spans: bool = True,
+        edge_aliases: Optional[Dict[str, str]] = None,
+        fused_threads: FrozenSet[str] = frozenset(),
     ):
         self.processor = processor
         self.placement = placement
         self._remote = remote_channels
-        self._local: Dict[str, "queue.Queue"] = {}
+        #: Fused routers (see ``fused_routers`` in the processes
+        #: backend): the edge on the worker's side of an identity
+        #: router resolves to the channel on its far side, and the
+        #: router's thread is never started.
+        self._aliases = edge_aliases or {}
+        self._fused = fused_threads
+        #: The remote channels that batch (see the back-stops below);
+        #: none on the default transport, so its flush sweeps — one per
+        #: ``recv_``/``alt_`` — have nothing to walk.
+        self._rings = [
+            channel for channel in remote_channels.values()
+            if isinstance(channel, RingChannel)
+        ]
+        self._local: Dict[str, _LocalChannel] = {}
         self._local_lock = threading.Lock()
+        #: Per-thread ALT state (``waiter``), built on first use.
+        self._tls = threading.local()
         self._stop_event = stop_event
         self._queue_size = queue_size
         self._poll_s = poll_s
@@ -190,16 +310,21 @@ class ProcessKernel:
     # -- primitives ------------------------------------------------------------
 
     def channel(self, edge: str):
-        if edge in self._remote:
-            return self._remote[edge]
-        with self._local_lock:
-            q = self._local.get(edge)
-            if q is None:
-                q = self._local[edge] = queue.Queue(maxsize=self._queue_size)
-            return q
+        edge = self._aliases.get(edge, edge)
+        channel = self._remote.get(edge)
+        if channel is None:
+            channel = self._local.get(edge)
+        if channel is None:
+            with self._local_lock:
+                channel = self._local.get(edge)
+                if channel is None:
+                    channel = self._local[edge] = _LocalChannel(
+                        maxsize=self._queue_size)
+        return channel
 
     def spawn_(self, name: str, body: Callable[[], None]):
-        if self.placement.get(name, self.processor) != self.processor:
+        if (self.placement.get(name, self.processor) != self.processor
+                or name in self._fused):
             return _RemoteStub(name)
 
         def runner() -> None:
@@ -212,6 +337,9 @@ class ProcessKernel:
                 # ring channel merely *accepted into its pending batch*;
                 # drain it now or the packet would be stranded forever.
                 self._drain_thread_pending()
+                waiter = getattr(self._tls, "waiter", None)
+                if waiter is not None:
+                    waiter.close()
 
         thread = threading.Thread(target=runner, name=name, daemon=True)
         self._threads.append(thread)
@@ -219,6 +347,7 @@ class ProcessKernel:
         return thread
 
     def send_(self, edge: str, value: Any) -> None:
+        edge = self._aliases.get(edge, edge)  # spans name the real edge
         channel = self.channel(edge)
         remote = edge in self._remote
         if remote:
@@ -239,6 +368,10 @@ class ProcessKernel:
                 continue
         if remote and self._record_spans:
             end = time.perf_counter()
+            # The span times the move, not the back-pressure: a channel
+            # that knows when it accepted the packet (after the wait
+            # for a free slot) says so.
+            start = max(start, getattr(channel, "accepted_at", start))
             self.transfer_spans.append(
                 Span(
                     edge,
@@ -281,18 +414,66 @@ class ProcessKernel:
 
     def alt_(self, edges: List[str]) -> Tuple[str, Any]:
         """Wait for a message on any of ``edges`` (the Transputer ALT)."""
-        self._flush_thread_pending()  # publish before polling, as in recv_
+        self._flush_thread_pending()  # publish before waiting, as in recv_
+        waiter = self._waiter(edges)
+        if waiter is None:
+            return self._alt_tick(edges)
+        bell = waiter.bell
+        timeout_ms = self._poll_s * 1000.0
         while True:
             if self._stop_event.is_set():
                 raise Shutdown
-            for edge in edges:
+            bell.armed = True  # before the scan: see _Doorbell
+            for edge, channel in waiter.local:
                 try:
-                    return edge, _shm_unpack(self.channel(edge).get_nowait())
+                    value = channel.get_nowait()
+                except queue.Empty:
+                    continue
+                bell.armed = False
+                return edge, value
+            ready = waiter.poller.poll(timeout_ms)
+            bell.armed = False
+            for fd, _event in ready:
+                entry = waiter.by_fd.get(fd)
+                if entry is None:
+                    bell.clear()
+                    continue
+                try:
+                    return entry[0], _shm_unpack(entry[1].get_nowait())
+                except queue.Empty:
+                    continue  # readiness without a whole packet
+            if not ready:
+                self._flush_thread_pending()
+
+    def _waiter(self, edges: List[str]) -> Optional[_Waiter]:
+        """This thread's blocking-ALT state for ``edges``, or None when
+        one of the channels can neither be polled nor ring a doorbell."""
+        key = tuple(edges)
+        waiter = getattr(self._tls, "waiter", None)
+        if waiter is not None and waiter.edges == key:
+            return waiter
+        channels = [self.channel(edge) for edge in edges]
+        if not all(isinstance(channel, _LocalChannel)
+                   or hasattr(channel, "fileno") for channel in channels):
+            return None
+        if waiter is not None:
+            waiter.close()
+        waiter = self._tls.waiter = _Waiter(key, channels)
+        return waiter
+
+    def _alt_tick(self, edges: List[str]) -> Tuple[str, Any]:
+        """ALT over channels with nothing to block on (the ring
+        transport): scan them all on a bounded tick."""
+        channels = [(edge, self.channel(edge)) for edge in edges]
+        while True:
+            if self._stop_event.is_set():
+                raise Shutdown
+            for edge, channel in channels:
+                try:
+                    return edge, _shm_unpack(channel.get_nowait())
                 except queue.Empty:
                     continue
             self._flush_thread_pending()
-            # Sub-millisecond poll, as in ThreadKernel: ALT latency
-            # directly gates farm throughput.
             time.sleep(0.0002)
 
     def call_(self, func: Callable, *args: Any) -> Any:
@@ -327,9 +508,8 @@ class ProcessKernel:
     def _thread_ring_channels(self) -> List[RingChannel]:
         ident = threading.get_ident()
         return [
-            channel for channel in self._remote.values()
-            if isinstance(channel, RingChannel)
-            and channel.pending_owner == ident
+            channel for channel in self._rings
+            if channel.pending_owner == ident
         ]
 
     def _flush_thread_pending(self) -> None:
@@ -365,9 +545,8 @@ class ProcessKernel:
         # Ring channels park oversized payloads in one-shot segments
         # with the same transfer-of-ownership contract: reclaim the
         # unclaimed ones too.
-        for channel in self._remote.values():
-            if isinstance(channel, RingChannel):
-                channel.release()
+        for channel in self._rings:
+            channel.release()
         if _shared_memory is None:
             return
         names, self._owned_shm = self._owned_shm, set()

@@ -217,6 +217,9 @@ class _FarmState:
         self.suspects: Dict[int, _Suspect] = {}
         #: Monotonic time of the last periodic health sample.
         self.last_sample_at = 0.0
+        #: worker index -> heartbeat stamp at which this supervisor
+        #: first saw the worker alive (the stuck rule's time origin).
+        self.alive_since: Dict[int, float] = {}
         self.quarantined: set = set()
         #: worker index -> probation state (created at quarantine).
         self.breakers: Dict[int, _Breaker] = {}
@@ -519,18 +522,28 @@ class SupervisedKernel:
                 if target is None:
                     self._abandon(state, None)
                 assigned, out_edge = target.index, target.dispatch_edge
-            elif (self._hp.enabled
-                    and not state.health.keeps(worker.index, seq)):
+            elif (worker.index in state.suspects
+                    or (self._hp.enabled
+                        and not state.health.keeps(worker.index, seq))):
                 # Health-weighted dispatch: a limping worker keeps only
                 # a demoted fraction of the packets addressed to it (it
                 # still gets a trickle — that is how its score recovers
                 # and it earns readmission); the rest reroute to the
                 # healthiest peer, transparently to the master.
+                #
+                # A *suspect* — it lost a hedge race and has answered
+                # nothing since — keeps none until it clears itself or
+                # is convicted.  First-result-wins frees its port, so
+                # the master would go on feeding it; if it is in fact
+                # dead those packets pile up unread, and the blocking
+                # send below, on a queue nobody drains, would park the
+                # one thread whose scan can convict it.
                 alive = [w.index for w in state.farm.workers
                          if w.index not in state.quarantined
                          and w.index not in state.migrated]
                 demoted = state.health.pick_healthy(
-                    seq, exclude={worker.index}, alive=alive
+                    seq, exclude={worker.index, *state.suspects},
+                    alive=alive,
                 )
                 if demoted is not None:
                     target = state.farm.workers[demoted]
@@ -763,7 +776,7 @@ class SupervisedKernel:
                 elif elapsed > deadline * policy.stall_factor:
                     kind = "stall"  # alive-but-silent, or a lost message
                 else:
-                    self._maybe_flag_stuck(state, rec, worker, elapsed, now)
+                    self._maybe_flag_stuck(state, rec, worker, now)
                     self._maybe_hedge(state, rec, elapsed, now)
                     continue
                 self._quarantine(state, worker, kind, seq)
@@ -798,8 +811,7 @@ class SupervisedKernel:
         self._flush_sends(state)
 
     def _maybe_flag_stuck(self, state: _FarmState, rec: _InFlight,
-                          worker: FarmWorker, elapsed: float,
-                          now: float) -> None:
+                          worker: FarmWorker, now: float) -> None:
         """BEAT fresh, COUNT flat: the beats-but-never-progresses case.
 
         Called with ``state.lock`` held.  The worker holds a packet well
@@ -807,8 +819,23 @@ class SupervisedKernel:
         the crash path will never fire) and it has completed *nothing*
         since this packet was dispatched — flag it limping long before
         the much slower stall timeout would.
+
+        The clock starts when the worker was first seen beating, never
+        at dispatch: a packet sent to a worker whose OS process is
+        still starting (``spawn`` re-imports the world) waits on a
+        cold start, not on a wedged computation, and the limping
+        rule's ``min_samples`` guard has no say here — a worker stuck
+        on its very first packet has no samples and must still be
+        caught.
         """
-        if not self._hp.enabled or elapsed <= self._hp.stuck_after_s:
+        if not self._hp.enabled:
+            return
+        beat = self._board.last(worker.slot)
+        if beat <= 0.0:
+            return  # not started yet: nothing to be stuck in
+        since = state.alive_since.setdefault(rec.assigned, beat)
+        held = now - max(rec.sent_at, since)
+        if held <= self._hp.stuck_after_s:
             return
         if self._board.stale(worker.slot, now,
                              self._policy.heartbeat_timeout_s):
@@ -822,7 +849,7 @@ class SupervisedKernel:
             self.fault_report.add(
                 "limping", "stuck", worker.pid, self._now_us(),
                 processor=worker.processor, seq=rec.seq,
-                note=f"BEAT fresh, no completion for {elapsed * 1e3:.0f} ms",
+                note=f"BEAT fresh, no completion for {held * 1e3:.0f} ms",
             )
 
     def _maybe_hedge(self, state: _FarmState, rec: _InFlight,

@@ -591,6 +591,7 @@ class TcpBackend(Backend):
                     args=args,
                     timeout=timeout,
                     queue_size=queue_size,
+                    record_spans=record_trace,
                     fault_plan=fault_plan,
                     fault_policy=fault_policy,
                     budget=budget,

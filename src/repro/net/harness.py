@@ -38,6 +38,12 @@ from .protocol import ConnectionClosed, Frame, Link
 __all__ = ["ClusterHarness", "shared_cluster"]
 
 
+_SPAWNED_WORKER = (
+    "import sys; from repro.net.worker import worker_main; "
+    "sys.exit(worker_main(sys.argv[1], cpu_index=int(sys.argv[2])))"
+)
+
+
 class ClusterHarness:
     """Accepts worker connections; optionally owns worker subprocesses."""
 
@@ -59,6 +65,8 @@ class ClusterHarness:
         self._idle: List[WorkerLink] = []
         self._out: List[WorkerLink] = []
         self._procs: List[subprocess.Popen] = []
+        #: Workers spawned so far; each one's ordinal picks its CPU.
+        self._spawned = 0
         self._respawns_left = (
             respawn_limit if respawn_limit is not None else 2 * size
         )
@@ -127,11 +135,15 @@ class ClusterHarness:
         # application's sequential functions (often test modules): hand
         # it our whole import path.
         env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        # ``repro worker --connect`` plus this worker's ordinal: a
+        # worker of a local cluster is one processor of one machine and
+        # pins itself to one core, like a ``processes`` worker does.
         self._procs.append(subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker",
-             "--connect", self.address],
+            [sys.executable, "-c", _SPAWNED_WORKER,
+             self.address, str(self._spawned)],
             env=env,
         ))
+        self._spawned += 1
 
     def _heal_locked(self) -> None:
         self._idle = [w for w in self._idle if w.alive]

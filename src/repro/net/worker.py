@@ -36,6 +36,7 @@ import time
 import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..backends.base import pin_to_cpu
 from ..codegen.pygen import load_executive
 from . import codec
 from .kernel import NetHealthBoard, NetKernel, NetStopEvent, NetStreamBoard
@@ -306,14 +307,21 @@ def worker_main(
     retries: int = 8,
     backoff_s: float = 0.05,
     max_backoff_s: float = 2.0,
+    cpu_index: Optional[int] = None,
 ) -> int:
     """Serve a coordinator until BYE; reconnect on connection loss.
 
     ``retries`` bounds *consecutive* failed dials; a successful
     connection resets the budget, so a long-lived worker survives any
     number of coordinator restarts but gives up promptly when the
-    coordinator is gone for good.
+    coordinator is gone for good.  ``cpu_index`` is this worker's
+    ordinal in a locally spawned cluster (:class:`ClusterHarness` passes
+    it): the worker pins itself to that CPU of its inherited mask before
+    it starts any thread.  A worker started by hand on another host is
+    placed by whoever started it and is left alone.
     """
+    if cpu_index is not None:
+        pin_to_cpu(cpu_index)
     try:
         host, port = parse_hostport(connect)
     except ValueError as err:

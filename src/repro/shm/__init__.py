@@ -1,9 +1,10 @@
 """repro.shm — preallocated shared-memory ring channels with batching.
 
-The intra-host data plane of the ``processes`` backend: seqlock-style
-SPSC rings (:mod:`repro.shm.ring`), packet batching
-(:mod:`repro.shm.batch`), the queue-compatible channel over both
-(:mod:`repro.shm.channel`), and the transport registry that lets the
+The intra-host data plane of the ``processes`` backend: the default
+bounded pipe channel (:mod:`repro.shm.pipe`), seqlock-style SPSC rings
+(:mod:`repro.shm.ring`), packet batching (:mod:`repro.shm.batch`), the
+queue-compatible channel over both (:mod:`repro.shm.channel`), and the
+transport registry that lets the
 backend pick a channel implementation per edge
 (:mod:`repro.shm.registry` / :mod:`repro.shm.transports`).
 """
@@ -18,6 +19,7 @@ from .channel import (
     RingChannel,
 )
 from .flag import StopFlag
+from .pipe import PipeChannel
 from .registry import (
     DEFAULT_TRANSPORT,
     TRANSPORT_ENV,
@@ -54,6 +56,7 @@ __all__ = [
     "F_PICKLE",
     "ChannelError",
     "RingChannel",
+    "PipeChannel",
     "StopFlag",
     "DEFAULT_TRANSPORT",
     "TRANSPORT_ENV",

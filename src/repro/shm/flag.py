@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Optional
+from typing import Any, Dict, Optional
 
 try:
     from multiprocessing import shared_memory as _shared_memory
@@ -40,21 +40,31 @@ class StopFlag:
     owns the final :meth:`unlink`.  Once the segment is gone,
     :meth:`is_set` reports ``True`` — a vanished flag means the run is
     over, and late pollers must stop, not crash.
+
+    Any number of threads may share one flag.  A worker's executive
+    threads all reach a freshly forked (or unpickled) flag at about the
+    same time; each that finds no mapping for its process attaches one,
+    and ``dict.setdefault`` — atomic under the GIL — makes exactly one
+    of them the mapping every thread uses.  A loser closes a segment
+    nobody else ever saw.  (Storing "the latest attach" instead let a
+    loser's segment be collected while a third thread still held its
+    buffer: ``ValueError: operation forbidden on released memoryview``,
+    a dead executive thread, a run that starved until its timeout.)
     """
 
-    __slots__ = ("name", "_segment", "_pid")
+    __slots__ = ("name", "_attached")
 
     def __init__(self, name: Optional[str] = None):
         if _shared_memory is None:  # pragma: no cover
             raise RingError("POSIX shared memory is unavailable on this host")
-        self._segment = None
-        self._pid: Optional[int] = None
+        #: pid -> this process's mapping (a forked child inherits its
+        #: parent's entry and never looks at it).
+        self._attached: Dict[int, Any] = {}
         if name is None:
             segment = _shared_memory.SharedMemory(create=True, size=1)
             segment.buf[0] = 0
             self.name = segment.name
-            self._segment = segment
-            self._pid = os.getpid()
+            self._attached[os.getpid()] = segment
         else:
             self.name = name
 
@@ -65,15 +75,16 @@ class StopFlag:
 
     def __setstate__(self, state):
         self.name = state
-        self._segment = None
-        self._pid = None
+        self._attached = {}
 
     def _buf(self):
-        if self._segment is None or self._pid != os.getpid():
-            segment = _shared_memory.SharedMemory(name=self.name)
-            self._segment = segment
-            self._pid = os.getpid()
-        return self._segment.buf
+        segment = self._attached.get(os.getpid())
+        if segment is None:
+            mine = _shared_memory.SharedMemory(name=self.name)
+            segment = self._attached.setdefault(os.getpid(), mine)
+            if segment is not mine:
+                mine.close()
+        return segment.buf
 
     # -- the Event surface the kernels rely on --------------------------------
 
@@ -103,13 +114,12 @@ class StopFlag:
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        if self._segment is not None:
+        segment = self._attached.pop(os.getpid(), None)
+        if segment is not None:
             try:
-                self._segment.close()
+                segment.close()
             except BufferError:  # pragma: no cover - exported view alive
                 pass
-            self._segment = None
-            self._pid = None
 
     def unlink(self) -> None:
         """Remove the segment (idempotent; creator-owned)."""

@@ -6,7 +6,7 @@ processes backend resolves the requested name at run time, and channel
 selection happens *per edge* — a transport may decline an edge (return
 ``None`` from :meth:`Transport.channel_for`), in which case the edge
 falls back down the chain, ultimately to the ``queue`` transport, which
-accepts everything a ``multiprocessing.Queue`` accepts.  Adding a
+accepts every edge and every picklable payload.  Adding a
 transport therefore never touches the kernel or the backend: register a
 class, and every intra-host edge can ride it.
 """
@@ -62,6 +62,12 @@ class Transport:
     (``put``/``put_nowait``/``get``/``get_nowait`` with ``queue.Full``/
     ``queue.Empty`` semantics, picklable across the start method) — or
     ``None`` to decline the edge and let the fallback chain handle it.
+
+    A channel that also exposes ``fileno()`` — a descriptor readable
+    whenever ``get_nowait`` can make progress — can be *waited on*: the
+    process kernel's ``alt_`` blocks on it instead of polling.  One
+    that does not (the ring) puts every ALT it takes part in back on a
+    bounded polling tick.
     """
 
     name: str = "?"

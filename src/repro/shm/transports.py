@@ -6,6 +6,7 @@ from typing import Any, Dict, Optional
 
 from .batch import BatchPolicy
 from .channel import RingChannel
+from .pipe import PipeChannel
 from .registry import EdgeSpec, Transport, register_transport
 
 try:
@@ -18,20 +19,24 @@ __all__ = ["QueueTransport", "RingTransport"]
 
 @register_transport
 class QueueTransport(Transport):
-    """The historical path: one bounded ``multiprocessing.Queue`` per edge.
+    """The default path: one bounded pipe channel per edge.
 
-    Accepts every edge and every picklable payload; this is the
-    catch-all the fallback chain bottoms out on.
+    A :class:`~repro.shm.pipe.PipeChannel` is what a
+    ``multiprocessing.Queue`` is underneath — a pipe of pickles behind
+    a counting semaphore — without the feeder thread and the locks a
+    single-producer/single-consumer edge never needed.  Accepts every
+    edge and every picklable payload; this is the catch-all the
+    fallback chain bottoms out on.
     """
 
     name = "queue"
-    description = "bounded multiprocessing.Queue per edge (pickle)"
+    description = "bounded pipe channel per edge (pickle, no feeder thread)"
 
     def channel_for(
         self, spec: EdgeSpec, ctx: Any, *,
         queue_size: int, options: Dict[str, Any],
     ) -> Optional[Any]:
-        return ctx.Queue(maxsize=queue_size)
+        return PipeChannel(ctx, queue_size)
 
 
 @register_transport

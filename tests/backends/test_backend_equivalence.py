@@ -131,7 +131,7 @@ RECIPES = {
 }
 
 
-def run_on(backend_name, factory, arch_size=4):
+def run_on(backend_name, factory, arch_size=4, **options):
     """Build the program fresh and execute it on one backend."""
     prog, table, args = factory()
     mapping = distribute(expand_program(prog, table), ring(arch_size))
@@ -141,6 +141,7 @@ def run_on(backend_name, factory, arch_size=4):
         costs=FAST_TEST,
         args=args,
         timeout=60.0,
+        **options,
     )
 
 
@@ -167,12 +168,18 @@ class TestFourWayEquivalence:
         assert report.outputs == reference.outputs
 
     def test_processes_reports_wall_clock(self):
-        report = run_on("processes", make_df)
+        report = run_on("processes", make_df, record_trace=True)
         assert report.wall_clock
         assert report.backend == "processes"
         assert report.makespan > 0
         assert report.trace is not None
         assert report.trace.compute  # real spans were recorded
+        assert report.trace.transfer
+
+    def test_untraced_processes_run_records_no_spans(self):
+        report = run_on("processes", make_df)
+        assert not report.trace.compute
+        assert not report.trace.transfer
 
 
 class TestSpawnStartMethod:

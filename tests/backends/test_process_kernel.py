@@ -1,7 +1,11 @@
 """Unit tests for the multiprocess kernel's building blocks."""
 
+import multiprocessing
+import os
 import pickle
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +18,8 @@ from repro.backends.process_kernel import (
     _ShmRef,
 )
 from repro.codegen.kernel import Shutdown
+from repro.shm import RingChannel
+from repro.shm.pipe import PipeChannel
 
 
 def make_kernel(**kw):
@@ -116,3 +122,217 @@ class TestKernelPrimitives:
         kernel = make_kernel(record_spans=False)
         assert kernel.call_(lambda: 7) == 7
         assert kernel.compute_spans == []
+
+
+class _Parked:
+    """A thread parked in ``alt_``; records what woke it and what the
+    wait cost (wall and thread-CPU seconds)."""
+
+    def __init__(self, kernel, edges):
+        self.outcome = None
+        self.returned_at = None
+        self.cpu_s = None
+        self.entered = threading.Event()
+        self.thread = threading.Thread(
+            target=self._run, args=(kernel, edges), daemon=True)
+        self.thread.start()
+        assert self.entered.wait(5.0)
+
+    def _run(self, kernel, edges):
+        cpu = time.thread_time()
+        self.entered.set()
+        try:
+            self.outcome = kernel.alt_(edges)
+        except Shutdown:
+            self.outcome = "shutdown"
+        self.returned_at = time.perf_counter()
+        self.cpu_s = time.thread_time() - cpu
+
+    def join(self):
+        self.thread.join(10.0)
+        assert not self.thread.is_alive()
+        return self.outcome
+
+
+@pytest.fixture
+def channels():
+    made = []
+    ctx = multiprocessing.get_context()
+
+    def make(kind):
+        channel = (PipeChannel(ctx, 4) if kind == "pipe"
+                   else RingChannel(slots=8, slot_bytes=1024))
+        made.append(channel)
+        return channel
+
+    yield make
+    for channel in made:
+        channel.destroy()
+
+
+class TestBlockingAlt:
+    """``alt_`` sleeps until a packet exists: local queues ring the
+    waiter's doorbell, pipe channels are polled by fd, and only
+    channels with neither (the ring transport) keep the polling tick.
+    Every test parks with a *long* ``poll_s`` where it can, so waking
+    on the timeout instead of the event fails the deadline."""
+
+    def test_local_edge_wakes_a_parked_alt(self):
+        kernel = make_kernel(poll_s=30.0)
+        parked = _Parked(kernel, ["e0", "e1"])
+        time.sleep(0.05)
+        kernel.send_("e1", "late")
+        assert parked.join() == ("e1", "late")
+
+    def test_remote_pipe_edge_wakes_a_parked_alt(self, channels):
+        pipe = channels("pipe")
+        kernel = make_kernel(poll_s=30.0, remote_channels={"r0": pipe})
+        parked = _Parked(kernel, ["e0", "r0"])
+        time.sleep(0.05)
+        pipe.put_nowait(("remote", 1))
+        assert parked.join() == ("r0", ("remote", 1))
+
+    def test_mixed_local_and_pipe_edges(self, channels):
+        pipe = channels("pipe")
+        kernel = make_kernel(poll_s=30.0, remote_channels={"r0": pipe})
+        edges = ["r0", "e0", "e1"]
+        for edge, send in (("e1", lambda: kernel.send_("e1", "a")),
+                           ("r0", lambda: pipe.put_nowait("b")),
+                           ("e0", lambda: kernel.send_("e0", "c"))):
+            parked = _Parked(kernel, edges)
+            time.sleep(0.02)
+            send()
+            assert parked.join()[0] == edge
+
+    def test_large_array_over_a_pipe_edge_is_unpacked(self, channels):
+        pipe = channels("pipe")
+        sender = make_kernel(remote_channels={"r0": pipe}, shm_threshold=1024)
+        frame = np.arange(64 * 64, dtype=np.int64).reshape(64, 64)
+        sender.send_("r0", frame)
+        edge, value = make_kernel(
+            remote_channels={"r0": pipe}).alt_(["r0"])
+        np.testing.assert_array_equal(value, frame)
+        sender.release_shm()
+
+    def test_aliased_edge_waits_on_the_channel_it_resolves_to(self, channels):
+        pipe = channels("pipe")
+        kernel = make_kernel(
+            poll_s=30.0, remote_channels={"r0": pipe},
+            edge_aliases={"e5": "r0"},
+        )
+        parked = _Parked(kernel, ["e5"])
+        time.sleep(0.02)
+        pipe.put_nowait("through the fused router")
+        assert parked.join() == ("e5", "through the fused router")
+
+    def test_ring_edge_keeps_the_bounded_tick(self, channels):
+        ring = channels("ring")
+        kernel = make_kernel(remote_channels={"r0": ring})
+        assert kernel._waiter(["r0", "e0"]) is None
+        parked = _Parked(kernel, ["r0", "e0"])
+        time.sleep(0.02)
+        ring.put_nowait("slot")
+        assert parked.join() == ("r0", "slot")
+        parked = _Parked(kernel, ["r0", "e0"])
+        time.sleep(0.02)
+        kernel.send_("e0", "local beside a ring")
+        assert parked.join() == ("e0", "local beside a ring")
+
+    def test_a_parked_alt_burns_no_cpu(self, channels):
+        """The old ALT woke every 200 µs to poll each edge."""
+        pipe = channels("pipe")
+        kernel = make_kernel(poll_s=0.1, remote_channels={"r0": pipe})
+        parked = _Parked(kernel, ["r0", "e0", "e1"])
+        time.sleep(0.5)
+        kernel.send_("e0", "done")
+        parked.join()
+        assert parked.cpu_s < 0.01
+
+    @pytest.mark.parametrize("remote", [False, True])
+    def test_wake_latency_is_well_under_the_old_tick(self, channels, remote):
+        pipe = channels("pipe")
+        kernel = make_kernel(poll_s=30.0, remote_channels={"r0": pipe})
+        latencies = []
+        for _ in range(41):
+            parked = _Parked(kernel, ["r0", "e0"])
+            time.sleep(0.005)  # let it reach the poll
+            sent_at = time.perf_counter()
+            if remote:
+                pipe.put_nowait(0)
+            else:
+                kernel.send_("e0", 0)
+            parked.join()
+            latencies.append(parked.returned_at - sent_at)
+        assert sorted(latencies)[len(latencies) // 2] < 200e-6
+
+    def test_stop_wakes_a_parked_alt_within_a_poll_tick(self, channels):
+        stop = threading.Event()
+        pipe = channels("pipe")
+        kernel = make_kernel(
+            stop_event=stop, poll_s=0.02, remote_channels={"r0": pipe})
+        parked = _Parked(kernel, ["r0", "e0"])
+        time.sleep(0.05)
+        raised = time.perf_counter()
+        stop.set()
+        assert parked.join() == "shutdown"
+        assert parked.returned_at - raised < 0.2
+
+    def test_a_packet_that_lands_before_the_wait_is_not_missed(self):
+        kernel = make_kernel(poll_s=30.0)
+        for round_ in range(200):
+            kernel.send_("e0", round_)
+            assert kernel.alt_(["e0", "e1"]) == ("e0", round_)
+
+    def test_no_wake_up_is_lost_under_concurrent_senders(self, channels):
+        """More senders than cores, a shortened switch interval, and a
+        ``poll_s`` long enough that one lost wake-up (a packet landing
+        between the waiter's scan and its poll without ringing) would
+        blow the time bound on its own."""
+        pipe = channels("pipe")
+        kernel = make_kernel(poll_s=60.0, remote_channels={"r0": pipe})
+        edges, rounds = ["e0", "e1", "r0"], 3000
+        got = []
+
+        def collect():
+            for _ in range(len(edges) * rounds):
+                got.append(kernel.alt_(edges))
+
+        def feed(edge):
+            for i in range(rounds):
+                kernel.send_(edge, i)
+                if i % 3 == 0:
+                    time.sleep(0)
+
+        threads = [threading.Thread(target=collect, daemon=True)] + [
+            threading.Thread(target=feed, args=(edge,), daemon=True)
+            for edge in edges
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        started = time.monotonic()
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert time.monotonic() - started < 30.0
+        for edge in edges:  # per-edge FIFO, nothing lost or repeated
+            assert [v for e, v in got if e == edge] == list(range(rounds))
+
+    def test_executive_thread_closes_its_waiter_on_exit(self, channels):
+        pipe = channels("pipe")
+        stop = threading.Event()
+        kernel = make_kernel(
+            stop_event=stop, poll_s=0.01, remote_channels={"r0": pipe})
+        before = set(os.listdir("/proc/self/fd"))
+        thread = kernel.spawn_("proc_m", lambda: kernel.alt_(["r0", "e0"]))
+        time.sleep(0.05)
+        assert set(os.listdir("/proc/self/fd")) - before  # the doorbell
+        stop.set()
+        thread.join(5.0)
+        assert not thread.is_alive()
+        assert set(os.listdir("/proc/self/fd")) == before
+        assert kernel.channel("e0").bell is None

@@ -13,6 +13,7 @@ from repro.faults.supervisor import (
     Result,
     SupervisedKernel,
     _InFlight,
+    _Suspect,
 )
 from repro.faults.topology import FaultTopology
 from repro.machine.trace import Trace
@@ -304,6 +305,105 @@ class TestCircuitBreaker:
         kernel, state = make_supervised()
         kernel._readmit(state, state.farm.workers[0])
         assert kernel.fault_report.records == []
+
+
+class TestStuckRuleColdStart:
+    """The BEAT-fresh/COUNT-flat clock starts at the worker's first
+    observed beat, never at dispatch: a worker whose OS process is
+    still starting is not stuck."""
+
+    STUCK_AFTER_S = 0.25  # HealthPolicy default
+
+    def stuck_records(self, kernel):
+        return [r for r in kernel.fault_report.records
+                if r.category == "limping" and r.kind == "stuck"]
+
+    def flag(self, kernel, state, rec, now):
+        worker = state.farm.workers[rec.assigned]
+        with state.lock:
+            kernel._maybe_flag_stuck(state, rec, worker, now)
+
+    def test_worker_that_never_beat_is_not_stuck(self):
+        kernel, state = make_supervised(heartbeat_timeout_s=1e6)
+        now = time.monotonic()
+        rec = _InFlight(0, "payload", 0, 0, now - 100 * self.STUCK_AFTER_S)
+        self.flag(kernel, state, rec, now)
+        assert self.stuck_records(kernel) == []
+
+    def test_clock_starts_at_first_beat_not_dispatch(self):
+        kernel, state = make_supervised(heartbeat_timeout_s=1e6)
+        worker = state.farm.workers[0]
+        now = time.monotonic()
+        # Dispatched long ago; the worker only just came up.
+        rec = _InFlight(0, "payload", 0, 0, now - 100 * self.STUCK_AFTER_S)
+        kernel._board.beat(worker.slot)
+        up_at = kernel._board.last(worker.slot)
+        self.flag(kernel, state, rec, up_at + 0.5 * self.STUCK_AFTER_S)
+        assert self.stuck_records(kernel) == []
+        # Later beats do not move the origin.
+        kernel._board.beat(worker.slot)
+        self.flag(kernel, state, rec, up_at + 1.5 * self.STUCK_AFTER_S)
+        (record,) = self.stuck_records(kernel)
+        assert record.target == worker.pid
+
+    def test_warm_worker_is_timed_from_dispatch(self):
+        kernel, state = make_supervised(heartbeat_timeout_s=1e6)
+        worker = state.farm.workers[1]
+        kernel._board.beat(worker.slot)
+        sent_at = kernel._board.last(worker.slot) + 10.0
+        rec = _InFlight(3, "payload", 1, 1, sent_at)
+        self.flag(kernel, state, rec, sent_at + 0.5 * self.STUCK_AFTER_S)
+        assert self.stuck_records(kernel) == []
+        self.flag(kernel, state, rec, sent_at + 1.5 * self.STUCK_AFTER_S)
+        assert len(self.stuck_records(kernel)) == 1
+
+
+class TestSuspectsGetNoNewWork:
+    """A worker that lost a hedge race and has answered nothing since
+    is routed around until it clears itself or is convicted: if it is
+    dead, packets would pile up unread in its queue and the master's
+    blocking send would park the only thread that can convict it."""
+
+    def dispatch(self, kernel, state, worker, value):
+        kernel.send_(worker.dispatch_edge, value)
+        (rec,) = [r for r in state.inflight.values() if r.value == value]
+        return rec
+
+    def queued(self, kernel, worker):
+        return kernel._base.channel(worker.dispatch_edge).q.qsize()
+
+    def test_packet_for_a_suspect_goes_to_a_peer(self):
+        kernel, state = make_supervised()
+        silent, peer = state.farm.workers[0], state.farm.workers[1]
+        state.suspects[silent.index] = _Suspect(
+            7, time.monotonic(), 100.0, peer)
+        for i in range(8):  # more than its queue would hold
+            rec = self.dispatch(kernel, state, silent, f"v{i}")
+            assert rec.origin_slot == silent.index  # the master's port
+            assert rec.assigned != silent.index
+        assert self.queued(kernel, silent) == 0
+
+    def test_answering_clears_the_detour(self):
+        kernel, state = make_supervised()
+        silent, peer = state.farm.workers[0], state.farm.workers[1]
+        state.suspects[silent.index] = _Suspect(
+            7, time.monotonic(), 100.0, peer)
+        rec = self.dispatch(kernel, state, silent, "rescued")
+        kernel._accept(state, Result(rec.seq, "r"), silent)  # it spoke
+        assert silent.index not in state.suspects
+        rec = self.dispatch(kernel, state, silent, "next")
+        assert rec.assigned == silent.index
+        assert self.queued(kernel, silent) == 1
+
+    def test_a_lone_suspect_still_gets_the_packet(self):
+        kernel, state = make_supervised()
+        silent = state.farm.workers[0]
+        for other in state.farm.workers[1:]:
+            state.quarantined.add(other.index)
+        state.suspects[silent.index] = _Suspect(
+            7, time.monotonic(), 100.0, silent)
+        rec = self.dispatch(kernel, state, silent, "no peer left")
+        assert rec.assigned == silent.index
 
 
 class TestFlushSendsOverflow:

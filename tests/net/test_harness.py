@@ -5,6 +5,7 @@ pool must never block a caller forever (a dead cluster raises) and
 shutdown must be safe to call from any number of racing threads.
 """
 
+import os
 import threading
 import time
 
@@ -149,3 +150,22 @@ class TestNoWorkerLeak:
             assert pids == baseline, (
                 f"churn respawned workers: {baseline} -> {pids}"
             )
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="platform without sched_setaffinity")
+class TestSpawnedWorkersPinThemselves:
+    def test_each_local_worker_takes_one_cpu_of_the_mask(self):
+        allowed = os.sched_getaffinity(0)
+        with ClusterHarness(size=3) as harness:
+            links = harness.checkout(3, timeout=30.0)  # all dialled in
+            harness.release(links)
+            masks = [os.sched_getaffinity(proc.pid)
+                     for proc in harness._procs]
+        if len(allowed) == 1:
+            assert masks == [allowed] * 3
+            return
+        cpus = sorted(allowed)
+        # Spawn ordinal i -> cpus[i % len(cpus)]: the processes
+        # backend's rule, wrapping when workers outnumber CPUs.
+        assert masks == [{cpus[i % len(cpus)]} for i in range(3)]

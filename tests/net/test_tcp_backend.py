@@ -61,12 +61,17 @@ class TestDistributedEquivalence:
         assert report.one_shot_results == reference.one_shot_results
 
     def test_reports_wall_clock_and_spans(self, cluster):
-        report = run_tcp(RECIPES["df"], cluster)
+        report = run_tcp(RECIPES["df"], cluster, record_trace=True)
         assert report.wall_clock
         assert report.backend == "tcp"
         assert report.makespan > 0
         assert report.trace is not None
         assert report.trace.compute
+
+    def test_untraced_run_records_no_spans(self, cluster):
+        report = run_tcp(RECIPES["df"], cluster)
+        assert not report.trace.compute
+        assert not report.trace.transfer
 
     def test_runs_back_to_back_on_one_cluster(self, cluster):
         """Persistent workers must not leak state between runs."""

@@ -38,6 +38,17 @@ class TestChaosSoak:
         assert rt.ledger.submitted == 40
         assert rt.ledger.unaccounted() == 0
 
+    def test_dead_worker_rescued_by_hedges_never_parks_the_master(self):
+        """The CI soak command.  An early crash, then hedging: every
+        packet sent to the dead worker is rescued, which frees its
+        port, so the master kept feeding it — until its queue was full
+        and the master's blocking send parked the one thread that could
+        convict it.  Worked only while the data plane was slow and the
+        router in front of the worker buffered five more packets."""
+        result = run_soak("processes", seed=5, frames=100, timeout=30.0)
+        assert result.ok, result.violations
+        assert result.report.realtime.ledger.unaccounted() == 0
+
     def test_seeds_vary_but_always_conserve(self):
         for seed in (0, 1, 2):
             result = run_soak(

@@ -1,0 +1,354 @@
+"""The ``queue`` transport's channel: a bounded SPSC pipe, no feeder thread.
+
+Unit facts first (bound, FIFO, ``Full``/``Empty``, messages around
+``PIPE_BUF`` — where spilling starts — and around the 64 KB pipe
+capacity), then the same contract under hypothesis against a list
+model, across ``fork`` and ``spawn``, and the one hazard the old
+``multiprocessing.Queue`` feeder thread used to hide: large messages to
+a reader that has died must not park the sender beyond the stop flag.
+"""
+
+import gc
+import glob
+import multiprocessing
+import os
+import pickle
+import queue
+import select
+import signal
+import threading
+import time
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.backends.process_kernel import ProcessKernel
+from repro.codegen.kernel import Shutdown
+from repro.shm import get_transport
+from repro.shm.pipe import _INLINE_MAX, PipeChannel
+from repro.shm.registry import EdgeSpec
+
+START_METHODS = [
+    m for m in ("fork", "spawn")
+    if m in multiprocessing.get_all_start_methods()
+]
+
+#: Linux's default pipe capacity; messages are sized around it.
+PIPE_CAPACITY = 65536
+#: Pickle framing of a ``bytes`` payload (protocol header, length, STOP).
+PICKLE_OVERHEAD = len(pickle.dumps(b"\0" * 1000, pickle.HIGHEST_PROTOCOL)) \
+    - 1000
+
+
+def make_channel(maxsize=4, method=None):
+    return PipeChannel(multiprocessing.get_context(method), maxsize)
+
+
+def spill_files(channel):
+    return glob.glob(glob.escape(channel._spill_prefix) + "*")
+
+
+def open_fds():
+    return set(os.listdir("/proc/self/fd"))
+
+
+class TestContract:
+    def test_is_what_the_queue_transport_builds(self):
+        ctx = multiprocessing.get_context()
+        spec = EdgeSpec("e0", "a", "b", "P0", "P1")
+        channel = get_transport("queue").channel_for(
+            spec, ctx, queue_size=3, options={})
+        try:
+            assert isinstance(channel, PipeChannel)
+            for i in range(3):
+                channel.put_nowait(i)
+            with pytest.raises(queue.Full):
+                channel.put_nowait(3)
+        finally:
+            channel.destroy()
+
+    def test_fifo(self):
+        channel = make_channel(maxsize=8)
+        try:
+            for i in range(8):
+                channel.put(("packet", i), timeout=1.0)
+            assert [channel.get(timeout=1.0) for _ in range(8)] == [
+                ("packet", i) for i in range(8)
+            ]
+        finally:
+            channel.destroy()
+
+    def test_bound_is_honoured_and_freed_by_get(self):
+        channel = make_channel(maxsize=2)
+        try:
+            channel.put_nowait("a")
+            channel.put_nowait("b")
+            with pytest.raises(queue.Full):
+                channel.put_nowait("c")
+            start = time.monotonic()
+            with pytest.raises(queue.Full):
+                channel.put("c", timeout=0.05)
+            assert 0.04 <= time.monotonic() - start < 1.0
+            assert channel.get_nowait() == "a"
+            channel.put_nowait("c")  # the freed slot
+            assert channel.get_nowait() == "b"
+            assert channel.get_nowait() == "c"
+        finally:
+            channel.destroy()
+
+    def test_empty(self):
+        channel = make_channel()
+        try:
+            with pytest.raises(queue.Empty):
+                channel.get_nowait()
+            start = time.monotonic()
+            with pytest.raises(queue.Empty):
+                channel.get(timeout=0.05)
+            assert 0.04 <= time.monotonic() - start < 1.0
+        finally:
+            channel.destroy()
+
+    def test_read_end_is_readable_exactly_while_a_packet_waits(self):
+        channel = make_channel()
+        try:
+            poller = select.poll()
+            poller.register(channel.fileno(), select.POLLIN)
+            assert poller.poll(0) == []
+            channel.put_nowait("x")
+            channel.put_nowait(os.urandom(3 * PIPE_CAPACITY))
+            for _ in range(2):
+                assert poller.poll(1000)
+                channel.get_nowait()
+            assert poller.poll(0) == []
+        finally:
+            channel.destroy()
+
+    @pytest.mark.parametrize("size", [
+        0, 1,
+        _INLINE_MAX - PICKLE_OVERHEAD,      # the largest inline message
+        _INLINE_MAX - PICKLE_OVERHEAD + 1,  # the smallest spilled one
+        PIPE_CAPACITY // 2, PIPE_CAPACITY - 64, PIPE_CAPACITY,
+        PIPE_CAPACITY + 1, 4 * PIPE_CAPACITY + 7,
+    ])
+    def test_payloads_around_pipe_buf_and_the_pipe_capacity(self, size):
+        """A message is whole the moment ``put`` returns, whatever its
+        size: up to PIPE_BUF inside the pipe, beyond it in a spill file
+        the consumer removes."""
+        channel = make_channel()
+        payload = os.urandom(size)
+        spills = len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)) \
+            > _INLINE_MAX
+        try:
+            channel.put_nowait(payload)
+            assert len(spill_files(channel)) == (1 if spills else 0)
+            assert channel.get_nowait() == payload
+            assert spill_files(channel) == []
+            channel.put_nowait("after")  # the stream is still framed
+            assert channel.get_nowait() == "after"
+        finally:
+            channel.destroy()
+
+    def test_large_messages_never_wait_for_the_reader(self):
+        """The bound counts messages, not bytes: ``maxsize`` messages
+        far beyond the pipe's capacity are accepted at once, nobody
+        reading, and the next one is refused — not parked."""
+        channel = make_channel(maxsize=3)
+        big = [os.urandom(4 * PIPE_CAPACITY) for _ in range(3)]
+        try:
+            start = time.monotonic()
+            for payload in big:
+                channel.put_nowait(payload)
+            with pytest.raises(queue.Full):
+                channel.put_nowait(b"one too many")
+            assert time.monotonic() - start < 1.0
+            assert [channel.get_nowait() for _ in big] == big
+        finally:
+            channel.destroy()
+
+    def test_more_slots_than_the_pipe_holds(self):
+        """A ``queue_size`` above 16 lets the *pipe* fill before the
+        slots run out: the atomic write is refused whole and the value
+        is not enqueued."""
+        channel = make_channel(maxsize=64)
+        payload = os.urandom(_INLINE_MAX - PICKLE_OVERHEAD)
+        accepted = 0
+        try:
+            with pytest.raises(queue.Full):
+                for _ in range(64):
+                    channel.put_nowait(payload)
+                    accepted += 1
+            assert 8 <= accepted < 64  # 16 on Linux: one page each
+            start = time.monotonic()
+            with pytest.raises(queue.Full):
+                channel.put(payload, timeout=0.05)
+            assert 0.04 <= time.monotonic() - start < 1.0
+            assert channel.get_nowait() == payload
+            channel.put_nowait(payload)  # room again
+            for _ in range(accepted):
+                assert channel.get_nowait() == payload
+            with pytest.raises(queue.Empty):
+                channel.get_nowait()
+        finally:
+            channel.destroy()
+
+    def test_accepted_at_marks_the_end_of_the_back_pressure_wait(self):
+        channel = make_channel(maxsize=1)
+        try:
+            channel.put_nowait("fills the only slot")
+            freer = threading.Timer(0.05, channel.get_nowait)
+            freer.start()
+            before = time.perf_counter()
+            channel.put("waits for the slot", timeout=5.0)
+            freer.join(5.0)
+            assert channel.accepted_at - before >= 0.04
+        finally:
+            channel.destroy()
+
+    def test_destroy_leaves_no_fd_and_no_shm_entry(self):
+        # A spawn-context semaphore starts multiprocessing's resource
+        # tracker, which keeps a pipe for the life of this interpreter.
+        make_channel(method=START_METHODS[-1]).destroy()
+        gc.collect()
+        fds, shm = open_fds(), set(os.listdir("/dev/shm"))
+        for method in START_METHODS:
+            channel = make_channel(method=method)
+            channel.put_nowait("x")
+            assert channel.get_nowait() == "x"
+            channel.put_nowait(os.urandom(PIPE_CAPACITY))  # never read
+            assert set(os.listdir("/dev/shm")) != shm
+            channel.destroy()
+            del channel
+        gc.collect()
+        assert open_fds() == fds
+        assert set(os.listdir("/dev/shm")) == shm
+
+
+class TestAgainstAModel:
+    """Any interleaving of non-blocking puts and gets behaves like a
+    bounded FIFO: nothing lost, duplicated or reordered, a put refused
+    exactly when ``maxsize`` messages are unread, a get exactly when
+    none is."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        maxsize=st.integers(min_value=1, max_value=5),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.just("put"), st.sampled_from(
+                    [0, 10, 4000, _INLINE_MAX, PIPE_CAPACITY // 3,
+                     PIPE_CAPACITY, 2 * PIPE_CAPACITY + 13])),
+                st.tuples(st.just("get"), st.just(0)),
+            ),
+            max_size=40,
+        ),
+    )
+    def test_bounded_fifo(self, maxsize, ops):
+        channel = make_channel(maxsize=maxsize)
+        model = []
+        try:
+            for serial, (op, size) in enumerate(ops):
+                if op == "put":
+                    value = (serial, b"\xab" * size)
+                    if len(model) < maxsize:
+                        channel.put_nowait(value)
+                        model.append(value)
+                    else:
+                        with pytest.raises(queue.Full):
+                            channel.put_nowait(value)
+                elif model:
+                    assert channel.get_nowait() == model.pop(0)
+                else:
+                    with pytest.raises(queue.Empty):
+                        channel.get_nowait()
+            for value in model:
+                assert channel.get_nowait() == value
+            with pytest.raises(queue.Empty):
+                channel.get_nowait()
+            assert spill_files(channel) == []
+        finally:
+            channel.destroy()
+
+
+def _produce(channel, values):
+    for value in values:
+        channel.put(value, timeout=30.0)
+
+
+def _consume_forever(channel, ready):
+    ready.set()
+    while True:
+        channel.get(timeout=30.0)
+
+
+class TestAcrossProcesses:
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_child_producer_parent_consumer(self, method):
+        ctx = multiprocessing.get_context(method)
+        channel = PipeChannel(ctx, 4)
+        values = [("small", i) for i in range(20)]
+        values.insert(7, os.urandom(5 * PIPE_CAPACITY))
+        child = ctx.Process(target=_produce, args=(channel, values))
+        try:
+            child.start()
+            got = [channel.get(timeout=30.0) for _ in values]
+            child.join(30.0)
+            assert child.exitcode == 0
+            assert got == values
+        finally:
+            channel.destroy()
+
+    def test_channel_only_pickles_while_spawning(self):
+        channel = make_channel()
+        try:
+            with pytest.raises(RuntimeError):
+                pickle.dumps(channel)
+        finally:
+            channel.destroy()
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_sigkilled_reader_then_stop_unwinds_the_sender(self, method):
+        """What the feeder thread used to hide: the reader dies while
+        messages larger than the pipe are streaming at it.  The sender
+        must keep seeing the stop flag and unwind within a poll tick,
+        and the unread spill files go with the channel."""
+        ctx = multiprocessing.get_context(method)
+        channel = PipeChannel(ctx, 4)
+        ready = ctx.Event()
+        reader = ctx.Process(target=_consume_forever, args=(channel, ready))
+        stop = threading.Event()
+        poll_s = 0.02
+        kernel = ProcessKernel(
+            "P0", placement={}, remote_channels={"e0": channel},
+            stop_event=stop, poll_s=poll_s,
+        )
+        unwound = []
+
+        def sender():
+            big = os.urandom(3 * PIPE_CAPACITY)
+            try:
+                while True:
+                    kernel.send_("e0", big)
+            except Shutdown:
+                unwound.append(time.monotonic())
+
+        thread = threading.Thread(target=sender, daemon=True)
+        try:
+            reader.start()
+            assert ready.wait(30.0)
+            thread.start()
+            time.sleep(0.1)  # packets are flowing
+            os.kill(reader.pid, signal.SIGKILL)
+            reader.join(10.0)
+            time.sleep(0.2)  # the sender is now out of slots
+            assert thread.is_alive() and not unwound
+            assert spill_files(channel)
+            raised = time.monotonic()
+            stop.set()
+            thread.join(5.0)
+            assert not thread.is_alive()
+            assert unwound[0] - raised < 10 * poll_s
+        finally:
+            stop.set()
+            channel.destroy()
+        assert spill_files(channel) == []

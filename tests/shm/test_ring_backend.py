@@ -88,6 +88,6 @@ class TestRingEquivalence:
         assert_agrees(report, reference)
 
     def test_transfer_spans_recorded_over_ring(self):
-        report = run_ring(make_df)
+        report = run_ring(make_df, record_trace=True)
         assert report.trace is not None
         assert report.trace.compute

@@ -10,6 +10,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import threading
 import time
 
 import pytest
@@ -120,5 +121,84 @@ class TestAcrossProcesses:
             flag.set()  # must not block on anything the child held
             assert time.monotonic() - start < 1.0
             assert flag.is_set()
+        finally:
+            flag.unlink()
+
+
+def _hammer_from_many_threads(flag, n_threads, results):
+    """Child body: ``n_threads`` threads reach the unattached flag at
+    once (a worker's executive threads after fork/unpickle), then poll
+    it like kernel primitives do.  Posts the exceptions they died of."""
+    import sys
+    import threading
+
+    errors = []
+    barrier = threading.Barrier(n_threads)
+
+    def poll():
+        try:
+            barrier.wait(10.0)
+            for _ in range(300):
+                flag.is_set()
+        except BaseException as err:  # noqa: BLE001 - reported to the parent
+            errors.append(repr(err))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=poll) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(interval)
+    results.put(errors)
+
+
+class TestManyThreadsOneFlag:
+    """Regression: lazy attach was unguarded; two threads attached at
+    once, the loser's mapping was collected under a third thread's
+    buffer and that thread died on a released memoryview (~1 % of
+    ``processes`` runs hung at start-up)."""
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_concurrent_first_use_never_loses_a_mapping(self, start_method):
+        ctx = multiprocessing.get_context(start_method)
+        flag = StopFlag()
+        results = ctx.Queue()
+        try:
+            for _ in range(5):
+                child = ctx.Process(
+                    target=_hammer_from_many_threads,
+                    args=(flag, 16, results),
+                )
+                child.start()
+                errors = results.get(timeout=60.0)
+                child.join(30.0)
+                assert child.exitcode == 0
+                assert errors == []
+            assert not flag.is_set()
+        finally:
+            flag.unlink()
+
+    def test_every_thread_of_a_process_shares_one_mapping(self):
+        flag = StopFlag()
+        try:
+            clone = pickle.loads(pickle.dumps(flag))
+            views = []
+            barrier = threading.Barrier(8)
+
+            def first_use():
+                barrier.wait(10.0)
+                views.append(clone._buf())
+
+            threads = [threading.Thread(target=first_use) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(10.0)
+            assert len(views) == 8
+            assert all(view is views[0] for view in views)
         finally:
             flag.unlink()
