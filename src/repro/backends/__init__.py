@@ -33,7 +33,6 @@ from .simulate_backend import SimulateBackend
 from .thread_backend import ThreadBackend
 from .asyncio_backend import AsyncioBackend
 from .process_backend import ProcessBackend, default_start_method, run_multiprocess
-from .process_kernel import SHM_MIN_BYTES, ProcessKernel
 from .standalone_backend import StandaloneBackend, run_emitted
 
 # A plain ``import`` (not ``from ... import``) registers the tcp backend
@@ -58,10 +57,8 @@ __all__ = [
     "ThreadBackend",
     "AsyncioBackend",
     "ProcessBackend",
-    "ProcessKernel",
     "StandaloneBackend",
     "run_emitted",
     "run_multiprocess",
     "default_start_method",
-    "SHM_MIN_BYTES",
 ]

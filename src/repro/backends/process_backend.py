@@ -4,10 +4,11 @@ The parent generates the executive once, creates the inter-processor
 channels (one bounded channel per remote edge, built by the selected
 transport) and the shared stop flag, then launches one worker process
 per mapped processor.  Each worker pins itself to one CPU and builds
-the executive against a
-:class:`~repro.backends.process_kernel.ProcessKernel` that only starts
-the threads placed on its processor — minus the identity routers the
-mapping lets the kernel fuse away (:func:`fused_routers`).  Termination
+the executive against a :class:`~repro.codegen.kernel.Kernel` that
+hosts only its processor — it starts the threads placed there, minus
+the identity routers the mapping lets the kernel fuse away
+(:func:`fused_routers`), and reaches the other processors through the
+parent's channels.  Termination
 mirrors the thread kernel's ``join_``: the parent waits until every
 sink-owning worker has reported its sinks complete, then raises the
 stop event so blocked threads unwind, and finally merges per-worker
@@ -29,12 +30,13 @@ import time
 import traceback
 from typing import Any, Dict, FrozenSet, List, Optional, Tuple
 
+from ..codegen.kernel import Kernel
 from ..codegen.pygen import generate_python, load_executive, thread_name
 from ..core.functions import FunctionTable
 from ..core.ir import Program
 from ..machine.costs import T9000, CostModel
 from ..machine.executive import RunReport
-from ..machine.trace import Trace
+from ..machine.trace import Span, Trace
 from ..pnt.graph import ProcessKind
 from ..shm.batch import BatchPolicy
 from ..shm.flag import StopFlag
@@ -46,7 +48,6 @@ from ..shm.registry import (
 )
 from ..syndex.distribute import Mapping
 from .base import Backend, BackendError, pin_to_cpu, report_from_blackboard
-from .process_kernel import SHM_MIN_BYTES, ProcessKernel
 from .registry import register_backend
 
 __all__ = ["ProcessBackend", "run_multiprocess", "default_start_method"]
@@ -70,24 +71,23 @@ def _worker_main(payload: Dict[str, Any]) -> None:
     results = payload["results"]
     stop = payload["stop"]
     processor = payload["processor"]
-    base: Optional[ProcessKernel] = None
+    base: Optional[Kernel] = None
     try:
         # One mapped processor, one core — before any thread exists, so
         # every executive thread inherits the mask.
         pin_to_cpu(payload["index"])
         module = load_executive(payload["source"])
-        base = ProcessKernel(
-            processor,
+        base = Kernel(
+            hosts=processor,
             placement=payload["placement"],
-            remote_channels=payload["remote"],
-            stop_event=stop,
+            remote=payload["remote"],
+            edge_aliases=payload["edge_aliases"],
+            fused_threads=payload["fused_threads"],
+            stop=stop,
             queue_size=payload["queue_size"],
             poll_s=payload["poll_s"],
             epoch=payload["epoch"],
-            shm_threshold=payload["shm_threshold"],
             record_spans=payload["record_spans"],
-            edge_aliases=payload["edge_aliases"],
-            fused_threads=payload["fused_threads"],
         )
         kernel: Any = base
         faults = payload.get("faults")
@@ -152,10 +152,10 @@ def _worker_main(payload: Dict[str, Any]) -> None:
         results.put(("error", processor, traceback.format_exc()))
     finally:
         if base is not None:
-            # Reclaim shm segments whose receiver never attached: without
-            # this, a crashed receiver (or an early stop) leaks the
-            # segment in /dev/shm for the life of the machine.
-            base.release_shm()
+            # Reclaim what a receiver never claimed (it crashed, or the
+            # run stopped first): a ring's overflow segments would
+            # otherwise stay in /dev/shm for the life of the machine.
+            base.release()
 
 
 def fused_routers(
@@ -253,7 +253,6 @@ def run_multiprocess(
     start_method: Optional[str] = None,
     queue_size: int = 4,
     poll_s: float = 0.02,
-    shm_threshold: int = SHM_MIN_BYTES,
     record_spans: bool = True,
     fault_plan: Optional[Any] = None,
     fault_policy: Optional[Any] = None,
@@ -386,7 +385,6 @@ def run_multiprocess(
             "epoch": epoch,
             "queue_size": queue_size,
             "poll_s": poll_s,
-            "shm_threshold": shm_threshold,
             "record_spans": record_spans,
             "edge_aliases": edge_aliases,
             "fused_threads": fused_threads,
@@ -416,8 +414,8 @@ def run_multiprocess(
             waiting_sinks.discard(message[1])
         elif tag == "done":
             done[message[1]] = message[2]
-            compute_spans.extend(message[3])
-            transfer_spans.extend(message[4])
+            compute_spans.extend(Span(*s) for s in message[3])
+            transfer_spans.extend(Span(*s) for s in message[4])
             if len(message) > 5:
                 fault_payloads.extend(message[5])
             if len(message) > 6 and message[6] is not None:
@@ -495,12 +493,12 @@ class ProcessBackend(Backend):
     True parallelism for CPU-bound sequential functions (each worker has
     its own interpreter and GIL, pinned to one core); inter-processor
     edges are built by the selected *transport* — ``queue`` (bounded
-    pipe channels written from the sending thread, with shared-memory
-    transfer for large numpy payloads) or ``ring``
+    pipe channels written from the sending thread; large buffers cross
+    out of band through ``/dev/shm``) or ``ring``
     (preallocated shared-memory rings with packet batching; see
     :mod:`repro.shm`).  Options: ``start_method`` (``fork``/``spawn``/
     ``forkserver``; default from ``REPRO_MP_START_METHOD`` or ``fork``
-    where available), ``queue_size``, ``shm_threshold``, ``transport``
+    where available), ``queue_size``, ``transport``
     (default from ``REPRO_TRANSPORT`` or ``queue``),
     ``transport_options`` (``ring_slots``, ``ring_slot_bytes``,
     ``batch_policy``).
@@ -526,7 +524,6 @@ class ProcessBackend(Backend):
         timeout: float = 120.0,
         start_method: Optional[str] = None,
         queue_size: int = 4,
-        shm_threshold: int = SHM_MIN_BYTES,
         fault_plan: Optional[Any] = None,
         fault_policy: Optional[Any] = None,
         budget: Optional[Any] = None,
@@ -544,7 +541,6 @@ class ProcessBackend(Backend):
             timeout=timeout,
             start_method=start_method,
             queue_size=queue_size,
-            shm_threshold=shm_threshold,
             record_spans=record_trace,
             fault_plan=fault_plan,
             fault_policy=fault_policy,

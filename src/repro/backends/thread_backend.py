@@ -1,11 +1,12 @@
-"""Threaded-executive backend (generated code on :class:`ThreadKernel`)."""
+"""Threaded-executive backend: the generated code on one
+:class:`~repro.codegen.kernel.Kernel` that hosts every processor."""
 
 from __future__ import annotations
 
 import time
 from typing import Any, Optional, Tuple
 
-from ..codegen.kernel import ThreadKernel
+from ..codegen.kernel import Kernel
 from ..codegen.pygen import run_generated, thread_name
 from ..core.functions import FunctionTable
 from ..core.ir import Program
@@ -59,7 +60,8 @@ class ThreadBackend(Backend):
             thread_name(pid): proc
             for pid, proc in mapping.assignment.items()
         }
-        kernel: Any = ThreadKernel(trace=trace, placement=placement)
+        base = Kernel(placement=placement, record_spans=record_trace)
+        kernel: Any = base
         fault_report = None
         if fault_plan is not None:
             from ..faults.supervisor import SupervisedKernel
@@ -101,6 +103,9 @@ class ThreadBackend(Backend):
                                          or budget is not None):
                 shutdown()
         wall_us = (time.perf_counter() - start) * 1e6
+        if trace is not None:
+            for span in base.compute_spans:
+                trace.add_compute(*span)
         if fault_report is not None:
             fault_report.sorted()
             if trace is not None:

@@ -12,7 +12,7 @@ I/O-bound regime where OS threads and their stacks are the bottleneck.
 The generated executive for this kernel comes from the ``asyncio``
 codegen target (:mod:`repro.codegen.targets.asyncio_target`): the same
 skeleton bodies as the ``python`` dialect with every blocking primitive
-awaited.  Semantics match :class:`~repro.codegen.kernel.ThreadKernel`
+awaited.  Semantics match :class:`~repro.codegen.kernel.Kernel`
 primitive for primitive: bounded channels throttle constant sources,
 ``Shutdown`` (or task cancellation) unwinds bodies at teardown, and
 ``call_`` records trace spans attributed via the task name.
@@ -43,7 +43,7 @@ class _StopFlag:
     ``asyncio.Event`` binds an event loop on Python 3.9 at construction
     time; the kernel only ever *polls* the flag (never awaits it), so a
     plain boolean with ``is_set``/``set`` keeps the wrapper kernels'
-    ``_stop_event`` contract without any loop affinity.
+    ``stop`` contract without any loop affinity.
     """
 
     __slots__ = ("_flag",)
@@ -66,7 +66,7 @@ class AsyncioKernel:
     which on Python 3.9 must happen with the loop already running.
 
     The blocking primitives poll the stop flag every ``poll_s`` (like
-    :class:`~repro.codegen.kernel.ThreadKernel`) but park on the queue
+    :class:`~repro.codegen.kernel.Kernel`) but park on the queue
     between polls, so an idle executive costs no CPU; teardown both
     sets the flag and cancels the remaining tasks.
     """
@@ -81,7 +81,7 @@ class AsyncioKernel:
     ):
         self._channels: Dict[str, asyncio.Queue] = {}
         self._tasks: List[asyncio.Task] = []
-        self._stop_event = _StopFlag()
+        self.stop = _StopFlag()
         self._queue_size = queue_size
         self._poll_s = poll_s
         self.stop_token = Stop()
@@ -92,6 +92,10 @@ class AsyncioKernel:
         self._alt_stash: Dict[str, Deque[Any]] = {}
         #: Scratch space the generated code uses for final results.
         self.blackboard: Dict[str, Any] = {}
+
+    def now_us(self) -> float:
+        """Microseconds since kernel construction (the trace's clock)."""
+        return (time.perf_counter() - self._epoch) * 1e6
 
     # -- primitives ------------------------------------------------------------
 
@@ -115,7 +119,7 @@ class AsyncioKernel:
     async def send_(self, edge: str, value: Any) -> None:
         channel = self.channel(edge)
         while True:
-            if self._stop_event.is_set():
+            if self.stop.is_set():
                 raise Shutdown
             try:
                 channel.put_nowait(value)
@@ -131,7 +135,7 @@ class AsyncioKernel:
     async def recv_(self, edge: str) -> Any:
         channel = self.channel(edge)
         while True:
-            if self._stop_event.is_set():
+            if self.stop.is_set():
                 raise Shutdown
             try:
                 return channel.get_nowait()
@@ -145,12 +149,20 @@ class AsyncioKernel:
     def try_recv_(self, edge: str) -> Any:
         """Non-blocking receive; raises ``queue.Empty`` when idle (the
         same exception the thread kernel's supervisor polling expects)."""
-        if self._stop_event.is_set():
+        if self.stop.is_set():
             raise Shutdown
         try:
             return self.channel(edge).get_nowait()
         except asyncio.QueueEmpty:
             raise queue.Empty from None
+
+    def try_send_(self, edge: str, value: Any) -> None:
+        """Non-blocking send; raises ``queue.Full`` with the value not
+        enqueued (the exception the thread kernel's callers expect)."""
+        try:
+            self.channel(edge).put_nowait(value)
+        except asyncio.QueueFull:
+            raise queue.Full from None
 
     async def stop_(self, edge: str) -> None:
         await self.send_(edge, self.stop_token)
@@ -164,7 +176,7 @@ class AsyncioKernel:
         packet is ever dropped by the race.
         """
         while True:
-            if self._stop_event.is_set():
+            if self.stop.is_set():
                 raise Shutdown
             for edge in edges:
                 stash = self._alt_stash.get(edge)
@@ -237,12 +249,12 @@ class AsyncioKernel:
                 try:
                     await asyncio.wait_for(asyncio.shield(task), timeout)
                 except asyncio.TimeoutError:
-                    self._stop_event.set()
+                    self.stop.set()
                     raise RuntimeError(
                         f"executive task {task.get_name()!r} did not terminate"
                     ) from None
         finally:
-            self._stop_event.set()
+            self.stop.set()
             for task in self._tasks:
                 if not task.done():
                     task.cancel()

@@ -100,17 +100,17 @@ def run_generated(
 ) -> Dict[str, object]:
     """Generate, load and run the executive on a thread-style kernel.
 
-    ``kernel`` defaults to a fresh :class:`~repro.codegen.kernel.ThreadKernel`;
+    ``kernel`` defaults to a fresh :class:`~repro.codegen.kernel.Kernel`;
     any object implementing the in-process kernel primitives works.
     Returns the kernel blackboard: ``outputs`` / ``final_state`` for
     stream programs, ``result_<i>`` entries for one-shot programs.
     """
-    from .kernel import ThreadKernel
+    from .kernel import Kernel
 
     source = generate_python(mapping, max_iterations=max_iterations)
     module = load_executive(source)
     if kernel is None:
-        kernel = ThreadKernel()
+        kernel = Kernel()
     inputs = [
         p for p in mapping.graph.by_kind(ProcessKind.INPUT) if p.func is None
     ]

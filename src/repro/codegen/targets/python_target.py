@@ -432,10 +432,10 @@ class ExecutiveGenerator:
 class PythonTarget(CodegenTarget):
     """Threaded Python executive — the reference dialect.
 
-    The same module runs on :class:`~repro.codegen.kernel.ThreadKernel`
-    (the ``threads`` backend), per-process on the multiprocess kernel,
-    and on the tcp worker cluster — it is the one dialect every
-    in-process substrate shares.
+    The same module runs on :class:`~repro.codegen.kernel.Kernel`
+    everywhere — hosting every processor (the ``threads`` backend), one
+    per OS process (``processes``) or a set per worker of the tcp
+    cluster — it is the one dialect every threaded substrate shares.
     """
 
     name = "python"

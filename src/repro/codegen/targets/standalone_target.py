@@ -8,8 +8,8 @@ only the primitive set, not the environment that produced it.
 
 The directory contains:
 
-* ``skipper_kernel.py`` — the inlined kernel primitives (a minimal
-  thread kernel plus the runtime token/outcome types);
+* ``skipper_kernel.py`` — the kernel primitives: the source of
+  :mod:`repro.codegen.kernel` verbatim, plus the runtime outcome types;
 * ``executive.py`` — the generated executive, importing only
   ``skipper_kernel``;
 * ``functions.py`` — the sequential-function table, rebuilt from
@@ -88,160 +88,24 @@ def parse_blackboard(text: str) -> Dict[str, object]:
 
 # -- the inlined kernel module ------------------------------------------------
 
-_KERNEL_TEMPLATE = '''\
-"""Inlined SKiPPER kernel primitives — the only platform-dependent layer.
-
-Emitted by `repro emit`; a copy of the thread-kernel reference
-implementation plus the runtime token types, so the executive in this
-directory runs with no repro import.  Do not edit by hand.
-"""
-
-import inspect
-import queue
-import threading
-import time
-
-
-class Stop:
-    """End-of-stream token, forwarded edge-to-edge to unwind the network."""
-
-    def __repr__(self):
-        return "<stop>"
-
-
-class NoPiece:
-    """Placeholder for scm splits shorter than the split degree."""
-
-    def __repr__(self):
-        return "<no-piece>"
-
-
-NO_PIECE = NoPiece()
-
-
-class Shutdown(Exception):
-    """Raised inside executive threads when the run is torn down."""
-
-
-class EndOfStream(Exception):
-    """Raised by a stream input function when the stream is over."""
-
-
-class TaskOutcome:
-    """What a task-farm worker produced for one packet."""
-
-    def __init__(self, results=(), subtasks=()):
-        self.results = results
-        self.subtasks = subtasks
-
-    def __repr__(self):
-        return "TaskOutcome(results=%r, subtasks=%r)" % (
-            self.results, self.subtasks,
-        )
-
-
-class ThreadKernel:
-    """Threads-and-queues implementation of the kernel primitives."""
-
-    def __init__(self, queue_size=4, poll_s=0.05):
-        self._channels = {}
-        self._threads = []
-        self._stop_event = threading.Event()
-        self._queue_size = queue_size
-        self._poll_s = poll_s
-        self.stop_token = Stop()
-        self.blackboard = {}
-
-    def channel(self, edge):
-        if edge not in self._channels:
-            self._channels[edge] = queue.Queue(maxsize=self._queue_size)
-        return self._channels[edge]
-
-    def spawn_(self, name, body):
-        def runner():
-            try:
-                body()
-            except Shutdown:
-                pass
-
-        thread = threading.Thread(target=runner, name=name, daemon=True)
-        self._threads.append(thread)
-        thread.start()
-        return thread
-
-    def send_(self, edge, value):
-        channel = self.channel(edge)
-        while True:
-            if self._stop_event.is_set():
-                raise Shutdown
-            try:
-                channel.put(value, timeout=self._poll_s)
-                return
-            except queue.Full:
-                continue
-
-    def recv_(self, edge):
-        channel = self.channel(edge)
-        while True:
-            if self._stop_event.is_set():
-                raise Shutdown
-            try:
-                return channel.get(timeout=self._poll_s)
-            except queue.Empty:
-                continue
-
-    def try_recv_(self, edge):
-        if self._stop_event.is_set():
-            raise Shutdown
-        return self.channel(edge).get_nowait()
-
-    def stop_(self, edge):
-        self.send_(edge, self.stop_token)
-
-    def alt_(self, edges):
-        while True:
-            if self._stop_event.is_set():
-                raise Shutdown
-            for edge in edges:
-                try:
-                    return edge, self.channel(edge).get_nowait()
-                except queue.Empty:
-                    continue
-            self._stop_event.wait(0.0002)
-
-    def call_(self, func, *args):
-        result = func(*args)
-        if inspect.iscoroutine(result):
-            import asyncio
-
-            return asyncio.run(result)
-        return result
-
-    def join_(self, sinks, timeout=60.0):
-        for thread in sinks:
-            thread.join(timeout)
-            if thread.is_alive():
-                self._stop_event.set()
-                raise RuntimeError(
-                    "executive thread %r did not terminate" % thread.name
-                )
-        self._stop_event.set()
-        for thread in self._threads:
-            thread.join(1.0)
-
-    def is_stop(self, value):
-        return isinstance(value, Stop)
-
-
-'''
-
 
 def kernel_module_source() -> str:
-    """The ``skipper_kernel.py`` text, with the *same* render function
-    the host-side standalone backend uses to compare results."""
-    return _KERNEL_TEMPLATE + textwrap.dedent(
-        inspect.getsource(render_blackboard)
-    )
+    """The ``skipper_kernel.py`` text: the in-tree kernel module,
+    verbatim (it imports only the standard library), then the runtime
+    types a function table may name and the *same* render function the
+    host-side standalone backend uses to compare results."""
+    from ...core.semantics import EndOfStream, TaskOutcome
+    from .. import kernel
+
+    return "\n\n".join([
+        inspect.getsource(kernel),
+        "# -- appended by `repro emit`: runtime types and result rendering --\n"
+        "from dataclasses import dataclass\n"
+        "from typing import Sequence",
+        inspect.getsource(EndOfStream),
+        inspect.getsource(TaskOutcome),
+        inspect.getsource(render_blackboard),
+    ])
 
 
 # -- sequential-function inlining ---------------------------------------------
@@ -438,7 +302,7 @@ import sys
 
 import executive
 from functions import TABLE
-from skipper_kernel import ThreadKernel, render_blackboard
+from skipper_kernel import Kernel, render_blackboard
 
 
 def run_program(arg_values, max_iterations, timeout):
@@ -451,7 +315,7 @@ def run_program(arg_values, max_iterations, timeout):
             "error: program takes %d argument(s), got %d"
             % (len(params), len(arg_values))
         )
-    kernel = ThreadKernel()
+    kernel = Kernel()
     for name, value in zip(params, arg_values):
         kernel.blackboard["arg_" + name] = value
     _threads, sinks = executive.build_executive(kernel, TABLE)

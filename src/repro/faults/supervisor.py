@@ -1,7 +1,7 @@
 """Supervised kernel: fault injection and farm recovery behind the primitives.
 
-:class:`SupervisedKernel` wraps a base kernel (the reference
-``ThreadKernel`` or the multiprocess ``ProcessKernel``) and adds two
+:class:`SupervisedKernel` wraps a base kernel (a
+:class:`~repro.codegen.kernel.Kernel` on any substrate) and adds two
 things without touching a single line of generated executive code:
 
 * **Injection** — ``call_`` and ``send_`` consult the
@@ -267,7 +267,9 @@ class SupervisedKernel:
     ):
         self._base = base
         self._topology = topology
-        self._matcher = PlanMatcher(plan) if plan else None
+        #: Shared with a realtime wrapper stacked on top of this one
+        #: (overload injection fires from the same plan).
+        self.matcher = PlanMatcher(plan) if plan else None
         self._policy = policy or FaultPolicy()
         self._hp = self._policy.health_policy()
         self._rp = self._policy.remap_policy()
@@ -321,11 +323,8 @@ class SupervisedKernel:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._base, name)
 
-    def _now_us(self) -> float:
-        return (time.perf_counter() - self._base._epoch) * 1e6
-
     def _check_stop(self) -> None:
-        if self._base._stop_event.is_set():
+        if self._base.stop.is_set():
             raise Shutdown
 
     def _identity(self) -> Tuple[Optional[str], Optional[str]]:
@@ -384,15 +383,15 @@ class SupervisedKernel:
     # -- injection -------------------------------------------------------------
 
     def _maybe_drop(self, edge: str) -> bool:
-        if self._matcher is None:
+        if self.matcher is None:
             return False
-        specs = self._matcher.fire(
+        specs = self.matcher.fire(
             edge=edge, kinds=("drop", "partial-partition")
         )
         for spec in specs:
             pid, proc = self._identity()
             self.fault_report.add(
-                "injected", spec.kind, edge, self._now_us(), processor=proc,
+                "injected", spec.kind, edge, self.now_us(), processor=proc,
                 note=f"sent by {pid or 'unknown'}"
                 + (" (link stalled one direction)"
                    if spec.kind == "partial-partition" else ""),
@@ -401,7 +400,7 @@ class SupervisedKernel:
 
     def _inject_compute(self) -> None:
         pid, proc = self._identity()
-        specs = self._matcher.fire(
+        specs = self.matcher.fire(
             process=pid, processor=proc,
             kinds=("crash", "stall", "delay", "slow-worker", "limplock"),
         )
@@ -415,28 +414,28 @@ class SupervisedKernel:
                 self._limp_factors[pid or spec.target] = spec.factor
                 self.fault_report.add(
                     "injected", "limplock", pid or spec.target,
-                    self._now_us(), processor=proc,
+                    self.now_us(), processor=proc,
                     note=f"x{spec.factor:g} slowdown latched",
                 )
             elif spec.kind in ("delay", "slow-worker"):
                 self.fault_report.add(
                     "injected", spec.kind, pid or spec.target,
-                    self._now_us(),
+                    self.now_us(),
                     processor=proc, note=f"{spec.delay_us:.0f} us",
                 )
                 time.sleep(spec.delay_us / 1e6)
         if any(s.kind == "stall" for s in specs):
             self.fault_report.add(
-                "injected", "stall", pid or "?", self._now_us(),
+                "injected", "stall", pid or "?", self.now_us(),
                 processor=proc,
             )
             # Park forever (until teardown): the thread stays alive and
             # keeps heartbeating, exactly like a wedged computation.
-            self._base._stop_event.wait()
+            self._base.stop.wait()
             raise Shutdown
         if any(s.kind == "crash" for s in specs):
             self.fault_report.add(
-                "injected", "crash", pid or "?", self._now_us(),
+                "injected", "crash", pid or "?", self.now_us(),
                 processor=proc,
             )
             raise WorkerCrash(pid or "?")
@@ -458,7 +457,7 @@ class SupervisedKernel:
         return thread
 
     def call_(self, func: Callable, *args: Any) -> Any:
-        if self._matcher is None:
+        if self.matcher is None:
             return self._base.call_(func, *args)
         self._inject_compute()
         factor = None
@@ -556,7 +555,7 @@ class SupervisedKernel:
         return self._base.send_(out_edge, Packet(seq, value))
 
     def recv_(self, edge: str) -> Any:
-        if self._matcher is not None:
+        if self.matcher is not None:
             self._inject_starvation(edge)
         entry = self._collect.get(edge)
         if entry is not None:
@@ -579,17 +578,17 @@ class SupervisedKernel:
         sees BEAT fresh, COUNT flat, the textbook gray failure.
         """
         pid, proc = self._identity()
-        specs = self._matcher.fire(
+        specs = self.matcher.fire(
             process=pid, processor=proc, kinds=("credit-starvation",)
         )
         if not specs:
             return
         self.fault_report.add(
             "injected", "credit-starvation", pid or specs[0].target,
-            self._now_us(), processor=proc,
+            self.now_us(), processor=proc,
             note=f"consumer stopped draining {edge}",
         )
-        self._base._stop_event.wait()
+        self._base.stop.wait()
         raise Shutdown
 
     def stop_(self, edge: str) -> None:
@@ -681,7 +680,7 @@ class SupervisedKernel:
         is what keeps FrameLedger conservation exact under hedging: the
         collector sees each seq exactly once, whatever raced.
         """
-        now_us = self._now_us()
+        now_us = self.now_us()
         now = time.monotonic()
         with state.lock:
             if arrival is not None:
@@ -756,7 +755,7 @@ class SupervisedKernel:
             state.hedge.record(service)
         if event is not None:
             self.fault_report.add(
-                "restored", "stuck", arrival.pid, self._now_us(),
+                "restored", "stuck", arrival.pid, self.now_us(),
                 processor=arrival.processor,
             )
 
@@ -790,7 +789,7 @@ class SupervisedKernel:
                 rec.sent_at = now
                 rec.sends[target.index] = now
                 rec.redispatch_record = self.fault_report.add(
-                    "redispatch", kind, target.pid, self._now_us(),
+                    "redispatch", kind, target.pid, self.now_us(),
                     processor=target.processor, seq=seq,
                     attempts=rec.attempts,
                     note=f"packet #{seq} moved off {worker.pid}",
@@ -847,7 +846,7 @@ class SupervisedKernel:
         event = state.health.mark_stuck(rec.assigned)
         if event is not None:
             self.fault_report.add(
-                "limping", "stuck", worker.pid, self._now_us(),
+                "limping", "stuck", worker.pid, self.now_us(),
                 processor=worker.processor, seq=rec.seq,
                 note=f"BEAT fresh, no completion for {held * 1e3:.0f} ms",
             )
@@ -882,7 +881,7 @@ class SupervisedKernel:
         state.hedge.issued += 1
         threshold = state.hedge.threshold_s() or 0.0
         self.fault_report.add(
-            "hedge", "overdue", target.pid, self._now_us(),
+            "hedge", "overdue", target.pid, self.now_us(),
             processor=target.processor, seq=rec.seq,
             note=f"in-flight {elapsed * 1e3:.0f} ms > "
                  f"threshold {threshold * 1e3:.0f} ms; duplicated off "
@@ -925,7 +924,7 @@ class SupervisedKernel:
             # the original worker is convicted, record it as such, with
             # the duplicate's real recovery latency.
             self.fault_report.add(
-                "redispatch", kind, susp.rescued_by.pid, self._now_us(),
+                "redispatch", kind, susp.rescued_by.pid, self.now_us(),
                 processor=susp.rescued_by.processor, seq=susp.seq,
                 attempts=1, latency_us=max(susp.win_latency_us, 1.0),
                 note=f"hedged duplicate of packet #{susp.seq} off "
@@ -945,7 +944,7 @@ class SupervisedKernel:
             score = state.health.workers[index].score or 0.0
             median = state.health.median() or 0.0
             self.fault_report.add(
-                category, reason, worker.pid, self._now_us(),
+                category, reason, worker.pid, self.now_us(),
                 processor=worker.processor,
                 note=f"score {score * 1e3:.1f} ms vs farm median "
                      f"{median * 1e3:.1f} ms",
@@ -953,7 +952,7 @@ class SupervisedKernel:
         if now - state.last_sample_at < self._hp.sample_interval_s:
             return
         state.last_sample_at = now
-        now_us = self._now_us()
+        now_us = self.now_us()
         for w in state.farm.workers:
             health = state.health.workers[w.index]
             if health.score is None and health.state != LIMPING:
@@ -1010,7 +1009,7 @@ class SupervisedKernel:
             state.remap_probe_gap.pop(index, None)
             worker = state.farm.workers[index]
             self.fault_report.add(
-                "restored", "remap", worker.pid, self._now_us(),
+                "restored", "remap", worker.pid, self.now_us(),
                 processor=worker.processor,
                 note="score recovered; rejoining dispatch rotation",
             )
@@ -1037,7 +1036,7 @@ class SupervisedKernel:
             score = state.health.workers[index].score or 0.0
             median = state.health.median() or 0.0
             self.fault_report.add(
-                "remap", "limping", worker.pid, self._now_us(),
+                "remap", "limping", worker.pid, self.now_us(),
                 processor=worker.processor,
                 note=f"migrated after {self._rp.confirm_completions} farm "
                      f"completions limping (score {score * 1e3:.1f} ms vs "
@@ -1056,7 +1055,7 @@ class SupervisedKernel:
             rec = min(state.inflight.values(), key=lambda r: r.seq)
             rec.sends.setdefault(worker.index, now)
             self.fault_report.add(
-                "probe", "remap", worker.pid, self._now_us(),
+                "probe", "remap", worker.pid, self.now_us(),
                 processor=worker.processor, seq=rec.seq,
                 note=f"probation duplicate of packet #{rec.seq} "
                      f"(migrated worker)",
@@ -1088,7 +1087,7 @@ class SupervisedKernel:
             rec.sent_at = now
             rec.sends[target.index] = now
             rec.redispatch_record = self.fault_report.add(
-                "redispatch", "remap", target.pid, self._now_us(),
+                "redispatch", "remap", target.pid, self.now_us(),
                 processor=target.processor, seq=seq, attempts=rec.attempts,
                 note=f"drain: packet #{seq} migrated off {worker.pid}",
             )
@@ -1123,7 +1122,7 @@ class SupervisedKernel:
                 breaker.probes
             )
             self.fault_report.add(
-                "probe", "probation", worker.pid, self._now_us(),
+                "probe", "probation", worker.pid, self.now_us(),
                 processor=worker.processor, seq=rec.seq,
                 attempts=breaker.probes,
                 note=f"duplicate of packet #{rec.seq}",
@@ -1142,13 +1141,13 @@ class SupervisedKernel:
             state.quarantined.discard(worker.index)
             state.breakers.pop(worker.index, None)
         self.fault_report.add(
-            "readmit", "probation", worker.pid, self._now_us(),
+            "readmit", "probation", worker.pid, self.now_us(),
             processor=worker.processor,
         )
 
     def _quarantine(self, state: _FarmState, worker: FarmWorker,
                     kind: str, seq: int) -> None:
-        now_us = self._now_us()
+        now_us = self.now_us()
         self.fault_report.add(
             "detected", kind, worker.pid, now_us,
             processor=worker.processor, seq=seq,
@@ -1191,10 +1190,10 @@ class SupervisedKernel:
     def _abandon(self, state: _FarmState, seq: Optional[int]) -> None:
         """Out of retries or survivors: fail the run instead of hanging."""
         self.fault_report.add(
-            "abandoned", "give-up", state.farm.sid, self._now_us(), seq=seq,
+            "abandoned", "give-up", state.farm.sid, self.now_us(), seq=seq,
             note="no survivors or re-dispatch budget exhausted",
         )
-        self._base._stop_event.set()
+        self._base.stop.set()
         raise Shutdown
 
     def _flush_sends(self, state: _FarmState) -> None:
@@ -1210,18 +1209,14 @@ class SupervisedKernel:
         """
         remaining: List[Tuple[str, Any, int]] = []
         for edge, envelope, attempts in state.pending_sends:
-            channel = self._base.channel(edge)
-            put_nowait = getattr(channel, "put_nowait", None)
-            if put_nowait is None:  # ThreadKernel wraps the queue
-                put_nowait = channel.q.put_nowait
             try:
-                put_nowait(envelope)
+                self._base.try_send_(edge, envelope)
             except queue.Full:
                 attempts += 1
                 if (isinstance(envelope, Packet)
                         and attempts >= self._policy.max_flush_attempts):
                     self.fault_report.add(
-                        "overflow", "queue-full", edge, self._now_us(),
+                        "overflow", "queue-full", edge, self.now_us(),
                         seq=envelope.seq, attempts=attempts,
                         note=f"re-dispatch of packet #{envelope.seq} "
                              f"dropped after {attempts} full-queue scans",

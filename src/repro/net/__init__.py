@@ -4,8 +4,8 @@ The paper runs its MIMD-DM executive on two platforms: the Transputer
 ring and "networks of workstations".  :mod:`repro.net` is the second
 one — a coordinator (the ``tcp`` backend) that deals mapped processors
 over connected ``repro worker`` processes, a pickle-free wire codec for
-the data plane, a third port of the kernel primitives
-(:class:`~repro.net.kernel.NetKernel`), and a localhost
+the data plane, credit-controlled network channels for the kernel
+(:func:`~repro.net.kernel.net_channels`), and a localhost
 :class:`~repro.net.harness.ClusterHarness` so tests and CI get a real
 multi-process cluster with zero configuration.
 """
@@ -15,7 +15,7 @@ from .coordinator import (
     TcpBackend, WorkerLink, assemble_run_report, run_distributed,
 )
 from .harness import ClusterHarness, shared_cluster
-from .kernel import NetHealthBoard, NetKernel, NetStopEvent, NetStreamBoard
+from .kernel import NetHealthBoard, NetStopEvent, NetStreamBoard, net_channels
 from .protocol import ConnectionClosed, Frame, Link
 from .worker import WorkerSession, worker_main
 
@@ -23,7 +23,7 @@ __all__ = [
     "CodecError", "decode", "encode", "encoded_size",
     "TcpBackend", "WorkerLink", "assemble_run_report", "run_distributed",
     "ClusterHarness", "shared_cluster",
-    "NetHealthBoard", "NetKernel", "NetStopEvent", "NetStreamBoard",
+    "NetHealthBoard", "NetStopEvent", "NetStreamBoard", "net_channels",
     "ConnectionClosed", "Frame", "Link",
     "WorkerSession", "worker_main",
 ]

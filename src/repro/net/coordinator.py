@@ -36,7 +36,7 @@ from ..core.functions import FunctionTable
 from ..core.ir import Program
 from ..machine.costs import T9000, CostModel
 from ..machine.executive import RunReport
-from ..machine.trace import Instant, Trace
+from ..machine.trace import Instant, Span, Trace
 from ..pnt.graph import ProcessKind
 from ..syndex.distribute import Mapping
 from ..backends.base import Backend, BackendError, report_from_blackboard
@@ -433,8 +433,8 @@ def run_distributed(
             if payload is None:
                 continue  # dead, supervised: survivors hold its results
             blackboard.update(payload["blackboard"])
-            compute.extend(payload["compute"])
-            transfer.extend(payload["transfer"])
+            compute.extend(Span(*s) for s in payload["compute"])
+            transfer.extend(Span(*s) for s in payload["transfer"])
             fault_payloads.extend(payload["faults"])
             rt = payload["realtime"]
             if rt is not None:

@@ -1,19 +1,20 @@
-"""The kernel primitives over TCP: SKiPPER's network-of-workstations port.
+"""What is genuinely network about the ``tcp`` port of the kernel.
 
-Third port of the primitive set (after ``ThreadKernel`` and
-``ProcessKernel``): the same generated executive runs across machines.
-One :class:`NetKernel` lives in each worker process and may host
-*several* mapped processors (the coordinator deals processors round-robin
-when the program is wider than the cluster); co-located processes use
-plain in-process queues, and only edges that actually cross workers
-become network channels.
+The kernel itself is :class:`repro.codegen.kernel.Kernel`, the same
+class every threaded substrate runs; a worker hosts a *set* of mapped
+processors (the coordinator deals processors round-robin when the
+program is wider than the cluster) and hands the kernel one channel per
+edge that crosses workers (:func:`net_channels`).  This module holds
+those channels and the run-scoped state mirrored over the worker's
+connection.
 
-Flow control replaces the bounded ``multiprocessing.Queue``: each
-outgoing network edge holds ``queue_size`` credits, a send consumes one,
-and the consumer returns a CREDIT frame per dequeued value — so a slow
-consumer exerts exactly the same backpressure a full bounded queue
-would, and the supervisor's / realtime pump's ``put_nowait`` calls see
-``queue.Full`` just like on the other kernels.
+Flow control replaces a bounded queue: each outgoing network edge holds
+``queue_size`` credits, a send consumes one, and the consumer returns a
+CREDIT frame per dequeued value — so a slow consumer exerts exactly the
+same backpressure a full bounded queue would, and ``try_send_`` sees
+``queue.Full`` just like on the other substrates.  The consumer end is
+an in-process queue the link reader thread pushes into, so a thread
+parked in ``alt_`` is woken by its doorbell like on any local edge.
 
 The shared stop event and both shared boards (heartbeats, stream
 counters) are mirrored over the same connection: local writes update the
@@ -26,43 +27,22 @@ supervisor's staleness scan is built on.
 from __future__ import annotations
 
 import queue
+import struct
 import threading
 import time
-from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, Optional, Tuple
 
-import struct
-
-from ..codegen.kernel import Shutdown, Stop
-from ..machine.trace import Span
+from ..codegen.kernel import Shutdown, _LocalChannel
 from . import codec
 from .protocol import ConnectionClosed, Frame, Link, pack_edge, pack_run
 
 __all__ = [
-    "NetKernel", "NetStopEvent", "NetHealthBoard", "NetStreamBoard",
-    "RemoteStub",
+    "NetStopEvent", "NetHealthBoard", "NetStreamBoard", "net_channels",
 ]
 
 _U32 = struct.Struct("!I")
 _SLOT_AGE = struct.Struct("!Id")
 _COUNT = struct.Struct("!Bd")
-
-
-class RemoteStub:
-    """Stand-in for an executive thread hosted by another worker."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-    def join(self, timeout: Optional[float] = None) -> None:
-        return None
-
-    def is_alive(self) -> bool:
-        return False
-
-    def __repr__(self) -> str:
-        return f"<remote thread {self.name}>"
 
 
 class NetStopEvent:
@@ -192,56 +172,48 @@ class NetStreamBoard:
 class _NetOutChannel:
     """Producer end of a network edge: credits + encoded DATA frames."""
 
-    __slots__ = ("_kernel", "edge", "_header", "_credits", "_cond")
+    __slots__ = ("_link", "_header", "_credits", "_cond", "accepted_at")
 
-    def __init__(self, kernel: "NetKernel", edge: str, credits: int):
-        self._kernel = kernel
-        self.edge = edge
-        self._header = pack_edge(kernel.run_id, edge)
+    def __init__(self, link: Link, run_id: int, edge: str, credits: int):
+        self._link = link
+        self._header = pack_edge(run_id, edge)
         self._credits = credits
         self._cond = threading.Condition()
+        #: ``time.perf_counter()`` when the last ``put`` got its credit —
+        #: where the back-pressure wait ends and the move begins.
+        self.accepted_at = 0.0
 
     def add_credit(self, n: int) -> None:
+        """A CREDIT frame arrived for this edge."""
         with self._cond:
             self._credits += n
             self._cond.notify_all()
 
-    def _take_credit(self, timeout: Optional[float]) -> None:
+    def put(self, value: Any, timeout: Optional[float] = None) -> None:
         deadline = None if timeout is None else time.monotonic() + timeout
         with self._cond:
             while self._credits <= 0:
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        raise queue.Full
-                    self._cond.wait(remaining)
+                remaining = (
+                    None if deadline is None else deadline - time.monotonic())
+                if remaining is not None and remaining <= 0:
+                    raise queue.Full
+                self._cond.wait(remaining)
             self._credits -= 1
-
-    def put(self, value: Any, timeout: Optional[float] = None) -> None:
-        self._take_credit(timeout)
-        self._transmit(value)
-
-    def put_nowait(self, value: Any) -> None:
-        with self._cond:
-            if self._credits <= 0:
-                raise queue.Full
-            self._credits -= 1
-        self._transmit(value)
-
-    def _transmit(self, value: Any) -> None:
+        self.accepted_at = time.perf_counter()
         buffers = codec.encode(value)
         try:
-            self._kernel.link.send(Frame.DATA, self._header, *buffers)
+            self._link.send(Frame.DATA, self._header, *buffers)
         except ConnectionClosed:
             # Our uplink is gone: this run cannot finish here.  Unwind
             # the executive thread quietly; the coordinator has already
             # seen the dead socket and is driving recovery or teardown.
             raise Shutdown
 
+    def put_nowait(self, value: Any) -> None:
+        self.put(value, 0.0)
 
-class _NetInChannel:
+
+class _NetInChannel(_LocalChannel):
     """Consumer end of a network edge: raw inbox + credit grants.
 
     The inbox itself is unbounded — boundedness lives on the producer
@@ -249,203 +221,42 @@ class _NetInChannel:
     thread never blocks on a slow consumer.
     """
 
-    __slots__ = ("_kernel", "edge", "q")
+    def __init__(self, link: Link, run_id: int, edge: str):
+        super().__init__()
+        self._link = link
+        self._header = pack_edge(run_id, edge)
 
-    def __init__(self, kernel: "NetKernel", edge: str):
-        self._kernel = kernel
-        self.edge = edge
-        self.q: "queue.Queue" = queue.Queue()
+    #: Called by the link reader with the raw encoded value.
+    push = _LocalChannel.put_nowait
 
-    def push(self, payload: memoryview) -> None:
-        """Called by the link reader with the raw encoded value."""
-        self.q.put(payload)
-
-    def _settle(self, payload: memoryview) -> Any:
-        value = codec.decode(payload)
-        self._kernel.grant_credit(self.edge)
-        return value
-
-    def get(self, timeout: Optional[float] = None) -> Any:
-        return self._settle(self.q.get(timeout=timeout))
-
-    def get_nowait(self) -> Any:
-        return self._settle(self.q.get_nowait())
-
-
-class NetKernel:
-    """Kernel primitives for one worker process hosting N processors."""
-
-    def __init__(
-        self,
-        processors: Iterable[str],
-        *,
-        placement: Dict[str, str],
-        edges: Dict[str, Tuple[str, str]],
-        link: Link,
-        run_id: int,
-        stop_event: NetStopEvent,
-        queue_size: int = 4,
-        poll_s: float = 0.02,
-        epoch: float = 0.0,
-        record_spans: bool = True,
-    ):
-        self.processors: FrozenSet[str] = frozenset(processors)
-        #: Compatibility with code that prints/labels ``kernel.processor``.
-        self.processor = "+".join(sorted(self.processors))
-        self.placement = placement
-        self.link = link
-        self.run_id = run_id
-        self._stop_event = stop_event
-        self._queue_size = queue_size
-        self._poll_s = poll_s
-        self._epoch = epoch
-        self._record_spans = record_spans
-        self._local: Dict[str, "queue.Queue"] = {}
-        self._local_lock = threading.Lock()
-        self._threads: List[threading.Thread] = []
-        self.stop_token = Stop()
-        self.blackboard: Dict[str, Any] = {}
-        self.compute_spans: List[Span] = []
-        self.transfer_spans: List[Span] = []
-        # Classify the program's inter-processor edges relative to this
-        # worker's processor set; edges fully inside or fully outside the
-        # set stay ordinary local queues / nothing at all.
-        self._out: Dict[str, _NetOutChannel] = {}
-        self.inboxes: Dict[str, _NetInChannel] = {}
-        for edge, (src_proc, dst_proc) in edges.items():
-            src_local = src_proc in self.processors
-            dst_local = dst_proc in self.processors
-            if src_local and not dst_local:
-                self._out[edge] = _NetOutChannel(self, edge, queue_size)
-            elif dst_local and not src_local:
-                self.inboxes[edge] = _NetInChannel(self, edge)
-
-    # -- uplink helpers --------------------------------------------------------
-
-    def grant_credit(self, edge: str, n: int = 1) -> None:
+    def get(self, block: bool = True, timeout: Optional[float] = None) -> Any:
+        value = codec.decode(super().get(block, timeout))
         try:
-            self.link.send(
-                Frame.CREDIT, pack_edge(self.run_id, edge), _U32.pack(n)
-            )
+            self._link.send(Frame.CREDIT, self._header, _U32.pack(1))
         except ConnectionClosed:
             pass  # the run is dying; recv loops unwind via the stop flag
+        return value
 
-    def add_credit(self, edge: str, n: int) -> None:
-        """A CREDIT frame arrived for one of our outgoing edges."""
-        channel = self._out.get(edge)
-        if channel is not None:
-            channel.add_credit(n)
 
-    # -- primitives ------------------------------------------------------------
+def net_channels(
+    processors: Iterable[str],
+    edges: Dict[str, Tuple[str, str]],
+    link: Link,
+    run_id: int,
+    queue_size: int,
+) -> Tuple[Dict[str, _NetOutChannel], Dict[str, _NetInChannel]]:
+    """The network ends of one worker: ``(outgoing, incoming)`` by edge.
 
-    def channel(self, edge: str):
-        out = self._out.get(edge)
-        if out is not None:
-            return out
-        inbox = self.inboxes.get(edge)
-        if inbox is not None:
-            return inbox
-        with self._local_lock:
-            q = self._local.get(edge)
-            if q is None:
-                q = self._local[edge] = queue.Queue(maxsize=self._queue_size)
-            return q
-
-    def spawn_(self, name: str, body: Callable[[], None]):
-        home = self.placement.get(name)
-        if home is not None and home not in self.processors:
-            return RemoteStub(name)
-
-        def runner() -> None:
-            try:
-                body()
-            except Shutdown:
-                pass
-
-        thread = threading.Thread(target=runner, name=name, daemon=True)
-        self._threads.append(thread)
-        thread.start()
-        return thread
-
-    def send_(self, edge: str, value: Any) -> None:
-        channel = self.channel(edge)
-        remote = isinstance(channel, _NetOutChannel)
-        if remote:
-            start = time.perf_counter()
-        while True:
-            if self._stop_event.is_set():
-                raise Shutdown
-            try:
-                channel.put(value, timeout=self._poll_s)
-                break
-            except queue.Full:
-                continue
-        if remote and self._record_spans:
-            end = time.perf_counter()
-            self.transfer_spans.append(
-                Span(
-                    edge,
-                    threading.current_thread().name,
-                    (start - self._epoch) * 1e6,
-                    (end - self._epoch) * 1e6,
-                )
-            )
-
-    def recv_(self, edge: str) -> Any:
-        channel = self.channel(edge)
-        while True:
-            if self._stop_event.is_set():
-                raise Shutdown
-            try:
-                return channel.get(timeout=self._poll_s)
-            except queue.Empty:
-                continue
-
-    def try_recv_(self, edge: str) -> Any:
-        if self._stop_event.is_set():
-            raise Shutdown
-        return self.channel(edge).get_nowait()
-
-    def stop_(self, edge: str) -> None:
-        self.send_(edge, self.stop_token)
-
-    def alt_(self, edges: List[str]) -> Tuple[str, Any]:
-        channels = [(edge, self.channel(edge)) for edge in edges]
-        while True:
-            if self._stop_event.is_set():
-                raise Shutdown
-            for edge, channel in channels:
-                try:
-                    return edge, channel.get_nowait()
-                except queue.Empty:
-                    continue
-            # Sub-millisecond poll, as on the other kernels: ALT latency
-            # directly gates farm throughput.
-            time.sleep(0.0002)
-
-    def call_(self, func: Callable, *args: Any) -> Any:
-        if not self._record_spans:
-            return func(*args)
-        name = threading.current_thread().name
-        resource = self.placement.get(name, self.processor)
-        start = time.perf_counter()
-        try:
-            return func(*args)
-        finally:
-            end = time.perf_counter()
-            self.compute_spans.append(
-                Span(
-                    resource,
-                    name,
-                    (start - self._epoch) * 1e6,
-                    (end - self._epoch) * 1e6,
-                )
-            )
-
-    def is_stop(self, value: Any) -> bool:
-        return isinstance(value, Stop)
-
-    # -- worker-side helpers ---------------------------------------------------
-
-    def local_threads(self) -> List[threading.Thread]:
-        return list(self._threads)
+    ``edges`` maps every inter-processor edge of the program to its
+    ``(source, destination)`` processors; edges fully inside or fully
+    outside ``processors`` are not this worker's network business.
+    """
+    hosted = frozenset(processors)
+    out: Dict[str, _NetOutChannel] = {}
+    inboxes: Dict[str, _NetInChannel] = {}
+    for edge, (src_proc, dst_proc) in edges.items():
+        if src_proc in hosted and dst_proc not in hosted:
+            out[edge] = _NetOutChannel(link, run_id, edge, queue_size)
+        elif dst_proc in hosted and src_proc not in hosted:
+            inboxes[edge] = _NetInChannel(link, run_id, edge)
+    return out, inboxes

@@ -4,10 +4,10 @@ A worker dials the coordinator (``repro worker --connect host:port``),
 announces itself with HELLO, and then serves runs for the life of the
 connection: each ASSIGN carries the generated executive source, this
 worker's slice of the processor set, and the wire plumbing parameters;
-the worker builds a :class:`~repro.net.kernel.NetKernel` (wrapped by the
-fault supervisor and the realtime layer exactly as on the processes
-backend), runs its executive threads, and reports SINKS/DONE/ERROR back
-up the same socket.
+the worker builds a :class:`~repro.codegen.kernel.Kernel` over its
+network channels (wrapped by the fault supervisor and the realtime layer
+exactly as on the processes backend), runs its executive threads, and
+reports SINKS/DONE/ERROR back up the same socket.
 
 Workers are *persistent* — they serve many runs — so two things keep
 state from leaking between runs: every run-scoped frame carries the run
@@ -37,9 +37,12 @@ import traceback
 from typing import Any, Dict, List, Optional, Tuple
 
 from ..backends.base import pin_to_cpu
+from ..codegen.kernel import Kernel
 from ..codegen.pygen import load_executive
 from . import codec
-from .kernel import NetHealthBoard, NetKernel, NetStopEvent, NetStreamBoard
+from .kernel import (
+    NetHealthBoard, NetStopEvent, NetStreamBoard, net_channels,
+)
 from .protocol import ConnectionClosed, Frame, Link, pack_run, split_edge, split_run
 
 __all__ = ["WorkerSession", "worker_main", "parse_hostport"]
@@ -78,12 +81,14 @@ def _refresh_modules(names: List[str]) -> None:
 class _Run:
     """Everything one ASSIGN set up (the active run of a session)."""
 
-    def __init__(self, run_id: int, base: NetKernel, top: Any,
-                 stop: NetStopEvent):
+    def __init__(self, run_id: int, base: Kernel, stop: NetStopEvent,
+                 out: Dict[str, Any], inboxes: Dict[str, Any]):
         self.run_id = run_id
         self.base = base
-        self.top = top           # base, possibly wrapped (faults/realtime)
+        self.top: Any = base     # base, possibly wrapped (faults/realtime)
         self.stop = stop
+        self.out = out           # network edges leaving this worker
+        self.inboxes = inboxes   # network edges arriving here
         self.health: Optional[NetHealthBoard] = None
         self.stream_board: Optional[NetStreamBoard] = None
         self.rt_kernel: Optional[Any] = None
@@ -134,12 +139,14 @@ class WorkerSession:
             return  # straggler from a finished run
         if kind == Frame.DATA:
             edge, payload = split_edge(rest)
-            inbox = ctx.base.inboxes.get(edge)
+            inbox = ctx.inboxes.get(edge)
             if inbox is not None:
                 inbox.push(payload)
         elif kind == Frame.CREDIT:
             edge, counter = split_edge(rest)
-            ctx.base.add_credit(edge, _U32.unpack(counter)[0])
+            channel = ctx.out.get(edge)
+            if channel is not None:
+                channel.add_credit(_U32.unpack(counter)[0])
         elif kind == Frame.BEAT:
             if ctx.health is not None:
                 ctx.health.apply(rest)
@@ -192,19 +199,21 @@ class WorkerSession:
         payload = pickle.loads(rest[20 + mlen:])
 
         stop = NetStopEvent(self.link, run)
-        base = NetKernel(
-            payload["processors"],
+        out, inboxes = net_channels(
+            payload["processors"], payload["edges"], self.link, run,
+            payload["queue_size"],
+        )
+        base = Kernel(
+            hosts=payload["processors"],
             placement=payload["placement"],
-            edges=payload["edges"],
-            link=self.link,
-            run_id=run,
-            stop_event=stop,
+            remote={**out, **inboxes},
+            stop=stop,
             queue_size=payload["queue_size"],
             poll_s=payload["poll_s"],
             epoch=epoch,
             record_spans=payload["record_spans"],
         )
-        ctx = _Run(run, base, base, stop)
+        ctx = _Run(run, base, stop, out, inboxes)
         kernel: Any = base
         faults = payload.get("faults")
         if faults is not None:
@@ -221,7 +230,7 @@ class WorkerSession:
                 policy=faults["policy"],
                 report=FaultReport(),
                 board=ctx.health,
-                processor=base.processors,
+                processor=base.hosts,
             )
             ctx.wrapped = True
         realtime = payload.get("realtime")
@@ -234,7 +243,7 @@ class WorkerSession:
                 realtime["topology"],
                 realtime["budget"],
                 board=ctx.stream_board,
-                processor=base.processors,
+                processor=base.hosts,
             )
             ctx.wrapped = True
         ctx.top = kernel
@@ -242,7 +251,7 @@ class WorkerSession:
         ctx.fns = payload["fns"]
         ctx.seed = payload["seed"]
         ctx.my_sinks = sorted(
-            p for p in payload["sink_procs"] if p in base.processors
+            p for p in payload["sink_procs"] if p in base.hosts
         )
         return ctx
 

@@ -144,7 +144,7 @@ def run(
     ``threads``, ``processes``, ...); the default is the discrete-event
     simulator.  ``program`` (the IR) is only needed by backends that
     bypass the mapping, e.g. ``emulate``.  Backend-specific knobs
-    (``start_method``, ``shm_threshold``, ...) pass through ``options``.
+    (``start_method``, ``transport``, ...) pass through ``options``.
 
     ``fault_plan`` (a :class:`~repro.faults.plan.FaultPlan`) switches on
     fault injection and farm supervision on the backends that support it

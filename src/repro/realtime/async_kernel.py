@@ -94,7 +94,7 @@ class AsyncRealtimeKernel(RealtimeKernel):
             return
         now = time.perf_counter()
         while now < self._next_due:
-            if self._stopped():
+            if self.stop.is_set():
                 raise Shutdown
             await asyncio.sleep(min(0.002, self._next_due - now))
             now = time.perf_counter()
@@ -123,7 +123,7 @@ class AsyncRealtimeKernel(RealtimeKernel):
     async def _admit_async(self, value: Any) -> None:
         if self._budget.policy == "block":
             while not self._admit_has_room():
-                if self._stopped():
+                if self.stop.is_set():
                     raise Shutdown
                 await asyncio.sleep(0.001)
         return self._admit_locked(value)
@@ -147,6 +147,6 @@ class AsyncRealtimeKernel(RealtimeKernel):
         value = await self._inner.recv_(edge)
         if (self._delivery_active and edge == self._topo.delivery_edge
                 and not self._inner.is_stop(value)):
-            self._stamps.append(self._now_us())
+            self._stamps.append(self.now_us())
             self._board.note_delivered()
         return value

@@ -30,7 +30,6 @@ where the seeded ``burst`` / ``input-surge`` overload faults fire.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from collections import deque
@@ -138,7 +137,7 @@ class RealtimeKernel:
         # Overload injection shares the supervised kernel's matcher and
         # report when one is underneath; without a fault plan there is
         # no overload injection, only policy enforcement.
-        self._matcher = getattr(inner, "_matcher", None)
+        self._matcher = getattr(inner, "matcher", None)
         self._fault_report = getattr(inner, "fault_report", None)
 
         # -- admission state (guarded by _lock) --
@@ -178,15 +177,9 @@ class RealtimeKernel:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._inner, name)
 
-    def _now_us(self) -> float:
-        return (time.perf_counter() - self._inner._epoch) * 1e6
-
-    def _stopped(self) -> bool:
-        return self._inner._stop_event.is_set()
-
     def _event(self, kind: str, frame: Optional[int], detail: str = "",
                *, locked: bool = False) -> None:
-        record = RealtimeRecord(kind, frame, self._now_us(), detail)
+        record = RealtimeRecord(kind, frame, self.now_us(), detail)
         if locked:
             self._events.append(record)
         else:
@@ -218,7 +211,7 @@ class RealtimeKernel:
             return
         now = time.perf_counter()
         while now < self._next_due:
-            if self._stopped():
+            if self.stop.is_set():
                 raise Shutdown
             time.sleep(min(0.002, self._next_due - now))
             now = time.perf_counter()
@@ -243,7 +236,7 @@ class RealtimeKernel:
                 if self._fault_report is not None:
                     self._fault_report.add(
                         "injected", spec.kind, self._topo.input_pid,
-                        self._now_us(),
+                        self.now_us(),
                         processor=self._topo.input_processor,
                         note=(f"x{spec.factor:g} rate"
                               if spec.kind == "input-surge"
@@ -293,7 +286,7 @@ class RealtimeKernel:
     def _admit(self, value: Any) -> None:
         if self._budget.policy == "block":
             while not self._admit_has_room():
-                if self._stopped():
+                if self.stop.is_set():
                     raise Shutdown
                 time.sleep(0.001)
         return self._admit_locked(value)
@@ -308,7 +301,7 @@ class RealtimeKernel:
         budget = self._budget
         with self._lock:
             frame = len(self._frames)
-            record = FrameRecord(frame=frame, admitted_us=self._now_us())
+            record = FrameRecord(frame=frame, admitted_us=self.now_us())
             self._frames.append(record)
             self._last_shed = False
             if budget.policy == "degrade" and self._degraded:
@@ -377,14 +370,10 @@ class RealtimeKernel:
     # -- the pump and watchdog (daemon thread on the admission side) -------
 
     def _put_nowait(self, edge: str, value: Any) -> bool:
-        channel = self._inner.channel(edge)
-        put = getattr(channel, "put_nowait", None)
-        if put is None:  # ThreadKernel wraps the queue
-            put = channel.q.put_nowait
         try:
-            put(value)
+            self._inner.try_send_(edge, value)
             return True
-        except (queue.Full, asyncio.QueueFull):
+        except queue.Full:
             return False
 
     def _drain(self) -> None:
@@ -413,7 +402,7 @@ class RealtimeKernel:
             entry.unsent.pop(0)
             progressed = True
         self._pending.popleft()
-        entry.record.released_us = self._now_us()
+        entry.record.released_us = self.now_us()
         self._board.note_released()
         return True
 
@@ -431,7 +420,7 @@ class RealtimeKernel:
 
     def _scan_deadlines(self) -> None:
         """Flag frames over budget *while still in flight* (lock held)."""
-        now_us = self._now_us()
+        now_us = self.now_us()
         deadline = self._budget.deadline_us
         delivered = self._board.delivered()
         released_seen = 0
@@ -486,7 +475,7 @@ class RealtimeKernel:
 
     def _flush_step(self) -> bool:
         """One flush round; returns True when flushing is finished."""
-        if self._stopped():
+        if self.stop.is_set():
             with self._lock:
                 for entry in self._pending:
                     entry.record.status = "failed"
@@ -505,7 +494,7 @@ class RealtimeKernel:
         value = self._inner.recv_(edge)
         if (self._delivery_active and edge == self._topo.delivery_edge
                 and not self._inner.is_stop(value)):
-            self._stamps.append(self._now_us())
+            self._stamps.append(self.now_us())
             self._board.note_delivered()
         return value
 

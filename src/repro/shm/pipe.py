@@ -18,15 +18,22 @@ every sibling, and a blocking write to it parks the sender forever.
 Here nothing ever waits inside a write.  A message of at most
 ``PIPE_BUF`` bytes goes through the pipe in one *atomic* non-blocking
 write — POSIX: all of it or ``EAGAIN``, never a part — and anything
-larger is *spilled*: the pickle goes into a file of its own under
+larger is *spilled*: the message goes into a file of its own under
 ``/dev/shm`` (RAM-backed; the system's temporary directory elsewhere)
 and only a descriptor crosses the pipe.  The consumer reads the file
 and unlinks it.  So the only place a sender waits is the semaphore, with
-the caller's timeout, and its retry loop keeps observing the stop flag;
-and a 256 KB frame costs two copies instead of four 64 KB round trips
-between two processes' GILs.  Spill files carry the channel's own
-prefix, so :meth:`destroy` — the parent, once every worker is gone —
-reclaims whatever a killed consumer never read.
+the caller's timeout, and its retry loop keeps observing the stop flag.
+
+Large buffers inside a message — a frame, the pixels of an ``Image``,
+however deeply nested — never enter the pickle at all: protocol 5 hands
+them over *out of band*, the spill file is ``index | pickle | raw
+buffers`` written with one ``writev`` straight from the arrays' memory,
+and the consumer rebuilds the arrays over slices of the one
+``bytearray`` it read the file into.  A 256 KB frame therefore costs
+two copies, where the pickle alone used to make two more and the pipe
+four 64 KB round trips between two processes' GILs.  Spill files carry
+the channel's own prefix, so :meth:`destroy` — the parent, once every
+worker is gone — reclaims whatever a killed consumer never read.
 
 Single-producer/single-consumer per channel is assumed, as for
 :class:`~repro.shm.channel.RingChannel`: one process-graph edge has one
@@ -44,7 +51,7 @@ import struct
 import tempfile
 import time
 import uuid
-from typing import Any, Optional
+from typing import Any, List, Optional
 
 __all__ = ["PipeChannel"]
 
@@ -54,6 +61,10 @@ _HEADER = struct.Struct("<IB")
 _SPILL = struct.Struct("<Q")
 #: Largest pickle that still travels inside the pipe.
 _INLINE_MAX = select.PIPE_BUF - _HEADER.size
+#: Spill-file index: the part count, then one length per part.
+_COUNT = struct.Struct("<I")
+#: Most buffers one ``writev`` takes (POSIX guarantees at least 16).
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 def _spill_directory() -> str:
@@ -109,15 +120,45 @@ class PipeChannel:
     def _spill_path(self, serial: int) -> str:
         return f"{self._spill_prefix}{serial}"
 
-    def _spill(self, body: bytes) -> bytes:
-        """Park an oversized pickle in its own file; returns the frame."""
+    def _spill(self, parts: List[Any]) -> bytes:
+        """Park an oversized message in its own file; returns the frame."""
         serial = self._spilled
+        path = self._spill_path(serial)
+        index = _COUNT.pack(len(parts)) + struct.pack(
+            f"<{len(parts)}Q", *(len(part) for part in parts))
+        pending = [memoryview(index), *parts]
+        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
+        try:
+            while pending:  # a full /dev/shm raises ENOSPC, never truncates
+                written = os.writev(fd, pending[:_IOV_MAX])
+                while pending and written >= len(pending[0]):
+                    written -= len(pending.pop(0))
+                if written:
+                    pending[0] = pending[0][written:]
+        except BaseException:
+            os.unlink(path)
+            raise
+        finally:
+            os.close(fd)
         self._spilled += 1
-        fd = os.open(self._spill_path(serial),
-                     os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
-        with open(fd, "wb") as handle:
-            handle.write(body)
         return _HEADER.pack(_SPILL.size, 1) + _SPILL.pack(serial)
+
+    def _frame(self, value: Any) -> bytes:
+        """What crosses the pipe for ``value``: the pickle itself, or
+        the descriptor of the spill file now holding it."""
+        large: List[memoryview] = []
+
+        def in_band(buffer: pickle.PickleBuffer) -> bool:
+            raw = buffer.raw()
+            if len(raw) < select.PIPE_BUF:
+                return True
+            large.append(raw)
+            return False
+
+        body = pickle.dumps(value, protocol=5, buffer_callback=in_band)
+        if large or len(body) > _INLINE_MAX:
+            return self._spill([memoryview(body), *large])
+        return _HEADER.pack(len(body), 0) + body
 
     def _put(self, value: Any, deadline: Optional[float]) -> None:
         if deadline is None:
@@ -126,11 +167,12 @@ class PipeChannel:
                 True, max(0.0, deadline - time.monotonic())):
             raise queue.Full
         self.accepted_at = time.perf_counter()
-        body = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        if len(body) <= _INLINE_MAX:
-            frame = _HEADER.pack(len(body), 0) + body
-        else:
-            frame = self._spill(body)
+        serial = self._spilled
+        try:
+            frame = self._frame(value)
+        except BaseException:
+            self._slots.release()  # unpicklable value, full /dev/shm
+            raise
         fd = self._writer.fileno()
         while True:
             try:
@@ -142,9 +184,9 @@ class PipeChannel:
                 if _wait(fd, select.POLLOUT, deadline):
                     continue
                 self._slots.release()
-                if len(body) > _INLINE_MAX:
-                    self._spilled -= 1
-                    os.unlink(self._spill_path(self._spilled))
+                if self._spilled != serial:
+                    self._spilled = serial
+                    os.unlink(self._spill_path(serial))
                 raise queue.Full from None
 
     def put(self, value: Any, timeout: Optional[float] = None) -> None:
@@ -161,13 +203,22 @@ class PipeChannel:
 
     # -- consumer --------------------------------------------------------------
 
-    def _fetch(self, descriptor: bytes) -> bytes:
+    def _fetch(self, descriptor: bytes) -> List[memoryview]:
+        """The parts of a spilled message: its pickle, then the buffers
+        that travelled raw — slices of one writable ``bytearray``."""
         path = self._spill_path(*_SPILL.unpack(descriptor))
         try:
-            with open(path, "rb") as handle:
-                return handle.read()
+            with open(path, "rb", buffering=0) as handle:
+                data = memoryview(bytearray(os.fstat(handle.fileno()).st_size))
+                handle.readinto(data)
         finally:
             os.unlink(path)
+        (count,) = _COUNT.unpack_from(data)
+        parts, offset = [], _COUNT.size + 8 * count
+        for size in struct.unpack_from(f"<{count}Q", data, _COUNT.size):
+            parts.append(data[offset:offset + size])
+            offset += size
+        return parts
 
     def _get(self, deadline: Optional[float]) -> Any:
         fd = self._reader.fileno()
@@ -182,13 +233,13 @@ class PipeChannel:
             raise EOFError("pipe channel: every write end is closed")
         # Frames are written whole, so the body is already there.
         size, flags = _HEADER.unpack(header)
-        body = os.read(fd, size)
+        body, buffers = os.read(fd, size), ()
         if flags & 1:
-            body = self._fetch(body)
+            body, *buffers = self._fetch(body)
         # Only now: an unread spill file always belongs to one of the
         # last ``maxsize`` frames.
         self._slots.release()
-        return pickle.loads(body)
+        return pickle.loads(body, buffers=buffers)
 
     def get(self, timeout: Optional[float] = None) -> Any:
         return self._get(

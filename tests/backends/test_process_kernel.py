@@ -1,8 +1,13 @@
-"""Unit tests for the multiprocess kernel's building blocks."""
+"""The kernel as one ``processes`` worker sees it: one hosted processor,
+in-process edges beside pipe (and ring) channels to the others.
 
+The substrate-independent contract — the same facts over local, pipe,
+ring and tcp edges — is ``tests/codegen/test_kernel_contract.py``.
+"""
+
+import glob
 import multiprocessing
 import os
-import pickle
 import sys
 import threading
 import time
@@ -10,60 +15,76 @@ import time
 import numpy as np
 import pytest
 
-from repro.backends.process_kernel import (
-    SHM_MIN_BYTES,
-    ProcessKernel,
-    _shm_pack,
-    _shm_unpack,
-    _ShmRef,
-)
-from repro.codegen.kernel import Shutdown
+from repro.codegen.kernel import Kernel, Shutdown
 from repro.shm import RingChannel
 from repro.shm.pipe import PipeChannel
+
+from tests.codegen.test_kernel_contract import Parked, median_wake_latency
 
 
 def make_kernel(**kw):
     defaults = dict(
+        hosts="p0",
         placement={},
-        remote_channels={},
-        stop_event=threading.Event(),
+        stop=threading.Event(),
         poll_s=0.01,
     )
     defaults.update(kw)
-    return ProcessKernel("p0", **defaults)
+    return Kernel(**defaults)
+
+
+@pytest.fixture
+def channels():
+    made = []
+    ctx = multiprocessing.get_context()
+
+    def make(kind):
+        channel = (PipeChannel(ctx, 4) if kind == "pipe"
+                   else RingChannel(slots=8, slot_bytes=1024))
+        made.append(channel)
+        return channel
+
+    yield make
+    for channel in made:
+        channel.destroy()
 
 
 class TestSharedMemoryTransfer:
-    def test_small_arrays_pass_through(self):
+    """The kernel hands every value to the edge's channel as it is; on
+    a pipe edge the channel moves large buffers through ``/dev/shm`` and
+    everything else through the pipe."""
+
+    @staticmethod
+    def cross(pipe, value):
+        """``value`` sent by one worker's kernel, received by another's;
+        also the spill files it occupied on the way."""
+        make_kernel(remote={"r0": pipe}).send_("r0", value)
+        spilled = glob.glob(glob.escape(pipe._spill_prefix) + "*")
+        got = make_kernel(hosts="p1", remote={"r0": pipe}).recv_("r0")
+        assert glob.glob(glob.escape(pipe._spill_prefix) + "*") == []
+        return got, spilled
+
+    def test_small_arrays_pass_through(self, channels):
         arr = np.arange(8)
-        assert _shm_pack(arr, SHM_MIN_BYTES) is arr
+        got, spilled = self.cross(channels("pipe"), arr)
+        np.testing.assert_array_equal(got, arr)
+        assert spilled == []
 
-    def test_non_arrays_pass_through(self):
+    def test_non_arrays_pass_through(self, channels):
+        pipe = channels("pipe")
         for value in (42, "s", [1, 2], {"k": 1}, None):
-            assert _shm_pack(value, 0) == value or _shm_pack(value, 0) is value
+            assert self.cross(pipe, value) == (value, [])
 
-    def test_large_array_roundtrip(self):
+    def test_large_array_roundtrip(self, channels):
         arr = np.random.default_rng(0).integers(0, 255, size=(256, 256))
-        ref = _shm_pack(arr, 1024)
-        assert isinstance(ref, _ShmRef)
-        back = _shm_unpack(ref)
-        np.testing.assert_array_equal(back, arr)
+        got, spilled = self.cross(channels("pipe"), arr)
+        np.testing.assert_array_equal(got, arr)
+        assert got.flags.writeable and len(spilled) == 1
 
-    def test_ref_survives_pickle(self):
-        arr = np.ones((64, 64), dtype=np.float64)
-        ref = _shm_pack(arr, 1024)
-        ref2 = pickle.loads(pickle.dumps(ref))
-        assert (ref2.name, ref2.shape, ref2.dtype) == (
-            ref.name, ref.shape, ref.dtype,
-        )
-        np.testing.assert_array_equal(_shm_unpack(ref2), arr)
-
-    def test_object_arrays_pass_through(self):
+    def test_object_arrays_pass_through(self, channels):
         arr = np.array([{"a": 1}, None], dtype=object)
-        assert _shm_pack(arr, 0) is arr
-
-    def test_unpack_passthrough(self):
-        assert _shm_unpack("plain") == "plain"
+        got, _spilled = self.cross(channels("pipe"), arr)
+        assert got.dtype == object and list(got) == list(arr)
 
 
 class TestKernelPrimitives:
@@ -96,14 +117,14 @@ class TestKernelPrimitives:
 
     def test_stop_event_unblocks_recv(self):
         stop = threading.Event()
-        kernel = make_kernel(stop_event=stop)
+        kernel = make_kernel(stop=stop)
         stop.set()
         with pytest.raises(Shutdown):
             kernel.recv_("never")
 
     def test_stop_event_unblocks_send_on_full_queue(self):
         stop = threading.Event()
-        kernel = make_kernel(stop_event=stop, queue_size=1)
+        kernel = make_kernel(stop=stop, queue_size=1)
         kernel.send_("e0", 1)  # fills the queue
         timer = threading.Timer(0.05, stop.set)
         timer.start()
@@ -112,11 +133,12 @@ class TestKernelPrimitives:
         timer.cancel()
 
     def test_call_records_wall_clock_spans(self):
-        kernel = make_kernel()
+        kernel = make_kernel(record_spans=True)
         assert kernel.call_(lambda a, b: a + b, 2, 3) == 5
-        (span,) = kernel.compute_spans
-        assert span.resource == "p0"
-        assert span.end >= span.start >= 0.0
+        ((resource, owner, start, end),) = kernel.compute_spans
+        assert resource == "p0"
+        assert owner == threading.current_thread().name
+        assert end >= start >= 0.0
 
     def test_call_without_recording(self):
         kernel = make_kernel(record_spans=False)
@@ -124,50 +146,9 @@ class TestKernelPrimitives:
         assert kernel.compute_spans == []
 
 
-class _Parked:
-    """A thread parked in ``alt_``; records what woke it and what the
-    wait cost (wall and thread-CPU seconds)."""
-
-    def __init__(self, kernel, edges):
-        self.outcome = None
-        self.returned_at = None
-        self.cpu_s = None
-        self.entered = threading.Event()
-        self.thread = threading.Thread(
-            target=self._run, args=(kernel, edges), daemon=True)
-        self.thread.start()
-        assert self.entered.wait(5.0)
-
-    def _run(self, kernel, edges):
-        cpu = time.thread_time()
-        self.entered.set()
-        try:
-            self.outcome = kernel.alt_(edges)
-        except Shutdown:
-            self.outcome = "shutdown"
-        self.returned_at = time.perf_counter()
-        self.cpu_s = time.thread_time() - cpu
-
-    def join(self):
-        self.thread.join(10.0)
-        assert not self.thread.is_alive()
-        return self.outcome
-
-
-@pytest.fixture
-def channels():
-    made = []
-    ctx = multiprocessing.get_context()
-
-    def make(kind):
-        channel = (PipeChannel(ctx, 4) if kind == "pipe"
-                   else RingChannel(slots=8, slot_bytes=1024))
-        made.append(channel)
-        return channel
-
-    yield make
-    for channel in made:
-        channel.destroy()
+def _Parked(kernel, edges):
+    """A thread parked in ``alt_`` over ``edges``."""
+    return Parked(lambda: kernel.alt_(edges))
 
 
 class TestBlockingAlt:
@@ -186,7 +167,7 @@ class TestBlockingAlt:
 
     def test_remote_pipe_edge_wakes_a_parked_alt(self, channels):
         pipe = channels("pipe")
-        kernel = make_kernel(poll_s=30.0, remote_channels={"r0": pipe})
+        kernel = make_kernel(poll_s=30.0, remote={"r0": pipe})
         parked = _Parked(kernel, ["e0", "r0"])
         time.sleep(0.05)
         pipe.put_nowait(("remote", 1))
@@ -194,7 +175,7 @@ class TestBlockingAlt:
 
     def test_mixed_local_and_pipe_edges(self, channels):
         pipe = channels("pipe")
-        kernel = make_kernel(poll_s=30.0, remote_channels={"r0": pipe})
+        kernel = make_kernel(poll_s=30.0, remote={"r0": pipe})
         edges = ["r0", "e0", "e1"]
         for edge, send in (("e1", lambda: kernel.send_("e1", "a")),
                            ("r0", lambda: pipe.put_nowait("b")),
@@ -206,18 +187,15 @@ class TestBlockingAlt:
 
     def test_large_array_over_a_pipe_edge_is_unpacked(self, channels):
         pipe = channels("pipe")
-        sender = make_kernel(remote_channels={"r0": pipe}, shm_threshold=1024)
         frame = np.arange(64 * 64, dtype=np.int64).reshape(64, 64)
-        sender.send_("r0", frame)
-        edge, value = make_kernel(
-            remote_channels={"r0": pipe}).alt_(["r0"])
+        make_kernel(remote={"r0": pipe}).send_("r0", frame)
+        edge, value = make_kernel(remote={"r0": pipe}).alt_(["r0"])
         np.testing.assert_array_equal(value, frame)
-        sender.release_shm()
 
     def test_aliased_edge_waits_on_the_channel_it_resolves_to(self, channels):
         pipe = channels("pipe")
         kernel = make_kernel(
-            poll_s=30.0, remote_channels={"r0": pipe},
+            poll_s=30.0, remote={"r0": pipe},
             edge_aliases={"e5": "r0"},
         )
         parked = _Parked(kernel, ["e5"])
@@ -227,7 +205,7 @@ class TestBlockingAlt:
 
     def test_ring_edge_keeps_the_bounded_tick(self, channels):
         ring = channels("ring")
-        kernel = make_kernel(remote_channels={"r0": ring})
+        kernel = make_kernel(remote={"r0": ring})
         assert kernel._waiter(["r0", "e0"]) is None
         parked = _Parked(kernel, ["r0", "e0"])
         time.sleep(0.02)
@@ -241,7 +219,7 @@ class TestBlockingAlt:
     def test_a_parked_alt_burns_no_cpu(self, channels):
         """The old ALT woke every 200 µs to poll each edge."""
         pipe = channels("pipe")
-        kernel = make_kernel(poll_s=0.1, remote_channels={"r0": pipe})
+        kernel = make_kernel(poll_s=0.1, remote={"r0": pipe})
         parked = _Parked(kernel, ["r0", "e0", "e1"])
         time.sleep(0.5)
         kernel.send_("e0", "done")
@@ -251,25 +229,17 @@ class TestBlockingAlt:
     @pytest.mark.parametrize("remote", [False, True])
     def test_wake_latency_is_well_under_the_old_tick(self, channels, remote):
         pipe = channels("pipe")
-        kernel = make_kernel(poll_s=30.0, remote_channels={"r0": pipe})
-        latencies = []
-        for _ in range(41):
-            parked = _Parked(kernel, ["r0", "e0"])
-            time.sleep(0.005)  # let it reach the poll
-            sent_at = time.perf_counter()
-            if remote:
-                pipe.put_nowait(0)
-            else:
-                kernel.send_("e0", 0)
-            parked.join()
-            latencies.append(parked.returned_at - sent_at)
-        assert sorted(latencies)[len(latencies) // 2] < 200e-6
+        kernel = make_kernel(poll_s=30.0, remote={"r0": pipe})
+        assert median_wake_latency(
+            lambda: kernel.alt_(["r0", "e0"]),
+            (lambda: pipe.put_nowait(0)) if remote
+            else (lambda: kernel.send_("e0", 0))) < 120e-6
 
     def test_stop_wakes_a_parked_alt_within_a_poll_tick(self, channels):
         stop = threading.Event()
         pipe = channels("pipe")
         kernel = make_kernel(
-            stop_event=stop, poll_s=0.02, remote_channels={"r0": pipe})
+            stop=stop, poll_s=0.02, remote={"r0": pipe})
         parked = _Parked(kernel, ["r0", "e0"])
         time.sleep(0.05)
         raised = time.perf_counter()
@@ -289,7 +259,7 @@ class TestBlockingAlt:
         between the waiter's scan and its poll without ringing) would
         blow the time bound on its own."""
         pipe = channels("pipe")
-        kernel = make_kernel(poll_s=60.0, remote_channels={"r0": pipe})
+        kernel = make_kernel(poll_s=60.0, remote={"r0": pipe})
         edges, rounds = ["e0", "e1", "r0"], 3000
         got = []
 
@@ -326,7 +296,7 @@ class TestBlockingAlt:
         pipe = channels("pipe")
         stop = threading.Event()
         kernel = make_kernel(
-            stop_event=stop, poll_s=0.01, remote_channels={"r0": pipe})
+            stop=stop, poll_s=0.01, remote={"r0": pipe})
         before = set(os.listdir("/proc/self/fd"))
         thread = kernel.spawn_("proc_m", lambda: kernel.alt_(["r0", "e0"]))
         time.sleep(0.05)

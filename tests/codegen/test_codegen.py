@@ -12,7 +12,7 @@ from repro.core import (
 )
 from repro.codegen import (
     KERNEL_PRIMITIVES,
-    ThreadKernel,
+    Kernel,
     emit_all,
     emit_macro,
     generate_python,
@@ -38,31 +38,31 @@ def df_program(degree=3):
 
 class TestKernel:
     def test_send_recv_roundtrip(self):
-        kernel = ThreadKernel()
+        kernel = Kernel()
         kernel.send_("e0", 42)
         assert kernel.recv_("e0") == 42
 
     def test_alt_picks_ready_channel(self):
-        kernel = ThreadKernel()
+        kernel = Kernel()
         kernel.send_("b", "hello")
         edge, value = kernel.alt_(["a", "b"])
         assert (edge, value) == ("b", "hello")
 
     def test_stop_token(self):
-        kernel = ThreadKernel()
+        kernel = Kernel()
         kernel.stop_("e0")
         assert kernel.is_stop(kernel.recv_("e0"))
         assert not kernel.is_stop(42)
 
     def test_spawn_runs_body(self):
-        kernel = ThreadKernel()
+        kernel = Kernel()
         done = []
         t = kernel.spawn_("t", lambda: done.append(1))
         t.join(5)
         assert done == [1]
 
     def test_shutdown_unwinds_blocked_thread(self):
-        kernel = ThreadKernel()
+        kernel = Kernel()
 
         def blocked():
             kernel.recv_("never")

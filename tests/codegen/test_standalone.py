@@ -84,6 +84,20 @@ class TestEmit:
             assert "import repro" not in text
             assert "from repro" not in text
 
+    def test_the_kernel_is_the_in_tree_module_verbatim(self, tmp_path):
+        """No second copy to drift: ``skipper_kernel.py`` *is*
+        ``repro/codegen/kernel.py``, followed by the runtime types."""
+        import inspect
+
+        from repro.codegen import kernel
+
+        _, _, out, _ = _emit(tmp_path, 0)
+        with open(os.path.join(out, "skipper_kernel.py")) as handle:
+            emitted = handle.read()
+        assert emitted.startswith(inspect.getsource(kernel))
+        for name in ("EndOfStream", "TaskOutcome", "render_blackboard"):
+            assert f"\nclass {name}" in emitted or f"\ndef {name}" in emitted
+
     def test_lambda_table_rejected(self):
         table = FunctionTable()
         table.register("sq", ins=["int"], outs=["int"])(lambda x: x * x)
@@ -141,6 +155,36 @@ class TestStandaloneRuns:
         env = dict(os.environ, PYTHONPATH="")
         proc = subprocess.run(
             argv, cwd=out, env=env, timeout=60.0,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == expected
+
+    def test_runs_isolated_with_repro_unimportable(self, tmp_path):
+        """``python -I`` drops ``PYTHONPATH``, the user site and the
+        working directory: only the emitted directory is importable."""
+        built, mapping, out, _ = _emit(tmp_path, 1)
+        args = tuple(built.args) if built.args else None
+        reset_stream()
+        expected = render_blackboard(run_emitted(
+            out, args=args, max_iterations=built.max_iterations,
+            timeout=60.0,
+        ))
+        argv = ["--timeout", "30"]
+        for value in args or ():
+            argv += ["--arg", repr(value)]
+        code = (
+            "import sys\n"
+            f"sys.path.insert(0, {out!r})\n"
+            "try:\n"
+            "    import repro\n"
+            "except ImportError:\n"
+            "    import main\n"
+            f"    sys.exit(main.main({argv!r}))\n"
+            "sys.exit('repro is importable: the run proves nothing')\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", code], cwd=out, timeout=60.0,
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         assert proc.returncode == 0, proc.stderr

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from repro.codegen import ThreadKernel, load_executive, run_generated
+from repro.codegen import load_executive, run_generated
 from repro.codegen.async_kernel import AsyncioKernel, run_generated_asyncio
 from repro.codegen.pygen import (
     MODULE_CACHE_SIZE,

@@ -4,7 +4,7 @@ breaker, and the bounded re-dispatch flush."""
 
 import time
 
-from repro.codegen.kernel import ThreadKernel
+from repro.codegen.kernel import Kernel
 from repro.faults import FaultPolicy, FaultReport
 from repro.faults.demo import make_demo
 from repro.faults.supervisor import (
@@ -25,7 +25,7 @@ def make_supervised(**policy_kwargs):
     _prog, _table, _args, mapping = make_demo("df")
     topo = FaultTopology.from_mapping(mapping)
     kernel = SupervisedKernel(
-        ThreadKernel(), topo, policy=FaultPolicy(**policy_kwargs)
+        Kernel(), topo, policy=FaultPolicy(**policy_kwargs)
     )
     return kernel, kernel._states["df0"]
 
@@ -370,7 +370,7 @@ class TestSuspectsGetNoNewWork:
         return rec
 
     def queued(self, kernel, worker):
-        return kernel._base.channel(worker.dispatch_edge).q.qsize()
+        return kernel._base.channel(worker.dispatch_edge).qsize()
 
     def test_packet_for_a_suspect_goes_to_a_peer(self):
         kernel, state = make_supervised()
@@ -415,7 +415,7 @@ class TestFlushSendsOverflow:
         channel = kernel._base.channel(edge)
         while True:
             try:
-                channel.q.put_nowait("filler")
+                channel.put_nowait("filler")
             except Exception:
                 return
 
@@ -454,7 +454,7 @@ class TestFlushSendsOverflow:
         state.pending_sends.append((edge, Packet(2, "v"), 0))
         kernel._flush_sends(state)
         assert state.pending_sends  # still waiting
-        kernel._base.channel(edge).q.get_nowait()  # worker drains one
+        kernel._base.channel(edge).get_nowait()  # worker drains one
         kernel._flush_sends(state)
         assert state.pending_sends == []
         assert not [r for r in kernel.fault_report.records

@@ -105,34 +105,32 @@ class TestHelpers:
 
 
 class TestCreditFlowControl:
-    def _kernel(self, link, credits=2):
-        from repro.net.kernel import NetKernel, NetStopEvent
+    def _channels(self, link, credits=2):
+        """The network ends of a worker hosting ``p0``: ``e0`` leaves
+        it, ``e1`` arrives, ``e2`` passes it by."""
+        from repro.net import net_channels
 
-        return NetKernel(
+        out, inboxes = net_channels(
             ["p0"],
-            placement={},
-            edges={"e0": ("p0", "p1"), "e1": ("p1", "p0")},
-            link=link,
-            run_id=1,
-            stop_event=NetStopEvent(link, 1),
-            queue_size=credits,
+            {"e0": ("p0", "p1"), "e1": ("p1", "p0"), "e2": ("p1", "p2")},
+            link, 1, credits,
         )
+        assert (list(out), list(inboxes)) == (["e0"], ["e1"])
+        return out["e0"], inboxes["e1"]
 
     def test_producer_blocks_without_credits(self, pair):
         tx, _rx = pair
-        kernel = self._kernel(tx, credits=2)
-        out = kernel.channel("e0")
+        out, _inbox = self._channels(tx, credits=2)
         out.put_nowait(1)
         out.put_nowait(2)
         with pytest.raises(queue.Full):
             out.put_nowait(3)
-        kernel.add_credit("e0", 1)
+        out.add_credit(1)
         out.put_nowait(3)  # credit granted: flows again
 
     def test_consumer_grants_credit_per_dequeue(self, pair):
         tx, rx = pair
-        kernel = self._kernel(tx)
-        inbox = kernel.inboxes["e1"]
+        _out, inbox = self._channels(tx)
         from repro.net import encode
 
         blob = b"".join(bytes(b) for b in encode(41))

@@ -234,3 +234,39 @@ def test_dead_worker_without_supervision_is_fatal():
         finally:
             for timer in timers:
                 timer.cancel()
+
+
+async def _fetch(x):
+    import asyncio
+
+    await asyncio.sleep(0)
+    return x + 1
+
+
+def _add(a, b):
+    return a + b
+
+
+class TestAsyncNativeFunctions:
+    @pytest.mark.parametrize("backend", ["threads", "processes", "tcp"])
+    def test_call_awaits_a_coroutine_function(self, backend, cluster):
+        """``call_`` drives an async-native table function to its result
+        on every threaded substrate — one kernel, one ``call_``; where
+        it did not, the un-awaited coroutine reached ``pickle``."""
+        table = FunctionTable()
+        table.register("fetch", ins=["int"], outs=["int"], cost=10.0)(_fetch)
+        table.register(
+            "add", ins=["int", "int"], outs=["int"], cost=5.0,
+            properties=["commutative", "associative"],
+        )(_add)
+        b = ProgramBuilder("fetchsum", table)
+        (xs,) = b.params("xs")
+        prog = b.returns(
+            b.df(3, comp="fetch", acc="add", z=b.const(0), xs=xs))
+        mapping = distribute(expand_program(prog, table), ring(4))
+        options = {"cluster": cluster} if backend == "tcp" else {}
+        report = get_backend(backend).run(
+            mapping, table, program=prog, costs=FAST_TEST,
+            args=([1, 2, 3, 4, 5],), timeout=60.0, **options,
+        )
+        assert report.one_shot_results == (20,)

@@ -6,8 +6,11 @@ capacity), then the same contract under hypothesis against a list
 model, across ``fork`` and ``spawn``, and the one hazard the old
 ``multiprocessing.Queue`` feeder thread used to hide: large messages to
 a reader that has died must not park the sender beyond the stop flag.
+Arrays get a section of their own: buffers of a page or more travel out
+of band — raw, beside the pickle, in the spill file — at any nesting.
 """
 
+import errno
 import gc
 import glob
 import multiprocessing
@@ -19,12 +22,12 @@ import signal
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends.process_kernel import ProcessKernel
-from repro.codegen.kernel import Shutdown
+from repro.codegen.kernel import Kernel, Shutdown
 from repro.shm import get_transport
 from repro.shm.pipe import _INLINE_MAX, PipeChannel
 from repro.shm.registry import EdgeSpec
@@ -270,6 +273,86 @@ class TestAgainstAModel:
             channel.destroy()
 
 
+KB = 1024
+ARRAY_BYTES = [4 * KB, 64 * KB, 256 * KB, 1024 * KB]
+
+
+def array_message(nbytes, nested):
+    """An array of ``nbytes``, bare or buried in containers beside a
+    small one (which stays inside the pickle)."""
+    arr = np.arange(nbytes // 8, dtype=np.int64).reshape(-1, 64)
+    if not nested:
+        return arr
+    return {"frame": ("image", arr), "windows": [arr[:1].copy(), 7]}
+
+
+def assert_same_message(got, sent):
+    if isinstance(sent, np.ndarray):
+        np.testing.assert_array_equal(got, sent)
+        assert got.dtype == sent.dtype and got.flags.writeable
+        return
+    assert_same_message(got["frame"][1], sent["frame"][1])
+    assert_same_message(got["windows"][0], sent["windows"][0])
+    assert (got["frame"][0], got["windows"][1]) == ("image", 7)
+
+
+class TestOutOfBandArrays:
+    @pytest.mark.parametrize("nested", [False, True], ids=["bare", "nested"])
+    @pytest.mark.parametrize("nbytes", ARRAY_BYTES)
+    def test_round_trip(self, nbytes, nested):
+        channel = make_channel()
+        sent = array_message(nbytes, nested)
+        shm = set(os.listdir("/dev/shm"))
+        try:
+            channel.put_nowait(sent)
+            (spill,) = spill_files(channel)
+            # Raw beside the pickle, not a second copy inside it.
+            assert nbytes <= os.path.getsize(spill) < nbytes + 2 * KB
+            got = channel.get_nowait()
+            assert_same_message(got, sent)
+            assert set(os.listdir("/dev/shm")) == shm
+            got_arr = got if not nested else got["frame"][1]
+            got_arr[0, 0] = -1  # the receiver owns what it got
+        finally:
+            channel.destroy()
+
+    def test_a_short_write_is_continued_not_truncated(self, monkeypatch):
+        channel = make_channel()
+        sent = array_message(256 * KB, nested=True)
+        real_writev = os.writev
+
+        def stingy(fd, buffers):
+            return real_writev(fd, [memoryview(buffers[0])[:5000]])
+
+        monkeypatch.setattr(os, "writev", stingy)
+        try:
+            channel.put_nowait(sent)
+            assert_same_message(channel.get_nowait(), sent)
+        finally:
+            channel.destroy()
+
+    def test_a_full_spill_directory_surfaces_and_leaves_nothing(
+            self, monkeypatch):
+        channel = make_channel(maxsize=1)
+        real_writev = os.writev
+
+        def full(fd, buffers):
+            real_writev(fd, [memoryview(buffers[0])[:100]])
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        try:
+            with monkeypatch.context() as patched:
+                patched.setattr(os, "writev", full)
+                with pytest.raises(OSError) as caught:
+                    channel.put_nowait(array_message(64 * KB, nested=False))
+                assert caught.value.errno == errno.ENOSPC
+            assert spill_files(channel) == []
+            channel.put_nowait("the only slot was given back")
+            assert channel.get_nowait() == "the only slot was given back"
+        finally:
+            channel.destroy()
+
+
 def _produce(channel, values):
     for value in values:
         channel.put(value, timeout=30.0)
@@ -298,6 +381,23 @@ class TestAcrossProcesses:
         finally:
             channel.destroy()
 
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_arrays_from_a_child_producer(self, method):
+        ctx = multiprocessing.get_context(method)
+        channel = PipeChannel(ctx, 4)
+        values = [array_message(nbytes, nested)
+                  for nbytes in ARRAY_BYTES for nested in (False, True)]
+        child = ctx.Process(target=_produce, args=(channel, values))
+        try:
+            child.start()
+            for sent in values:
+                assert_same_message(channel.get(timeout=30.0), sent)
+            child.join(30.0)
+            assert child.exitcode == 0
+            assert spill_files(channel) == []
+        finally:
+            channel.destroy()
+
     def test_channel_only_pickles_while_spawning(self):
         channel = make_channel()
         try:
@@ -309,7 +409,7 @@ class TestAcrossProcesses:
     @pytest.mark.parametrize("method", START_METHODS)
     def test_sigkilled_reader_then_stop_unwinds_the_sender(self, method):
         """What the feeder thread used to hide: the reader dies while
-        messages larger than the pipe are streaming at it.  The sender
+        arrays larger than the pipe are streaming at it.  The sender
         must keep seeing the stop flag and unwind within a poll tick,
         and the unread spill files go with the channel."""
         ctx = multiprocessing.get_context(method)
@@ -318,14 +418,12 @@ class TestAcrossProcesses:
         reader = ctx.Process(target=_consume_forever, args=(channel, ready))
         stop = threading.Event()
         poll_s = 0.02
-        kernel = ProcessKernel(
-            "P0", placement={}, remote_channels={"e0": channel},
-            stop_event=stop, poll_s=poll_s,
-        )
+        kernel = Kernel(
+            hosts="P0", remote={"e0": channel}, stop=stop, poll_s=poll_s)
         unwound = []
 
         def sender():
-            big = os.urandom(3 * PIPE_CAPACITY)
+            big = np.ones(3 * PIPE_CAPACITY, dtype=np.uint8)
             try:
                 while True:
                     kernel.send_("e0", big)
