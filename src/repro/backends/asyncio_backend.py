@@ -9,7 +9,10 @@ object per process instead of one OS thread — the regime where
 I/O-bound graphs sustain thousands of concurrent streams in a single
 process.
 
-Realtime admission composes the way ``threads`` does, through
+The run is planned and merged by the driver every kernel-hosted backend
+shares (:mod:`repro.backends.hosting`); only the hosting is this
+backend's own, because its wrapper is ``await``-coloured: realtime
+admission composes through
 :class:`~repro.realtime.async_kernel.AsyncRealtimeKernel` (the watchdog
 is a loop task).  Fault supervision does not: the supervisor's
 heartbeat thread and synchronous primitive hooks assume a thread
@@ -22,17 +25,21 @@ from __future__ import annotations
 
 import asyncio
 import time
-from typing import Any, Optional, Tuple
+from dataclasses import astuple
+from typing import Any, Dict, Optional, Tuple
 
-from ..codegen.async_kernel import AsyncioKernel, run_generated_async
-from ..codegen.pygen import thread_name
+from ..codegen.async_kernel import AsyncioKernel
+from ..codegen.pygen import load_executive
+from ..codegen.targets import get_target
 from ..core.functions import FunctionTable
 from ..core.ir import Program
 from ..machine.costs import T9000, CostModel
 from ..machine.executive import RunReport
 from ..machine.trace import Trace
+from ..realtime.async_kernel import AsyncRealtimeKernel
 from ..syndex.distribute import Mapping
-from .base import Backend, BackendError, report_from_blackboard
+from .base import Backend, BackendError
+from .hosting import merge_run, plan_run
 from .registry import register_backend
 
 __all__ = ["AsyncioBackend"]
@@ -80,52 +87,44 @@ class AsyncioBackend(Backend):
                 "(the supervisor's primitives are thread-blocking); use "
                 "the threads or processes backend"
             )
+        plan = plan_run(
+            mapping, table,
+            max_iterations=max_iterations,
+            args=args,
+            record_spans=record_trace,
+            budget=budget,
+            source=get_target("asyncio").generate(
+                mapping, max_iterations=max_iterations),
+        )
         trace = Trace() if record_trace else None
-        placement = {
-            thread_name(pid): proc
-            for pid, proc in mapping.assignment.items()
-        }
 
-        async def drive() -> Any:
-            kernel: Any = AsyncioKernel(trace=trace, placement=placement)
-            realtime_kernel = None
-            if budget is not None:
-                from ..realtime.async_kernel import AsyncRealtimeKernel
-                from ..realtime.topology import StreamTopology
-
-                stream = StreamTopology.from_mapping(mapping)
-                if stream is None:
-                    raise BackendError(
-                        "a latency budget needs a stream program (no "
-                        "stream input/output in this mapping)"
-                    )
-                kernel = realtime_kernel = AsyncRealtimeKernel(
-                    kernel, stream, budget
+        async def drive() -> Dict[str, Any]:
+            kernel: Any = AsyncioKernel(trace=trace, placement=plan.placement)
+            realtime = None
+            if plan.budget is not None:
+                kernel = realtime = AsyncRealtimeKernel(
+                    kernel, plan.stream_topology, plan.budget
                 )
                 kernel.start()
+            kernel.blackboard.update(plan.seed)
             try:
-                blackboard = await run_generated_async(
-                    mapping, table,
-                    kernel=kernel,
-                    max_iterations=max_iterations,
-                    args=args,
-                    timeout=timeout,
-                )
+                _tasks, sinks = await load_executive(
+                    plan.source)["build_executive"](kernel, plan.fns)
+                await kernel.join_(sinks, timeout)
             finally:
-                if realtime_kernel is not None:
-                    await realtime_kernel.ashutdown()
-            return blackboard, realtime_kernel
+                if realtime is not None:
+                    await realtime.ashutdown()
+            return {
+                "blackboard": kernel.blackboard,
+                "compute": (
+                    [] if trace is None
+                    else [astuple(span) for span in trace.compute]),
+                "transfer": [],
+                "faults": [],
+                "realtime": None if realtime is None else realtime.payload(),
+            }
 
         start = time.perf_counter()
-        blackboard, realtime_kernel = asyncio.run(drive())
+        payload = asyncio.run(drive())
         wall_us = (time.perf_counter() - start) * 1e6
-        realtime_report = None
-        if realtime_kernel is not None:
-            realtime_report = realtime_kernel.build_report()
-            if trace is not None:
-                realtime_report.annotate_trace(trace)
-        report = report_from_blackboard(
-            blackboard, makespan=wall_us, backend=self.name, trace=trace
-        )
-        report.realtime = realtime_report
-        return report
+        return merge_run(plan, [payload], wall_us, self.name)

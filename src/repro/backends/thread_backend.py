@@ -1,20 +1,19 @@
-"""Threaded-executive backend: the generated code on one
-:class:`~repro.codegen.kernel.Kernel` that hosts every processor."""
+"""Threaded-executive backend: one :func:`~repro.backends.hosting.host_run`
+that hosts every processor, in this interpreter."""
 
 from __future__ import annotations
 
+import threading
 import time
-from typing import Any, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
-from ..codegen.kernel import Kernel
-from ..codegen.pygen import run_generated, thread_name
 from ..core.functions import FunctionTable
 from ..core.ir import Program
 from ..machine.costs import T9000, CostModel
 from ..machine.executive import RunReport
-from ..machine.trace import Trace
 from ..syndex.distribute import Mapping
-from .base import Backend, BackendError, report_from_blackboard
+from .base import Backend, BackendError
+from .hosting import host_run, merge_run, plan_run
 from .registry import register_backend
 
 __all__ = ["ThreadBackend"]
@@ -55,69 +54,35 @@ class ThreadBackend(Backend):
     ) -> RunReport:
         if mapping is None:
             raise BackendError("the threads backend needs a mapping")
-        trace = Trace() if record_trace else None
-        placement = {
-            thread_name(pid): proc
-            for pid, proc in mapping.assignment.items()
-        }
-        base = Kernel(placement=placement, record_spans=record_trace)
-        kernel: Any = base
-        fault_report = None
-        if fault_plan is not None:
-            from ..faults.supervisor import SupervisedKernel
-            from ..faults.topology import FaultTopology
-
-            kernel = SupervisedKernel(
-                kernel,
-                FaultTopology.from_mapping(mapping),
-                plan=fault_plan,
-                policy=fault_policy,
-            )
-            fault_report = kernel.fault_report
-        realtime_kernel = None
-        if budget is not None:
-            from ..realtime.kernel import RealtimeKernel
-            from ..realtime.topology import StreamTopology
-
-            stream = StreamTopology.from_mapping(mapping)
-            if stream is None:
-                raise BackendError(
-                    "a latency budget needs a stream program (no stream "
-                    "input/output in this mapping)"
-                )
-            kernel = realtime_kernel = RealtimeKernel(
-                kernel, stream, budget
-            )
-        start = time.perf_counter()
-        try:
-            blackboard = run_generated(
-                mapping, table,
-                kernel=kernel,
-                max_iterations=max_iterations,
-                args=args,
-                timeout=timeout,
-            )
-        finally:
-            shutdown = getattr(kernel, "shutdown", None)
-            if shutdown is not None and (fault_plan is not None
-                                         or budget is not None):
-                shutdown()
-        wall_us = (time.perf_counter() - start) * 1e6
-        if trace is not None:
-            for span in base.compute_spans:
-                trace.add_compute(*span)
-        if fault_report is not None:
-            fault_report.sorted()
-            if trace is not None:
-                fault_report.annotate_trace(trace)
-        realtime_report = None
-        if realtime_kernel is not None:
-            realtime_report = realtime_kernel.build_report()
-            if trace is not None:
-                realtime_report.annotate_trace(trace)
-        report = report_from_blackboard(
-            blackboard, makespan=wall_us, backend=self.name, trace=trace
+        plan = plan_run(
+            mapping, table,
+            max_iterations=max_iterations,
+            args=args,
+            record_spans=record_trace,
+            fault_plan=fault_plan,
+            fault_policy=fault_policy,
+            budget=budget,
         )
-        report.faults = fault_report
-        report.realtime = realtime_report
-        return report
+        # The only host of the run raises its stop flag itself: when its
+        # sinks are complete, or at the deadline.
+        stop = threading.Event()
+        completed = threading.Event()
+
+        def on_sinks(_processors: List[str]) -> None:
+            completed.set()
+            stop.set()
+
+        deadline = threading.Timer(timeout, stop.set)
+        deadline.daemon = True
+        start = time.perf_counter()
+        deadline.start()
+        try:
+            payload = host_run(plan, stop=stop, on_sinks=on_sinks)
+        finally:
+            deadline.cancel()
+        wall_us = (time.perf_counter() - start) * 1e6
+        if not completed.is_set():
+            raise BackendError(
+                "threads run exceeded its timeout (deadlocked executive?)"
+            )
+        return merge_run(plan, [payload], wall_us, self.name)

@@ -27,7 +27,6 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from ..pnt.graph import ProcessKind
 from ..syndex.distribute import Mapping
 from .kernel import Shutdown, Stop
 
@@ -281,7 +280,7 @@ async def run_generated_async(
     :class:`~repro.realtime.async_kernel.AsyncRealtimeKernel` wrapper)
     works.  Returns the kernel blackboard.
     """
-    from .pygen import load_executive
+    from .pygen import load_executive, seed_arguments
     from .targets import get_target
 
     source = get_target("asyncio").generate(
@@ -290,15 +289,7 @@ async def run_generated_async(
     module = load_executive(source)
     if kernel is None:
         kernel = AsyncioKernel()
-    inputs = [
-        p for p in mapping.graph.by_kind(ProcessKind.INPUT) if p.func is None
-    ]
-    if len(args or ()) != len(inputs):
-        raise ValueError(
-            f"program takes {len(inputs)} argument(s), got {len(args or ())}"
-        )
-    for process, value in zip(inputs, args or ()):
-        kernel.blackboard[f"arg_{process.params.get('param')}"] = value
+    kernel.blackboard.update(seed_arguments(mapping.graph, args))
     fns = {spec.name: spec.fn for spec in table}
     _tasks, sinks = await module["build_executive"](kernel, fns)
     await kernel.join_(sinks, timeout)

@@ -235,7 +235,7 @@ class Kernel:
     channels).
 
     ``edge_aliases`` / ``fused_threads`` are the fused identity routers
-    of :func:`repro.backends.process_backend.fused_routers`: an aliased
+    of :func:`repro.backends.hosting.fused_routers`: an aliased
     edge resolves to the channel of the edge it names and a fused
     thread is never started.
 

@@ -23,9 +23,9 @@ import sys
 import threading
 import types
 from collections import OrderedDict
-from typing import Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
-from ..pnt.graph import ProcessKind
+from ..pnt.graph import ProcessGraph, ProcessKind
 from ..syndex.distribute import Mapping
 from .targets.python_target import thread_name  # noqa: F401  (re-export)
 
@@ -33,6 +33,7 @@ __all__ = [
     "generate_python",
     "load_executive",
     "run_generated",
+    "seed_arguments",
     "thread_name",
     "MODULE_CACHE_SIZE",
 ]
@@ -89,6 +90,25 @@ def load_executive(source: str):
     return module.__dict__
 
 
+def seed_arguments(graph: ProcessGraph, args: Optional[Tuple]) -> Dict[str, Any]:
+    """The blackboard entries (``arg_<param>``) a one-shot program reads
+    its parameters from.
+
+    Raises ``ValueError`` on an arity mismatch — also when ``args`` is
+    omitted: an executive with unseeded parameters would block until the
+    run's deadline.
+    """
+    inputs = [p for p in graph.by_kind(ProcessKind.INPUT) if p.func is None]
+    if len(args or ()) != len(inputs):
+        raise ValueError(
+            f"program takes {len(inputs)} argument(s), got {len(args or ())}"
+        )
+    return {
+        f"arg_{process.params.get('param')}": value
+        for process, value in zip(inputs, args or ())
+    }
+
+
 def run_generated(
     mapping: Mapping,
     table,
@@ -111,17 +131,7 @@ def run_generated(
     module = load_executive(source)
     if kernel is None:
         kernel = Kernel()
-    inputs = [
-        p for p in mapping.graph.by_kind(ProcessKind.INPUT) if p.func is None
-    ]
-    if len(args or ()) != len(inputs):
-        # Validate even when args is omitted: a one-shot executive with
-        # unseeded parameters would block until the join timeout.
-        raise ValueError(
-            f"program takes {len(inputs)} argument(s), got {len(args or ())}"
-        )
-    for process, value in zip(inputs, args or ()):
-        kernel.blackboard[f"arg_{process.params.get('param')}"] = value
+    kernel.blackboard.update(seed_arguments(mapping.graph, args))
     fns = {spec.name: spec.fn for spec in table}
     _threads, sinks = module["build_executive"](kernel, fns)
     kernel.join_(sinks, timeout)

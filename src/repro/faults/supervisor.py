@@ -261,9 +261,7 @@ class SupervisedKernel:
         *,
         plan: Optional[FaultPlan] = None,
         policy: Optional[FaultPolicy] = None,
-        report: Optional[FaultReport] = None,
         board: Optional[HealthBoard] = None,
-        processor: Optional[str] = None,
     ):
         self._base = base
         self._topology = topology
@@ -275,11 +273,11 @@ class SupervisedKernel:
         self._rp = self._policy.remap_policy()
         #: Latched persistent slowdowns: pid/processor -> factor.
         self._limp_factors: Dict[str, float] = {}
-        self.fault_report = report if report is not None else FaultReport()
+        self.fault_report = FaultReport()
         self._board = board or HealthBoard.local(topology.n_slots)
-        #: None = single-process kernel (owns every farm); otherwise the
-        #: processor this kernel instance hosts.
-        self._processor = processor
+        #: The mapped processors the base kernel hosts; None = all of
+        #: them (this instance owns every farm).
+        self._hosts = getattr(base, "hosts", None)
         self._local = threading.local()
         self._slot_of_pid = {
             w.pid: w.slot for farm in topology.farms for w in farm.workers
@@ -308,15 +306,9 @@ class SupervisedKernel:
         self._beat_stop = threading.Event()
 
     def _owns(self, farm: Farm) -> bool:
-        if self._processor is None:
-            return True
+        """The supervisor runs where the farm's master lives."""
         owner = self._topology.pid_to_processor.get(farm.owner_pid)
-        # ``processor`` may be one mapped processor (processes backend)
-        # or a set of them (a tcp worker hosting several): either way
-        # the supervisor runs where the farm's master lives.
-        if isinstance(self._processor, (set, frozenset)):
-            return owner in self._processor
-        return owner == self._processor
+        return self._hosts is None or owner in self._hosts
 
     # -- plumbing --------------------------------------------------------------
 

@@ -11,9 +11,7 @@ multi-process cluster with zero configuration.
 """
 
 from .codec import CodecError, decode, encode, encoded_size
-from .coordinator import (
-    TcpBackend, WorkerLink, assemble_run_report, run_distributed,
-)
+from .coordinator import TcpBackend, WorkerLink, run_distributed
 from .harness import ClusterHarness, shared_cluster
 from .kernel import NetHealthBoard, NetStopEvent, NetStreamBoard, net_channels
 from .protocol import ConnectionClosed, Frame, Link
@@ -21,7 +19,7 @@ from .worker import WorkerSession, worker_main
 
 __all__ = [
     "CodecError", "decode", "encode", "encoded_size",
-    "TcpBackend", "WorkerLink", "assemble_run_report", "run_distributed",
+    "TcpBackend", "WorkerLink", "run_distributed",
     "ClusterHarness", "shared_cluster",
     "NetHealthBoard", "NetStopEvent", "NetStreamBoard", "net_channels",
     "ConnectionClosed", "Frame", "Link",

@@ -1,24 +1,24 @@
 """The coordinator side of the ``tcp`` backend.
 
-The coordinator owns the run: it generates the executive once, deals the
-mapped processors round-robin over the connected workers, ships each
-worker an ASSIGN (source + its processor slice + the inter-processor
-edge table), and then acts as the hub of a star topology — DATA frames
-are routed to the worker hosting the destination processor, CREDIT
-frames back to the producer, and BEAT/COUNT board updates are
-rebroadcast to everyone else.  A hub is one hop slower than a mesh but
-keeps the failure model of the paper's supervisor intact: every link the
+What is genuinely network about a run — the life of the run itself is
+:mod:`repro.backends.hosting`, the same driver ``threads`` and
+``processes`` use.  The coordinator deals the plan's processors over the
+connected workers (the scheduler's ``assign`` half), ships each worker
+an ASSIGN (the :class:`~repro.backends.hosting.RunPlan` + its processor
+slice), and then acts as the hub of a star topology — DATA frames are
+routed to the worker hosting the destination processor, CREDIT frames
+back to the producer, and BEAT/COUNT board updates are rebroadcast to
+everyone else.  A hub is one hop slower than a mesh but keeps the
+failure model of the paper's supervisor intact: every link the
 supervisor watches is a link the coordinator also watches, so "worker
 socket died" and "worker heartbeats went stale" are the same event seen
 from two layers.
 
-Termination mirrors :func:`~repro.backends.process_backend.run_multiprocess`
-exactly: wait until every sink processor reported via SINKS, broadcast
-STOPRUN, wait for DONE payloads, merge blackboards/spans/fault
-payloads/realtime halves.  A dead worker socket is fatal *unless* the
-run is supervised (then the fault layer's quarantine + re-dispatch picks
-up its in-flight work, and the dead worker is simply excluded from the
-DONE barrier — provided it hosted no unfinished sink).
+Termination is the driver's :class:`~repro.backends.hosting.RunBarrier`,
+fed from the sockets: SINKS, DONE and ERROR frames, and a dead socket as
+a lost host — fatal unless the run is supervised and the worker hosted
+no sink processor (then the fault layer's quarantine + re-dispatch picks
+up its in-flight work and its payload is not awaited).
 """
 
 from __future__ import annotations
@@ -31,21 +31,19 @@ import threading
 import time
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..codegen.pygen import generate_python, thread_name
 from ..core.functions import FunctionTable
 from ..core.ir import Program
 from ..machine.costs import T9000, CostModel
 from ..machine.executive import RunReport
-from ..machine.trace import Instant, Span, Trace
-from ..pnt.graph import ProcessKind
+from ..machine.trace import CounterSample, Instant, Trace
 from ..syndex.distribute import Mapping
-from ..backends.base import Backend, BackendError, report_from_blackboard
+from ..backends.base import Backend, BackendError
+from ..backends.hosting import RunBarrier, RunPlan, merge_run, plan_run
 from ..backends.registry import register_backend
 from . import codec
 from .protocol import ConnectionClosed, Frame, Link, pack_run, split_edge, split_run
 
-__all__ = ["WorkerLink", "run_distributed", "assemble_run_report",
-           "TcpBackend"]
+__all__ = ["WorkerLink", "run_distributed", "TcpBackend"]
 
 _U32 = struct.Struct("!I")
 _DD = struct.Struct("!dd")
@@ -146,74 +144,24 @@ def _module_names(fns: Dict[str, Any]) -> List[str]:
 
 def run_distributed(
     mapping: Mapping,
-    table: FunctionTable,
+    plan: RunPlan,
     workers: List[WorkerLink],
     *,
-    max_iterations: Optional[int] = None,
-    args: Optional[Tuple] = None,
     timeout: float = 120.0,
-    queue_size: int = 4,
-    poll_s: float = 0.02,
-    record_spans: bool = True,
-    fault_plan: Optional[Any] = None,
-    fault_policy: Optional[Any] = None,
-    budget: Optional[Any] = None,
     on_assign: Optional[Callable[[Dict[str, WorkerLink]], None]] = None,
-    source: Optional[str] = None,
     scheduler: Optional[str] = None,
-    durations: Optional[Dict[str, float]] = None,
-) -> Tuple[Dict[str, Any], List, List, float, Any, Any, Dict[str, str]]:
-    """Run the mapped program across ``workers``.
+    backend: str = "tcp",
+) -> RunReport:
+    """Run a planned program across ``workers``.
 
-    Returns the ``run_multiprocess`` tuple plus a ``hosts`` map
-    (processor id -> worker host identity, with a ``"stream"`` entry for
-    the realtime row when the run had a latency budget).  ``on_assign``
-    is a test hook called with the processor->link assignment right
-    after ASSIGN is sent — chaos tests use it to pick a victim socket.
-
-    ``scheduler`` names the registered policy whose ``assign`` half
-    deals mapped processors over the live workers (default: the
-    registry's default — cost-aware LPT; ``"round-robin"`` restores the
-    historical dealing).  ``durations`` optionally feeds measured
-    per-process costs into that decision.
-
-    ``source`` supplies a pre-generated executive (it must come from
-    ``generate_python(mapping, max_iterations=...)`` with the same
-    arguments); the serving layer passes the cached artefact here so a
-    warm run performs zero codegen.
+    ``on_assign`` is a test hook called with the processor->link
+    assignment right after ASSIGN is sent — chaos tests use it to pick
+    a victim socket.  ``scheduler`` names the registered policy whose
+    ``assign`` half deals mapped processors over the live workers
+    (default: the registry's default — cost-aware LPT; ``"round-robin"``
+    restores the historical dealing).  ``backend`` labels the report
+    (the serving layer runs through here as ``"serve"``).
     """
-    graph = mapping.graph
-    fns = {spec.name: spec.fn for spec in table}
-    if source is None:
-        source = generate_python(mapping, max_iterations=max_iterations)
-    placement = {
-        thread_name(pid): proc for pid, proc in mapping.assignment.items()
-    }
-
-    seed: Dict[str, Any] = {}
-    inputs = [
-        p for p in graph.by_kind(ProcessKind.INPUT) if p.func is None
-    ]
-    if len(args or ()) != len(inputs):
-        raise ValueError(
-            f"program takes {len(inputs)} argument(s), got {len(args or ())}"
-        )
-    for process, value in zip(inputs, args or ()):
-        seed[f"arg_{process.params.get('param')}"] = value
-
-    # Every inter-processor edge, with its endpoints: workers classify
-    # locally (co-located endpoints -> plain queue, one local endpoint ->
-    # network channel) and the coordinator routes by destination.
-    edges: Dict[str, Tuple[str, str]] = {}
-    for idx, edge in enumerate(graph.edges):
-        src_proc = mapping.processor_of(edge.src)
-        dst_proc = mapping.processor_of(edge.dst)
-        if src_proc != dst_proc:
-            edges[f"e{idx}"] = (src_proc, dst_proc)
-
-    participating = [
-        p for p in mapping.arch.processor_ids() if mapping.processes_on(p)
-    ]
     live = [w for w in workers if w.alive]
     if not live:
         raise BackendError(
@@ -222,78 +170,30 @@ def run_distributed(
         )
     from ..sched.registry import resolve_scheduler
 
+    participating = list(plan.participating)
     assignment = resolve_scheduler(scheduler).assign(
-        mapping, participating, live, durations=durations,
-    )
-    used: List[WorkerLink] = []
-    for w in assignment.values():
-        if w not in used:
-            used.append(w)
-    procs_of = {
-        w: [p for p in participating if assignment[p] is w] for w in used
-    }
-
-    faults: Optional[Dict[str, Any]] = None
-    if fault_plan is not None:
-        from ..faults.policy import FaultPolicy
-        from ..faults.topology import FaultTopology
-
-        faults = {
-            "plan": fault_plan,
-            "policy": fault_policy or FaultPolicy(),
-            "topology": FaultTopology.from_mapping(mapping),
-        }
-    realtime: Optional[Dict[str, Any]] = None
-    stream = None
-    if budget is not None:
-        from ..realtime.topology import StreamTopology
-
-        stream = StreamTopology.from_mapping(mapping)
-        if stream is None:
-            raise BackendError(
-                "a latency budget needs a stream program (no stream "
-                "input/output in this mapping)"
-            )
-        realtime = {"budget": budget, "topology": stream}
-
-    sink_procs = {
-        mapping.processor_of(p.id)
-        for p in graph.processes.values()
-        if p.kind == ProcessKind.MEM
-        or (p.kind == ProcessKind.OUTPUT and not p.params.get("discard"))
-    }
+        mapping, participating, live)
+    procs_of: Dict[WorkerLink, List[str]] = {}
+    for proc in participating:
+        procs_of.setdefault(assignment[proc], []).append(proc)
+    used = list(procs_of)
 
     run = next(_RUN_IDS)
     inbox: "queue.Queue" = queue.Queue()
 
-    def sink(w: WorkerLink, kind: int, body: memoryview) -> None:
-        inbox.put((w, kind, body))
-
     for w in used:
-        w.route(run, sink)
+        w.route(run, lambda *frame: inbox.put(frame))
 
     try:
         modules = b"".join(
             bytes(b) if isinstance(b, memoryview) else b
-            for b in codec.encode(_module_names(fns))
+            for b in codec.encode(_module_names(plan.fns))
         )
         epoch = time.perf_counter()
         for w in used:
             try:
-                blob = pickle.dumps({
-                    "source": source,
-                    "processors": procs_of[w],
-                    "placement": placement,
-                    "edges": edges,
-                    "fns": fns,
-                    "seed": seed,
-                    "queue_size": queue_size,
-                    "poll_s": poll_s,
-                    "record_spans": record_spans,
-                    "faults": faults,
-                    "realtime": realtime,
-                    "sink_procs": sorted(sink_procs),
-                })
+                blob = pickle.dumps(
+                    {"plan": plan, "processors": procs_of[w]})
             except Exception as err:
                 raise BackendError(
                     "the tcp backend ships the function table by pickle; "
@@ -308,51 +208,37 @@ def run_distributed(
         if on_assign is not None:
             on_assign(dict(assignment))
 
-        route_dst = {e: assignment[dst] for e, (_src, dst) in edges.items()}
-        route_src = {e: assignment[src] for e, (src, _dst) in edges.items()}
+        # Workers classify the plan's inter-processor edges locally
+        # (co-located endpoints -> plain queue, one local endpoint ->
+        # network channel); the hub routes DATA by destination and
+        # CREDIT back to the producer.
+        route_dst = {e[0]: assignment[e[4]] for e in plan.cross_edges}
+        route_src = {e[0]: assignment[e[3]] for e in plan.cross_edges}
         deadline = time.monotonic() + timeout
-        waiting_sinks = set(sink_procs)
-        done: Dict[int, Dict[str, Any]] = {}
-        dead: set = set()
-        error: Optional[Tuple[str, str]] = None
-        stop_sent = False
+        barrier = RunBarrier(plan, {w.id: procs_of[w] for w in used})
 
-        def broadcast_stop() -> None:
+        def broadcast(kind: int) -> None:
             for w in used:
                 if w.alive:
                     try:
-                        w.link.send(Frame.STOPRUN, pack_run(run))
+                        w.link.send(kind, pack_run(run))
                     except ConnectionClosed:
                         pass
 
         def forward(target: WorkerLink, kind: int, body: memoryview) -> None:
-            if target.alive and target.id not in dead:
+            if target.alive:
                 try:
                     target.link.send(kind, body)
                 except ConnectionClosed:
                     pass  # its DEAD event is already on its way
 
         def handle(w: WorkerLink, kind: int, body: memoryview) -> None:
-            nonlocal error
             if kind == Frame.DEAD:
-                if w.id in dead:
-                    return
-                dead.add(w.id)
-                lost = procs_of.get(w, [])
-                if faults is None:
-                    error = (
-                        w.host,
-                        "worker connection lost (hosted: "
-                        + ", ".join(lost) + "); enable fault supervision "
-                        "(a FaultPlan) to survive worker loss",
-                    )
-                elif set(lost) & waiting_sinks:
-                    error = (
-                        w.host,
-                        "worker hosting unfinished sink processor(s) "
-                        + ", ".join(sorted(set(lost) & waiting_sinks))
-                        + " died; sinks cannot be re-dispatched",
-                    )
+                barrier.lost(
+                    w.id, w.host,
+                    "worker connection lost (hosted: "
+                    + ", ".join(procs_of[w]) + ")",
+                )
                 return
             run_got, rest = split_run(body)
             if run_got != run:
@@ -372,19 +258,19 @@ def run_distributed(
                     if other is not w:
                         forward(other, kind, body)
             elif kind == Frame.SINKS:
-                waiting_sinks.difference_update(codec.decode(rest))
+                barrier.sinks(codec.decode(rest))
             elif kind == Frame.DONE:
-                done[w.id] = pickle.loads(bytes(rest))
+                barrier.done(w.id, pickle.loads(bytes(rest)))
             elif kind == Frame.ERROR:
                 info = codec.decode(rest)
-                error = (
+                barrier.failed(
                     str(info.get("processor", "?")),
                     str(info.get("traceback", "")),
                 )
             elif kind == Frame.STOPREQ:
-                broadcast_stop()
+                broadcast(Frame.STOPRUN)
 
-        def pump() -> Tuple[WorkerLink, int, memoryview]:
+        def pump() -> None:
             while True:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
@@ -393,104 +279,30 @@ def run_distributed(
                         "executive or partitioned cluster?)"
                     )
                 try:
-                    return inbox.get(timeout=min(0.2, remaining))
+                    return handle(*inbox.get(timeout=min(0.2, remaining)))
                 except queue.Empty:
                     continue
 
         try:
-            while waiting_sinks and error is None:
-                handle(*pump())
-            broadcast_stop()
-            stop_sent = True
-            while error is None and any(
-                w.id not in done and w.id not in dead for w in used
-            ):
-                handle(*pump())
+            while not barrier.stopping:
+                pump()
+            broadcast(Frame.STOPRUN)
+            while not barrier.finished:
+                pump()
         finally:
-            if not stop_sent:
-                broadcast_stop()
-            for w in used:
-                if w.alive:
-                    try:
-                        w.link.send(Frame.RUNEND, pack_run(run))
-                    except ConnectionClosed:
-                        pass
+            broadcast(Frame.RUNEND)  # stops whoever was not stopped yet
         wall_us = (time.perf_counter() - epoch) * 1e6
 
-        if error is not None:
-            where, detail = error
-            raise BackendError(
-                f"executive failed on {where!r}:\n{detail}"
-            )
-
-        blackboard: Dict[str, Any] = {}
-        compute: List = []
-        transfer: List = []
-        fault_payloads: List = []
-        rt_halves: Dict[str, Any] = {"admission": None, "delivery": None}
-        for w in used:
-            payload = done.get(w.id)
-            if payload is None:
-                continue  # dead, supervised: survivors hold its results
-            blackboard.update(payload["blackboard"])
-            compute.extend(Span(*s) for s in payload["compute"])
-            transfer.extend(Span(*s) for s in payload["transfer"])
-            fault_payloads.extend(payload["faults"])
-            rt = payload["realtime"]
-            if rt is not None:
-                for half in ("admission", "delivery"):
-                    if rt.get(half) is not None:
-                        rt_halves[half] = rt[half]
-        compute.sort(key=lambda s: s.start)
-        transfer.sort(key=lambda s: s.start)
-        fault_report = None
-        if faults is not None:
-            from ..faults.report import FaultReport
-
-            fault_report = FaultReport.from_payload(fault_payloads).sorted()
-        realtime_report = None
-        if realtime is not None:
-            from ..realtime.ledger import assemble_report
-
-            realtime_report = assemble_report(
-                budget, rt_halves["admission"], rt_halves["delivery"]
-            )
+        report = merge_run(plan, barrier.payloads(), wall_us, backend)
         hosts = {proc: assignment[proc].host for proc in participating}
-        if stream is not None:
-            hosts["stream"] = assignment[stream.input_processor].host
-        return (blackboard, compute, transfer, wall_us,
-                fault_report, realtime_report, hosts)
+        if plan.stream_topology is not None:
+            hosts["stream"] = assignment[
+                plan.stream_topology.input_processor].host
+        _tag_hosts(report.trace, hosts)
+        return report
     finally:
         for w in used:
             w.unroute(run)
-
-
-def assemble_run_report(
-    result: Tuple[Dict[str, Any], List, List, float, Any, Any, Dict[str, str]],
-    *,
-    backend: str = "tcp",
-) -> RunReport:
-    """Turn a :func:`run_distributed` result tuple into a RunReport.
-
-    Shared by :class:`TcpBackend` and the serving scheduler (which calls
-    :func:`run_distributed` directly on checked-out pool workers).
-    """
-    (blackboard, compute, transfer, wall_us, fault_report,
-     realtime_report, hosts) = result
-    trace = Trace()
-    trace.compute = compute
-    trace.transfer = transfer
-    if fault_report is not None:
-        fault_report.annotate_trace(trace)
-    if realtime_report is not None:
-        realtime_report.annotate_trace(trace)
-    _tag_hosts(trace, hosts)
-    report = report_from_blackboard(
-        blackboard, makespan=wall_us, backend=backend, trace=trace
-    )
-    report.faults = fault_report
-    report.realtime = realtime_report
-    return report
 
 
 def _tag_hosts(trace: Trace, hosts: Dict[str, str]) -> None:
@@ -505,8 +317,6 @@ def _tag_hosts(trace: Trace, hosts: Dict[str, str]) -> None:
     trace.instants = tagged
     # Health counter series get the owning host in the series name, so a
     # multi-host trace shows which machine a limping score belongs to.
-    from ..machine.trace import CounterSample
-
     stamped: List[CounterSample] = []
     for sample in trace.counters:
         host = hosts.get(sample.resource)
@@ -569,6 +379,18 @@ class TcpBackend(Backend):
         from .harness import ClusterHarness, shared_cluster
         from .worker import parse_hostport
 
+        # Planned before any worker is started or checked out: a bad
+        # call costs no cluster.
+        plan = plan_run(
+            mapping, table,
+            max_iterations=max_iterations,
+            args=args,
+            queue_size=queue_size,
+            record_spans=record_trace,
+            fault_plan=fault_plan,
+            fault_policy=fault_policy,
+            budget=budget,
+        )
         own: Optional[ClusterHarness] = None
         if cluster is not None:
             harness = cluster
@@ -585,16 +407,9 @@ class TcpBackend(Backend):
         try:
             links = harness.checkout(timeout=60.0 if listen else 30.0)
             try:
-                result = run_distributed(
-                    mapping, table, links,
-                    max_iterations=max_iterations,
-                    args=args,
+                return run_distributed(
+                    mapping, plan, links,
                     timeout=timeout,
-                    queue_size=queue_size,
-                    record_spans=record_trace,
-                    fault_plan=fault_plan,
-                    fault_policy=fault_policy,
-                    budget=budget,
                     on_assign=on_assign,
                     scheduler=scheduler,
                 )
@@ -603,4 +418,3 @@ class TcpBackend(Backend):
         finally:
             if own is not None:
                 own.shutdown()
-        return assemble_run_report(result, backend=self.name)

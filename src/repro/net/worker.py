@@ -2,12 +2,12 @@
 
 A worker dials the coordinator (``repro worker --connect host:port``),
 announces itself with HELLO, and then serves runs for the life of the
-connection: each ASSIGN carries the generated executive source, this
-worker's slice of the processor set, and the wire plumbing parameters;
-the worker builds a :class:`~repro.codegen.kernel.Kernel` over its
-network channels (wrapped by the fault supervisor and the realtime layer
-exactly as on the processes backend), runs its executive threads, and
-reports SINKS/DONE/ERROR back up the same socket.
+connection: each ASSIGN carries the run's
+:class:`~repro.backends.hosting.RunPlan` and this worker's slice of the
+processor set; the worker builds its network channels, stop flag and
+boards, hands them to :func:`~repro.backends.hosting.host_run` — the
+driver every kernel-hosted backend runs — and reports SINKS/DONE/ERROR
+back up the same socket.
 
 Workers are *persistent* — they serve many runs — so two things keep
 state from leaking between runs: every run-scoped frame carries the run
@@ -34,11 +34,10 @@ import sys
 import threading
 import time
 import traceback
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ..backends.base import pin_to_cpu
-from ..codegen.kernel import Kernel
-from ..codegen.pygen import load_executive
+from ..backends.hosting import RunPlan, host_run
 from . import codec
 from .kernel import (
     NetHealthBoard, NetStopEvent, NetStreamBoard, net_channels,
@@ -79,24 +78,26 @@ def _refresh_modules(names: List[str]) -> None:
 
 
 class _Run:
-    """Everything one ASSIGN set up (the active run of a session)."""
+    """The active run of a session: where the link reader's frames go,
+    and what the run thread hands :func:`host_run`."""
 
-    def __init__(self, run_id: int, base: Kernel, stop: NetStopEvent,
-                 out: Dict[str, Any], inboxes: Dict[str, Any]):
+    def __init__(self, run_id: int, plan: RunPlan, processors: List[str],
+                 epoch: float, link: Link):
         self.run_id = run_id
-        self.base = base
-        self.top: Any = base     # base, possibly wrapped (faults/realtime)
-        self.stop = stop
-        self.out = out           # network edges leaving this worker
-        self.inboxes = inboxes   # network edges arriving here
-        self.health: Optional[NetHealthBoard] = None
-        self.stream_board: Optional[NetStreamBoard] = None
-        self.rt_kernel: Optional[Any] = None
-        self.wrapped = False     # True when top != base (needs shutdown())
-        self.source = ""
-        self.fns: Dict[str, Any] = {}
-        self.seed: Dict[str, Any] = {}
-        self.my_sinks: List[str] = []
+        self.plan = plan
+        self.processors = processors
+        self.epoch = epoch
+        self.stop = NetStopEvent(link, run_id)
+        #: Network edges leaving this worker / arriving here.
+        self.out, self.inboxes = net_channels(
+            processors, {e[0]: (e[3], e[4]) for e in plan.cross_edges},
+            link, run_id, plan.queue_size,
+        )
+        self.health = (
+            NetHealthBoard(plan.fault_topology.n_slots, link, run_id)
+            if plan.supervised else None)
+        self.stream_board = (
+            NetStreamBoard(link, run_id) if plan.budget is not None else None)
         self.thread: Optional[threading.Thread] = None
 
 
@@ -166,13 +167,7 @@ class WorkerSession:
         try:
             ctx = self._build_run(run, rest)
         except Exception:
-            try:
-                self.link.send(Frame.ERROR, pack_run(run), *codec.encode({
-                    "processor": "?",
-                    "traceback": traceback.format_exc(),
-                }))
-            except ConnectionClosed:
-                pass
+            self._report_error(run, "?")
             return
         old, self.ctx = self.ctx, ctx
         if old is not None:
@@ -196,118 +191,41 @@ class WorkerSession:
         # slack the conformance invariants allow wall-clock backends.
         epoch = local_now - (coord_now - coord_epoch)
         _refresh_modules(modules)
-        payload = pickle.loads(rest[20 + mlen:])
-
-        stop = NetStopEvent(self.link, run)
-        out, inboxes = net_channels(
-            payload["processors"], payload["edges"], self.link, run,
-            payload["queue_size"],
-        )
-        base = Kernel(
-            hosts=payload["processors"],
-            placement=payload["placement"],
-            remote={**out, **inboxes},
-            stop=stop,
-            queue_size=payload["queue_size"],
-            poll_s=payload["poll_s"],
-            epoch=epoch,
-            record_spans=payload["record_spans"],
-        )
-        ctx = _Run(run, base, stop, out, inboxes)
-        kernel: Any = base
-        faults = payload.get("faults")
-        if faults is not None:
-            from ..faults.report import FaultReport
-            from ..faults.supervisor import SupervisedKernel
-
-            ctx.health = NetHealthBoard(
-                faults["topology"].n_slots, self.link, run
-            )
-            kernel = SupervisedKernel(
-                base,
-                faults["topology"],
-                plan=faults["plan"],
-                policy=faults["policy"],
-                report=FaultReport(),
-                board=ctx.health,
-                processor=base.hosts,
-            )
-            ctx.wrapped = True
-        realtime = payload.get("realtime")
-        if realtime is not None:
-            from ..realtime.kernel import RealtimeKernel
-
-            ctx.stream_board = NetStreamBoard(self.link, run)
-            kernel = ctx.rt_kernel = RealtimeKernel(
-                kernel,
-                realtime["topology"],
-                realtime["budget"],
-                board=ctx.stream_board,
-                processor=base.hosts,
-            )
-            ctx.wrapped = True
-        ctx.top = kernel
-        ctx.source = payload["source"]
-        ctx.fns = payload["fns"]
-        ctx.seed = payload["seed"]
-        ctx.my_sinks = sorted(
-            p for p in payload["sink_procs"] if p in base.hosts
-        )
-        return ctx
+        job = pickle.loads(rest[20 + mlen:])
+        return _Run(run, job["plan"], job["processors"], epoch, self.link)
 
     # -- the run thread ----------------------------------------------------
 
     def _execute(self, ctx: _Run) -> None:
         link = self.link
+        header = pack_run(ctx.run_id)
         try:
-            module = load_executive(ctx.source)
-            ctx.top.blackboard.update(ctx.seed)
-            _threads, sinks = module["build_executive"](ctx.top, ctx.fns)
-            local_sinks = [t for t in sinks if isinstance(t, threading.Thread)]
-            for thread in local_sinks:
-                while thread.is_alive() and not ctx.stop.is_set():
-                    thread.join(0.1)
-            if local_sinks and not ctx.stop.is_set():
-                link.send(
-                    Frame.SINKS, pack_run(ctx.run_id),
-                    *codec.encode(ctx.my_sinks),
-                )
-            ctx.stop.wait()
-            for thread in ctx.base.local_threads():
-                thread.join(0.5)
-            if ctx.wrapped:
-                # Stop the service threads (heartbeat, realtime watchdog)
-                # before reporting: a beat sent after DONE would be a
-                # straggler the next run must not see.
-                ctx.top.shutdown()
-            fault_payload: List = []
-            if ctx.wrapped and hasattr(ctx.top, "fault_report"):
-                fault_payload = ctx.top.fault_report.to_payload()
-            rt_payload = None
-            if ctx.rt_kernel is not None:
-                rt_payload = {
-                    "admission": ctx.rt_kernel.admission_payload(),
-                    "delivery": ctx.rt_kernel.delivery_payload(),
-                }
-            blob = pickle.dumps({
-                "blackboard": ctx.base.blackboard,
-                "compute": ctx.base.compute_spans,
-                "transfer": ctx.base.transfer_spans,
-                "faults": fault_payload,
-                "realtime": rt_payload,
-            })
-            link.send(Frame.DONE, pack_run(ctx.run_id), blob)
+            payload = host_run(
+                ctx.plan,
+                hosts=ctx.processors,
+                remote={**ctx.out, **ctx.inboxes},
+                stop=ctx.stop,
+                epoch=ctx.epoch,
+                health_board=ctx.health,
+                stream_board=ctx.stream_board,
+                on_sinks=lambda sinks: link.send(
+                    Frame.SINKS, header, *codec.encode(sinks)),
+            )
+            link.send(Frame.DONE, header, pickle.dumps(payload))
         except ConnectionClosed:
-            ctx.stop.set_local()
+            pass  # the coordinator saw the same dead socket
         except Exception:
-            ctx.stop.set_local()
-            try:
-                link.send(Frame.ERROR, pack_run(ctx.run_id), *codec.encode({
-                    "processor": ctx.base.processor,
-                    "traceback": traceback.format_exc(),
-                }))
-            except ConnectionClosed:
-                pass
+            self._report_error(ctx.run_id, "+".join(sorted(ctx.processors)))
+
+    def _report_error(self, run: int, where: str) -> None:
+        """ERROR with the traceback of the exception being handled."""
+        try:
+            self.link.send(Frame.ERROR, pack_run(run), *codec.encode({
+                "processor": where,
+                "traceback": traceback.format_exc(),
+            }))
+        except ConnectionClosed:
+            pass
 
 
 def worker_main(

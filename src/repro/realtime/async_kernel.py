@@ -21,7 +21,7 @@ from typing import Any, Callable, Optional
 
 from ..codegen.kernel import Shutdown
 from .budget import LatencyBudget
-from .kernel import RealtimeKernel, StreamBoard
+from .kernel import RealtimeKernel
 from .topology import StreamTopology
 
 __all__ = ["AsyncRealtimeKernel"]
@@ -40,14 +40,8 @@ class AsyncRealtimeKernel(RealtimeKernel):
         inner: Any,
         topology: StreamTopology,
         budget: LatencyBudget,
-        *,
-        board: Optional[StreamBoard] = None,
-        processor: Optional[str] = None,
     ):
-        super().__init__(
-            inner, topology, budget,
-            board=board, processor=processor, start_watchdog=False,
-        )
+        super().__init__(inner, topology, budget, start_watchdog=False)
         self._watch_task: Optional[asyncio.Task] = None
 
     # -- lifecycle ---------------------------------------------------------

@@ -99,10 +99,10 @@ class RealtimeKernel:
 
     Every primitive not overridden here delegates to the wrapped kernel,
     so the wrapper is a drop-in replacement wherever a kernel is
-    accepted.  On the processes backend one instance runs per OS
-    process; admission logic activates only where the stream input is
-    mapped, delivery logic only where the stream output is mapped
-    (``processor=None`` — the threads backend — owns both).
+    accepted.  One instance runs per interpreter of the run; admission
+    logic activates only where the stream input is hosted, delivery
+    logic only where the stream output is (a kernel that hosts every
+    processor — or does not say — owns both).
     """
 
     def __init__(
@@ -112,26 +112,17 @@ class RealtimeKernel:
         budget: LatencyBudget,
         *,
         board: Optional[StreamBoard] = None,
-        processor: Optional[str] = None,
         start_watchdog: bool = True,
     ):
         self._inner = inner
         self._topo = topology
         self._budget = budget
         self._board = board or StreamBoard.local()
-        self._processor = processor
-
-        def hosts(proc: str) -> bool:
-            # ``processor`` may be one mapped processor (processes
-            # backend) or a set of them (a tcp worker hosting several).
-            if processor is None:
-                return True
-            if isinstance(processor, (set, frozenset)):
-                return proc in processor
-            return processor == proc
-
-        self._admission_active = hosts(topology.input_processor)
-        self._delivery_active = hosts(topology.output_processor)
+        hosts = getattr(inner, "hosts", None)
+        self._admission_active = (
+            hosts is None or topology.input_processor in hosts)
+        self._delivery_active = (
+            hosts is None or topology.output_processor in hosts)
         self._edge_set = set(topology.admission_edges)
         self._n_edges = len(topology.admission_edges)
         # Overload injection shares the supervised kernel's matcher and
@@ -516,8 +507,12 @@ class RealtimeKernel:
             return None
         return {"stamps": list(self._stamps), "events": []}
 
+    def payload(self) -> Dict[str, Optional[Dict]]:
+        """This kernel's halves of the realtime report, by
+        :func:`~repro.realtime.ledger.assemble_report` parameter."""
+        return {"admission": self.admission_payload(),
+                "delivery": self.delivery_payload()}
+
     def build_report(self):
         """Assemble the full report (single-process kernels only)."""
-        return assemble_report(
-            self._budget, self.admission_payload(), self.delivery_payload()
-        )
+        return assemble_report(self._budget, **self.payload())

@@ -9,9 +9,10 @@ from two independent mechanisms: bounded per-tenant queues at admission
 (see :mod:`repro.serve.tenancy`) and fair slot rotation at dispatch.
 
 A dispatched ticket checks ``workers_per_run`` links out of the shared
-:class:`~repro.net.harness.ClusterHarness`, drives
-:func:`~repro.net.coordinator.run_distributed` with the *cached*
-executive source (zero codegen on a warm run), releases the links, and
+:class:`~repro.net.harness.ClusterHarness`, plans the run around the
+*cached* executive source (zero codegen on a warm run), drives
+:func:`~repro.net.coordinator.run_distributed` — the ``tcp`` backend's
+own driver — releases the links, and
 completes the ticket's tenant accounting.  A worker dying mid-run fails
 only that ticket (supervised runs survive it entirely); the pool heals
 itself on the next checkout, so one death never poisons the service.
@@ -27,9 +28,10 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..backends.base import BackendError
+from ..backends.hosting import plan_run
 from ..core.functions import FunctionTable
 from ..machine.executive import RunReport
-from ..net.coordinator import assemble_run_report, run_distributed
+from ..net.coordinator import run_distributed
 from ..net.harness import ClusterHarness
 from ..realtime.budget import LatencyBudget
 from ..syndex.arch import Architecture
@@ -224,17 +226,20 @@ class RunScheduler:
             ticket.finish("failed", error=str(err))
             return
         try:
-            result = run_distributed(
-                ticket.build.mapping, request.table, links,
+            plan = plan_run(
+                ticket.build.mapping, request.table,
                 max_iterations=request.max_iterations,
                 args=request.args,
-                timeout=request.timeout,
+                record_spans=True,
                 fault_plan=request.fault_plan,
                 fault_policy=request.fault_policy,
                 budget=request.budget,
                 source=source,
             )
-            report = assemble_run_report(result, backend="serve")
+            report = run_distributed(
+                ticket.build.mapping, plan, links,
+                timeout=request.timeout, backend="serve",
+            )
         except BackendError as err:
             self._complete(ticket, failed=True, reason=str(err))
             ticket.finish("failed", error=str(err))

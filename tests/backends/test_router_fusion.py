@@ -1,18 +1,20 @@
-"""Router fusion on the ``processes`` backend.
+"""Router fusion on every kernel-hosted backend.
 
 An identity router that the mapping put on its worker's processor is
-fused at the kernel's channel table: no thread, no hop.  These tests
-pin what must not change because of it — outputs (per skeleton and
-over the whole conformance corpus), the generated executive, every
-fault-injection site — and what must: the router threads are gone.
+fused at the kernel's channel table: no thread, no hop.  The table is
+part of the run's plan, so ``threads``, ``processes`` and ``tcp`` all
+run fused.  These tests pin what must not change because of it —
+outputs (per skeleton and over the whole conformance corpus), the
+generated executive, every fault-injection site — and what must: the
+router threads are gone.
 """
 
 import os
 
 import pytest
 
-from repro.backends import get_backend, process_backend
-from repro.backends.process_backend import fused_routers
+from repro.backends import get_backend, hosting
+from repro.backends.hosting import fused_routers
 from repro.codegen.pygen import generate_python, thread_name
 from repro.conformance import run_case
 from repro.conformance.corpus import load_corpus
@@ -20,6 +22,8 @@ from repro.faults import FaultPlan, FaultPolicy, FaultSpec
 from repro.faults.demo import make_demo
 from repro.faults.topology import FaultTopology
 from repro.machine import FAST_TEST
+from repro.net import ClusterHarness
+from repro.net.harness import _shutdown_shared
 from repro.pnt import ProcessKind
 
 from .test_backend_equivalence import RECIPES, run_on
@@ -40,8 +44,32 @@ def no_fusion(mapping, fault_plan=None):
 @pytest.fixture
 def unfused(monkeypatch):
     """Run with every router keeping its thread, as before fusion.  The
-    table is computed in the parent, so this holds for any start method."""
-    monkeypatch.setattr(process_backend, "fused_routers", no_fusion)
+    table is computed once, in the plan, so this holds for any backend
+    and start method."""
+    monkeypatch.setattr(hosting, "fused_routers", no_fusion)
+
+
+@pytest.fixture(scope="module")
+def cluster():
+    with ClusterHarness(size=2) as harness:
+        yield harness
+
+
+@pytest.fixture(scope="module")
+def shared_tcp():
+    """``run_case`` runs ``tcp`` on the process-wide cluster; do not
+    leave it to the next test module."""
+    yield
+    _shutdown_shared()
+
+
+HOSTED = ["threads", "processes", "tcp"]
+
+
+def options_for(backend, cluster):
+    # Round-robin puts p1 on another worker than the master's p0.
+    return ({"cluster": cluster, "scheduler": "round-robin"}
+            if backend == "tcp" else {})
 
 
 def routers(mapping):
@@ -126,32 +154,87 @@ class TestKernelSide:
         assert kernel.try_recv_("e4") == "re-dispatch"
 
 
+class SpyKernel(hosting.Kernel):
+    """Keeps every instance, so a test can ask which threads started."""
+
+    instances = []
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        SpyKernel.instances.append(self)
+
+
+class TestRouterThreadsAreGone:
+    """Per backend: a fused router's thread never starts; one the fault
+    plan names keeps its thread."""
+
+    NAMED = FaultPlan([
+        FaultSpec(kind="delay", process="df0.wm0", delay_us=10.0)])
+
+    def test_threads(self, monkeypatch):
+        monkeypatch.setattr(hosting, "Kernel", SpyKernel)
+        monkeypatch.setattr(SpyKernel, "instances", [])
+        prog, table, args, mapping = make_demo("df")
+        router_threads = {thread_name(r.id) for r in routers(mapping)}
+        for plan, kept in ((None, set()), (self.NAMED, {"proc_df0_wm0"})):
+            get_backend("threads").run(
+                mapping, table, args=args, timeout=60.0,
+                fault_plan=plan, fault_policy=POLICY,
+            )
+            started = {
+                t.name for t in SpyKernel.instances[-1].local_threads()}
+            assert started & router_threads == kept
+            assert "proc_df0_worker0" in started
+
+    @pytest.mark.parametrize("backend", ["processes", "tcp"])
+    def test_across_interpreters(self, backend, cluster):
+        """The payload's transfer spans name the thread that sent on an
+        inter-processor edge: fused, the worker sends its own results
+        to the master; a kept ``W->M`` router is the sender again."""
+        prog, table, args, mapping = make_demo("df")
+        router_threads = {thread_name(r.id) for r in routers(mapping)}
+        for plan, kept in ((None, set()), (self.NAMED, {"proc_df0_wm0"})):
+            report = get_backend(backend).run(
+                mapping, table, args=args, timeout=60.0, record_trace=True,
+                fault_plan=plan, fault_policy=POLICY,
+                **options_for(backend, cluster),
+            )
+            senders = {s.owner for s in report.trace.transfer}
+            assert senders & router_threads == kept
+            assert ("proc_df0_worker0" in senders) == (not kept)
+
+
 class TestEquivalence:
     @pytest.mark.parametrize("skeleton", sorted(RECIPES))
     def test_fused_and_unfused_outputs_are_identical(
-            self, skeleton, monkeypatch):
-        fused = run_on("processes", RECIPES[skeleton], record_trace=True)
-        monkeypatch.setattr(process_backend, "fused_routers", no_fusion)
-        plain = run_on("processes", RECIPES[skeleton], record_trace=True)
+            self, skeleton, cluster, monkeypatch):
         reference = run_on("emulate", RECIPES[skeleton])
-        for report in (fused, plain):
-            assert report.outputs == reference.outputs
-            assert report.final_state == reference.final_state
-            assert report.one_shot_results == reference.one_shot_results
+        for backend in HOSTED:
+            with monkeypatch.context() as patch:
+                options = options_for(backend, cluster)
+                fused = run_on(backend, RECIPES[skeleton],
+                               record_trace=True, **options)
+                patch.setattr(hosting, "fused_routers", no_fusion)
+                plain = run_on(backend, RECIPES[skeleton],
+                               record_trace=True, **options)
+            for report in (fused, plain):
+                assert report.outputs == reference.outputs
+                assert report.final_state == reference.final_state
+                assert report.one_shot_results == reference.one_shot_results
 
-        def worker_spans(report):
-            return sorted(s.owner for s in report.trace.compute
-                          if "worker" in s.owner)
+            def worker_spans(report):
+                return sorted(s.owner for s in report.trace.compute
+                              if "worker" in s.owner)
 
-        # Same packets through the same workers, hop or no hop.
-        assert len(worker_spans(fused)) == len(worker_spans(plain))
+            # Same packets through the same workers, hop or no hop.
+            assert len(worker_spans(fused)) == len(worker_spans(plain))
 
     @pytest.mark.parametrize(
         "path,spec,recorded", CORPUS,
         ids=[os.path.basename(p) for p, _s, _r in CORPUS],
     )
-    def test_corpus_replays_fused(self, path, spec, recorded):
-        failure = run_case(spec, ["processes"])
+    def test_corpus_replays_fused(self, path, spec, recorded, shared_tcp):
+        failure = run_case(spec, HOSTED)
         assert failure is None, failure.describe()
 
     @pytest.mark.parametrize(
