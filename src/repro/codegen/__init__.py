@@ -8,7 +8,9 @@ entry points below remain the stable API for the common case.
 """
 
 from .async_kernel import AsyncioKernel, run_generated_async, run_generated_asyncio
-from .kernel import KERNEL_PRIMITIVES, NO_PIECE, Kernel, NoPiece, Shutdown, Stop
+from .kernel import (
+    KERNEL_PRIMITIVES, NO_PIECE, Chunk, Kernel, NoPiece, Shutdown, Stop,
+)
 from .macro import emit_all, emit_macro
 from .pygen import generate_python, load_executive, run_generated, thread_name
 from .targets import (
@@ -26,6 +28,7 @@ __all__ = [
     "Stop",
     "NoPiece",
     "NO_PIECE",
+    "Chunk",
     "Shutdown",
     "Kernel",
     "AsyncioKernel",

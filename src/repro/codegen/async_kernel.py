@@ -28,7 +28,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..syndex.distribute import Mapping
-from .kernel import Shutdown, Stop
+from .kernel import Shutdown, Stop, grain
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..machine.trace import Trace
@@ -261,6 +261,8 @@ class AsyncioKernel:
 
     def is_stop(self, value: Any) -> bool:
         return isinstance(value, Stop)
+
+    grain_ = staticmethod(grain)
 
 
 async def run_generated_async(

@@ -55,6 +55,8 @@ __all__ = [
     "Stop",
     "NoPiece",
     "NO_PIECE",
+    "Chunk",
+    "grain",
     "Shutdown",
     "RemoteStub",
     "Kernel",
@@ -77,6 +79,11 @@ KERNEL_PRIMITIVES: Dict[str, Tuple[str, str]] = {
     "call_": ("(func, *args) -> value", "run a user sequential function"),
     "stop_": ("(edge) -> unit", "propagate end-of-stream on a channel"),
     "alt_": ("(edges) -> (edge, value)", "wait on several channels (ALT)"),
+    "grain_": (
+        "(remaining, degree) -> int",
+        "how many of a farm's remaining items the next packet carries: "
+        "max(1, remaining // (2 * degree)); more than one travel as a Chunk",
+    ),
     "join_": ("() -> unit", "wait for executive completion"),
 }
 
@@ -105,6 +112,33 @@ class NoPiece:
 
 
 NO_PIECE = NoPiece()
+
+
+class Chunk(list):
+    """Several farm items — or their results, in the same order — in one
+    packet.
+
+    A df/tf master that :func:`grain` tells to send more than one item
+    wraps the slice in a ``Chunk``; the worker answers with a ``Chunk``
+    of results.  A chunk of one is never built (the bare item is the
+    packet), and a user item that is itself a ``list`` stays a ``list``:
+    only this subclass means "iterate me".
+    """
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return f"<chunk {list.__repr__(self)}>"
+
+
+def grain(remaining: int, degree: int) -> int:
+    """Guided self-scheduling, factoring form: with ``remaining`` items
+    left for a farm of ``degree`` workers the next packet carries
+    ``remaining // (2 * degree)`` of them, never fewer than one — big
+    chunks while there is plenty, single items at the tail where balance
+    matters, and a farm fed fewer than ``4 * degree`` items is the
+    one-item-per-packet farm of the paper."""
+    return max(1, remaining // (2 * degree))
 
 
 class Shutdown(Exception):
@@ -513,6 +547,8 @@ class Kernel:
 
     def is_stop(self, value: Any) -> bool:
         return isinstance(value, Stop)
+
+    grain_ = staticmethod(grain)
 
     # -- batching back-stops ---------------------------------------------------
     #

@@ -74,7 +74,7 @@ class ExecutiveGenerator:
     PROVENANCE = "repro.codegen.pygen"
     PREAMBLE = (
         "from repro.core.semantics import EndOfStream, TaskOutcome",
-        "from repro.codegen.kernel import NO_PIECE, NoPiece",
+        "from repro.codegen.kernel import NO_PIECE, Chunk, NoPiece",
     )
 
     def __init__(self, mapping: Mapping, max_iterations: Optional[int]):
@@ -194,9 +194,13 @@ class ExecutiveGenerator:
         body += "        if is_no_piece(x):\n"
         body += self._send_all(outs, "NO_PIECE", "            ")
         body += "            continue\n"
-        body += (
-            f"        y = {self.AWAIT}kernel.call_(table[{proc.func!r}], x)\n"
-        )
+        call = f"{self.AWAIT}kernel.call_(table[{proc.func!r}]"
+        body += "        if isinstance(x, Chunk):\n"
+        body += "            y = Chunk()\n"
+        body += "            for item in x:\n"
+        body += f"                y.append({call}, item))\n"
+        body += "        else:\n"
+        body += f"            y = {call}, x)\n"
         body += self._send_all(outs, "y", "        ")
         return body
 
@@ -263,13 +267,16 @@ class ExecutiveGenerator:
         ins = dict(_in_edges(self.graph, pid))
         # Port layout: in 0=z, 1=xs, 2+i=collect(i); out 0=result, 1+i=dispatch(i).
         z_idx, xs_idx = ins[0], ins[1]
-        collect = {f"e{ins[2 + i]}": i for i in range(degree)}
+        collect = [f"e{ins[2 + i]}" for i in range(degree)]
         dispatch = [
-            _out_edges(self.graph, pid, 1 + i)[0] for i in range(degree)
+            f"e{_out_edges(self.graph, pid, 1 + i)[0]}" for i in range(degree)
         ]
         result_edges = _out_edges(self.graph, pid, 0)
+        # The unit of dispatch is a chunk whose size the data decides
+        # (kernel.grain_); a chunk of one is the bare item, so a short
+        # list is the paper's one-item-per-packet farm.
         body = f"    collect = {collect!r}\n"
-        body += f"    dispatch = {['e%d' % d for d in dispatch]!r}\n"
+        body += f"    dispatch = {dict(zip(collect, dispatch))!r}\n"
         body += "    while True:\n"
         body += f"        z = {self.AWAIT}kernel.recv_('e{z_idx}')\n"
         body += f"        xs = {self.AWAIT}kernel.recv_('e{xs_idx}')\n"
@@ -278,46 +285,41 @@ class ExecutiveGenerator:
         body += "            break\n"
         body += "        acc = z\n"
         body += "        work = list(xs)\n"
-        body += f"        busy = [False] * {degree}\n"
-        body += "        pending = 0\n"
-        body += f"        for i in range({degree}):\n"
-        body += "            if work and not busy[i]:\n"
+        body += "        pos = 0\n"
+        body += "        idle = collect[::-1]\n"
+        body += "        while True:\n"
+        body += "            while idle and pos < len(work):\n"
         body += (
-            f"                {self.AWAIT}kernel.send_"
-            "(dispatch[i], work.pop(0))\n"
+            f"                n = kernel.grain_(len(work) - pos, {degree})\n"
         )
-        body += "                busy[i] = True\n"
-        body += "                pending += 1\n"
-        body += "        while pending:\n"
         body += (
-            f"            edge, y = {self.AWAIT}kernel.alt_(list(collect))\n"
+            f"                {self.AWAIT}kernel.send_(dispatch[idle.pop()], "
+            "work[pos] if n == 1 else Chunk(work[pos:pos + n]))\n"
         )
-        body += "            if kernel.is_stop(y):\n"
+        body += "                pos += n\n"
+        body += f"            if len(idle) == {degree}:\n"
+        body += "                break\n"
+        body += f"            edge, got = {self.AWAIT}kernel.alt_(collect)\n"
+        body += "            if kernel.is_stop(got):\n"
         body += self._stop_all(pid, "                ")
         body += "                return\n"
-        body += "            i = collect[edge]\n"
-        body += "            pending -= 1\n"
-        body += "            busy[i] = False\n"
+        body += "            idle.append(edge)\n"
+        body += (
+            "            for y in got if isinstance(got, Chunk) else (got,):\n"
+        )
         if kind == "tf":
-            body += "            outcome = normalize_outcome(y)\n"
-            body += "            for r in outcome.results:\n"
+            body += "                outcome = normalize_outcome(y)\n"
+            body += "                for r in outcome.results:\n"
             body += (
-                f"                acc = {self.AWAIT}kernel.call_"
+                f"                    acc = {self.AWAIT}kernel.call_"
                 f"(table[{proc.func!r}], acc, r)\n"
             )
-            body += "            work.extend(outcome.subtasks)\n"
+            body += "                work.extend(outcome.subtasks)\n"
         else:
             body += (
-                f"            acc = {self.AWAIT}kernel.call_"
+                f"                acc = {self.AWAIT}kernel.call_"
                 f"(table[{proc.func!r}], acc, y)\n"
             )
-        body += "            if work:\n"
-        body += (
-            f"                {self.AWAIT}kernel.send_"
-            "(dispatch[i], work.pop(0))\n"
-        )
-        body += "                busy[i] = True\n"
-        body += "                pending += 1\n"
         body += self._send_all(result_edges, "acc", "        ")
         return body
 

@@ -375,7 +375,8 @@ class StandaloneGenerator(ExecutiveGenerator):
 
     PROVENANCE = "repro emit (standalone target)"
     PREAMBLE = (
-        "from skipper_kernel import EndOfStream, TaskOutcome, NO_PIECE, NoPiece",
+        "from skipper_kernel import "
+        "EndOfStream, TaskOutcome, NO_PIECE, Chunk, NoPiece",
     )
 
 

@@ -586,6 +586,15 @@ class SupervisedKernel:
     def stop_(self, edge: str) -> None:
         self.send_(edge, self._base.stop_token)
 
+    def grain_(self, remaining: int, degree: int) -> int:
+        """A supervised farm dispatches item by item: the packet is the
+        unit of re-dispatch, of hedging, of the ``HedgeClock`` percentile
+        and of the limp score's service time, and ``FaultPlan``
+        occurrences count firings — a chunk of 8 beside a chunk of 1
+        would read as an 8x limping worker.  Timing chunks per item
+        belongs to the clock-free ``FarmSupervisor`` (ROADMAP item 2)."""
+        return 1
+
     def alt_(self, edges: List[str]) -> Tuple[str, Any]:
         farm = self._topology.farm_of_collect_edges(edges)
         if farm is not None and farm.sid in self._states:

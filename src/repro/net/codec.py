@@ -12,13 +12,13 @@ copying array bytes exactly once (out of the receive buffer).
 
 The encodable universe is deliberately closed: the Python scalars, str/
 bytes, tuples/lists/dicts, numpy arrays and scalars, and the executive's
-own tokens (``Stop``, ``NoPiece``, the supervisor's ``Packet``/``Result``
-envelopes, ``TaskOutcome``).  Anything else raises :class:`CodecError` —
-an application that needs an exotic type on a distributed edge should
-convert it to arrays/tuples at the edge, exactly as the paper's CFG/DFG
-interface demands.  Truncated or trailing-garbage frames also raise
-:class:`CodecError`; the property tests in ``tests/net/test_codec.py``
-fuzz both directions.
+own tokens (``Stop``, ``NoPiece``, the farm's ``Chunk``, the supervisor's
+``Packet``/``Result`` envelopes, ``TaskOutcome``).  Anything else raises
+:class:`CodecError` — an application that needs an exotic type on a
+distributed edge should convert it to arrays/tuples at the edge, exactly
+as the paper's CFG/DFG interface demands.  Truncated or trailing-garbage
+frames also raise :class:`CodecError`; the property tests in
+``tests/net/test_codec.py`` fuzz both directions.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 import struct
 from typing import Any, List
 
-from ..codegen.kernel import NoPiece, Stop
+from ..codegen.kernel import Chunk, NoPiece, Stop
 from ..core.semantics import TaskOutcome
 from ..faults.supervisor import Packet, Result
 
@@ -69,6 +69,7 @@ _T_NOPIECE = b"p"
 _T_PACKET = b"P"
 _T_RESULT = b"R"
 _T_OUTCOME = b"O"
+_T_CHUNK = b"C"
 
 
 class _Writer:
@@ -139,6 +140,10 @@ def _encode_into(value: Any, w: _Writer) -> None:
         w.lit(_T_STOP)
     elif isinstance(value, NoPiece):
         w.lit(_T_NOPIECE)
+    elif isinstance(value, Chunk):
+        w.lit(_T_CHUNK + _U32.pack(len(value)))
+        for item in value:
+            _encode_into(item, w)
     elif isinstance(value, Packet):
         w.lit(_T_PACKET + _I64.pack(value.seq))
         _encode_into(value.value, w)
@@ -249,6 +254,8 @@ def _decode_from(r: _Reader) -> Any:
         return tuple(_decode_from(r) for _ in range(r.u32()))
     if tag == _T_LIST:
         return [_decode_from(r) for _ in range(r.u32())]
+    if tag == _T_CHUNK:
+        return Chunk(_decode_from(r) for _ in range(r.u32()))
     if tag == _T_DICT:
         n = r.u32()
         out = {}

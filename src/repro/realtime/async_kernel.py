@@ -78,7 +78,7 @@ class AsyncRealtimeKernel(RealtimeKernel):
 
     async def call_(self, func: Callable, *args: Any) -> Any:
         if (self._admission_active
-                and self._task_name() == self._topo.input_thread):
+                and self._task_name() == self._input_thread):
             await self._pace_async()
         return await self._inner.call_(func, *args)
 

@@ -123,6 +123,9 @@ class RealtimeKernel:
             hosts is None or topology.input_processor in hosts)
         self._delivery_active = (
             hosts is None or topology.output_processor in hosts)
+        #: Resolved once: ``call_`` compares it on every call of every
+        #: thread, and the topology's property rebuilds the name.
+        self._input_thread = topology.input_thread
         self._edge_set = set(topology.admission_edges)
         self._n_edges = len(topology.admission_edges)
         # Overload injection shares the supervised kernel's matcher and
@@ -135,6 +138,10 @@ class RealtimeKernel:
         self._lock = threading.Lock()
         self._frames: List[FrameRecord] = []
         self._pending: Deque[_PendingFrame] = deque()
+        #: Deadline-scan cursor: the first record still on its way, and
+        #: how many released records lie before it.
+        self._scan_from = 0
+        self._scan_released = 0
         self._events: List[RealtimeRecord] = []
         self._last_shed = False   # swallow trailing sends of a shed frame
         self._stopping = False
@@ -191,7 +198,7 @@ class RealtimeKernel:
     def call_(self, func: Callable, *args: Any) -> Any:
         if (self._admission_active
                 and threading.current_thread().name
-                == self._topo.input_thread):
+                == self._input_thread):
             self._pace()
         return self._inner.call_(func, *args)
 
@@ -410,27 +417,42 @@ class RealtimeKernel:
             self._maybe_exit_degraded()
 
     def _scan_deadlines(self) -> None:
-        """Flag frames over budget *while still in flight* (lock held)."""
+        """Flag frames over budget *while still in flight* (lock held).
+
+        Starts at the first record still on its way: everything before
+        ``_scan_from`` is shed, failed, or released and — by the FIFO
+        count — delivered, and none of that is ever undone.  So a tick
+        inspects the frames in flight and pending (plus whatever was
+        shed behind the oldest of them), not every frame the run ever
+        admitted.
+        """
         now_us = self.now_us()
         deadline = self._budget.deadline_us
         delivered = self._board.delivered()
-        released_seen = 0
-        for rec in self._frames:
-            if rec.status != "in-flight" or rec.deadline_missed:
-                if rec.released_us is not None:
-                    released_seen += 1
-                continue
+        frames = self._frames
+        released_seen = self._scan_released
+        settled_prefix = True
+        for index in range(self._scan_from, len(frames)):
+            rec = frames[index]
             if rec.released_us is not None:
                 released_seen += 1
-                if released_seen <= delivered:
-                    continue  # FIFO: already delivered, just not stamped
-            if now_us - rec.admitted_us > deadline:
-                rec.deadline_missed = True
-                self._event(
-                    "deadline-miss", rec.frame,
-                    f"{(now_us - rec.admitted_us) / 1000:.1f} ms in "
-                    f"flight", locked=True,
-                )
+            # On its way: in the admission buffer, or released and (FIFO)
+            # not among the first ``delivered`` releases.
+            on_its_way = rec.status == "in-flight" and (
+                rec.released_us is None or released_seen > delivered)
+            if on_its_way:
+                settled_prefix = False
+                if (not rec.deadline_missed
+                        and now_us - rec.admitted_us > deadline):
+                    rec.deadline_missed = True
+                    self._event(
+                        "deadline-miss", rec.frame,
+                        f"{(now_us - rec.admitted_us) / 1000:.1f} ms in "
+                        f"flight", locked=True,
+                    )
+            elif settled_prefix:
+                self._scan_from = index + 1
+                self._scan_released = released_seen
 
     def _maybe_exit_degraded(self) -> None:
         if not self._degraded:

@@ -38,6 +38,7 @@ import threading
 import time
 from typing import Any, List, Optional, Set, Tuple
 
+from ..codegen.kernel import Chunk
 from ..net.codec import CodecError, encode, encoded_size
 from ..net.codec import decode as codec_decode
 from .batch import (
@@ -101,7 +102,7 @@ def _carries_array(value: Any, depth: int = 0) -> bool:
     kind = type(value)
     if kind in _SCALARS:
         return False
-    if kind is tuple or kind is list:
+    if kind is tuple or kind is list or kind is Chunk:
         if depth >= _SCAN_DEPTH:
             return False
         for element in value[:_SCAN_WIDTH]:

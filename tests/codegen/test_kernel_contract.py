@@ -543,6 +543,18 @@ class TestPrimitiveSet:
             for name in KERNEL_PRIMITIVES:
                 assert callable(getattr(cls, name)), (cls, name)
 
+    def test_grain_is_one_synchronous_rule_on_both_kernels(self):
+        """The generated master calls it without ``await`` in every
+        dialect, and both kernels answer with the same function."""
+        import inspect
+
+        assert "grain_" in KERNEL_PRIMITIVES
+        for cls in (Kernel, AsyncioKernel):
+            assert cls.grain_ is kernel_module.grain
+            assert not inspect.iscoroutinefunction(cls.grain_)
+        assert Kernel().grain_(64, 4) == 8
+        assert Kernel().grain_(9, 4) == 1
+
     def test_asyncio_try_send_raises_queue_full(self):
         import asyncio
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen.kernel import NoPiece, Stop
+from repro.codegen.kernel import Chunk, NoPiece, Stop
 from repro.core.semantics import TaskOutcome
 from repro.faults.supervisor import Packet, Result
 from repro.net import CodecError, decode, encode, encoded_size
@@ -122,6 +122,96 @@ def test_executive_tokens_roundtrip():
     outcome = roundtrip(TaskOutcome(results=[1], subtasks=[2, 3]))
     assert list(outcome.results) == [1]
     assert list(outcome.subtasks) == [2, 3]
+
+
+# -- the farm's Chunk token ---------------------------------------------------
+
+chunks = st.lists(
+    st.one_of(values, st.lists(scalars, max_size=3).map(tuple)),
+    min_size=2, max_size=8,
+).map(Chunk)
+
+
+def blob_of(value):
+    return b"".join(bytes(b) for b in encode(value))
+
+
+def assert_same_shape(got, want):
+    """Equal, and a list is a Chunk exactly where it was one."""
+    assert type(got) is type(want)
+    if isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_shape(g, w)
+    elif isinstance(want, dict):
+        assert got.keys() == want.keys()
+        for key in want:
+            assert_same_shape(got[key], want[key])
+    else:
+        assert got == want
+
+
+@given(chunks, st.integers(0, 2**40))
+@settings(max_examples=150, deadline=None)
+def test_chunks_roundtrip_bare_and_in_envelopes(chunk, seq):
+    assert_same_shape(roundtrip(chunk), chunk)
+    packet = roundtrip(Packet(seq, chunk))
+    assert type(packet) is Packet and packet.seq == seq
+    assert_same_shape(packet.value, chunk)
+    result = roundtrip(Result(seq, chunk))
+    assert type(result) is Result and result.seq == seq
+    assert_same_shape(result.value, chunk)
+
+
+@given(st.lists(arrays, min_size=2, max_size=4))
+@settings(max_examples=50, deadline=None)
+def test_chunks_of_arrays_roundtrip(arrs):
+    out = roundtrip(Chunk(arrs))
+    assert type(out) is Chunk and len(out) == len(arrs)
+    for got, want in zip(out, arrs):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+
+@given(values)
+@settings(max_examples=100, deadline=None)
+def test_a_plain_list_never_decodes_to_a_chunk(value):
+    def no_chunk(v):
+        assert not isinstance(v, Chunk)
+        if isinstance(v, (list, tuple)):
+            for item in v:
+                no_chunk(item)
+        elif isinstance(v, dict):
+            for item in v.values():
+                no_chunk(item)
+
+    no_chunk(roundtrip(value))
+    no_chunk(roundtrip([value, [value]]))
+
+
+def test_chunk_of_task_outcomes_roundtrips():
+    out = roundtrip(Chunk([
+        TaskOutcome(results=[1], subtasks=[2, 3]), ([4], [5]),
+    ]))
+    assert type(out) is Chunk
+    assert list(out[0].results) == [1] and list(out[0].subtasks) == [2, 3]
+    assert out[1] == ([4], [5])
+
+
+@given(chunks)
+@settings(max_examples=60, deadline=None)
+def test_truncated_and_overlong_chunks_rejected(chunk):
+    blob = blob_of(chunk)
+    for cut in range(len(blob)):
+        with pytest.raises(CodecError):
+            decode(blob[:cut])
+    with pytest.raises(CodecError, match="trailing"):
+        decode(blob + blob_of(chunk[0]))
+    # A count that promises one item more than the frame holds.
+    count = int.from_bytes(blob[1:5], "big")
+    assert count == len(chunk)
+    with pytest.raises(CodecError, match="truncated"):
+        decode(blob[:1] + (count + 1).to_bytes(4, "big") + blob[5:])
 
 
 def test_bool_not_confused_with_int():

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 from repro.net.codec import encode, encoded_size
 from repro.shm import BatchPolicy, RingChannel
-from repro.shm.channel import F_OVERFLOW
+from repro.codegen.kernel import Chunk
+from repro.shm.channel import F_CODEC, F_OVERFLOW, F_PICKLE
 
 SLOT = 256
 
@@ -63,6 +64,28 @@ class TestDegenerateArrays:
         finally:
             ch.close()
             ch.destroy()
+
+
+class TestFarmChunks:
+    """A farm chunk of arrays keeps the codec's zero-copy path, like the
+    list it is; a chunk of scalars keeps pickle, like a list of them."""
+
+    def test_array_chunk_takes_the_codec_path(self, channel):
+        arrs = [np.arange(n + 1, dtype=np.int32) for n in range(3)]
+        for wrap in (Chunk, list):
+            flags, _buffers, _size = channel._encode(wrap(arrs))
+            assert flags == F_CODEC
+        got = through(channel, Chunk(arrs))
+        assert type(got) is Chunk
+        for out, arr in zip(got, arrs):
+            np.testing.assert_array_equal(out, arr)
+
+    def test_scalar_chunk_takes_the_pickle_path(self, channel):
+        for wrap in (Chunk, list):
+            flags, _buffers, _size = channel._encode(wrap([1, 2, 3]))
+            assert flags == F_PICKLE
+        got = through(channel, Chunk([1, 2, 3]))
+        assert type(got) is Chunk and got == [1, 2, 3]
 
 
 def bytes_payload_of_encoded_size(target: int) -> bytes:

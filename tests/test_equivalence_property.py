@@ -82,6 +82,9 @@ stage = st.one_of(
 
 recipes = st.lists(stage, min_size=1, max_size=2)
 inputs = st.lists(st.integers(-9, 9), max_size=8)
+#: At most 8 inputs never reach a farm's chunking threshold (4 x degree)
+#: above degree 2; these do, at every degree the recipes draw.
+long_inputs = st.lists(st.integers(-9, 9), min_size=24, max_size=120)
 arches = st.sampled_from(["ring1", "ring3", "ring7", "chain4", "now5"])
 
 
@@ -141,6 +144,23 @@ class TestGeneratedCodeEquivalence:
         prog = build_program(table, recipe)
         expected = emulate_once(prog, table, xs)
         mapping = distribute(expand_program(prog, table), ring(3))
+        blackboard = run_generated(mapping, table, args=(xs,))
+        assert blackboard["result_0"] == expected[0]
+
+    @given(recipes, long_inputs, arches)
+    @settings(max_examples=8, deadline=None)
+    def test_chunked_farms_match_emulation_and_simulation(
+        self, recipe, xs, arch_name
+    ):
+        """Lists long enough that the generated master hands out chunks
+        (the simulator keeps modelling one item per packet): the three
+        paths still agree."""
+        table = make_table()
+        prog = build_program(table, recipe)
+        expected = emulate_once(prog, table, xs)
+        mapping = distribute(expand_program(prog, table), make_arch(arch_name))
+        report = simulate(mapping, table, FAST_TEST, args=(xs,))
+        assert report.one_shot_results == expected
         blackboard = run_generated(mapping, table, args=(xs,))
         assert blackboard["result_0"] == expected[0]
 
