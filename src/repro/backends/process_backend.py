@@ -140,13 +140,14 @@ def run_multiprocess(
     # without limit against a stalled parent.
     results = ctx.Queue(maxsize=2 * len(plan.participating) + 4)
     # The shared boards: lock-free, single-writer slots, aligned 8-byte
-    # stores (heartbeats; released / delivered frame counters).
+    # stores (heartbeats; released / delivered frame counters, and the
+    # doorbell a delivery rings).
     health_board = stream_board = None
     if plan.supervised:
         health_board = HealthBoard(ctx.Array(
             "d", max(1, plan.fault_topology.n_slots), lock=False))
     if plan.budget is not None:
-        stream_board = StreamBoard(ctx.Array("d", 2, lock=False))
+        stream_board = StreamBoard.shared(ctx)
     epoch = time.perf_counter()
     hosting = {
         "remote": channel_set.channels, "stop": stop_event, "epoch": epoch,
@@ -182,6 +183,8 @@ def run_multiprocess(
         # only after every worker is gone (rings are mapped memory).
         channel_set.destroy()
         stop_event.unlink()
+        if stream_board is not None:
+            stream_board.close()
     wall_us = (time.perf_counter() - epoch) * 1e6
     return merge_run(plan, barrier.payloads(), wall_us, "processes")
 

@@ -33,6 +33,7 @@ import time
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..codegen.kernel import Shutdown, _LocalChannel
+from ..realtime.kernel import StreamBoard
 from . import codec
 from .protocol import ConnectionClosed, Frame, Link, pack_edge, pack_run
 
@@ -122,7 +123,7 @@ class NetHealthBoard:
                 self._slots[slot] = stamp
 
 
-class NetStreamBoard:
+class NetStreamBoard(StreamBoard):
     """Released/delivered frame counters mirrored as COUNT frames.
 
     Same single-writer discipline as the shared-memory ``StreamBoard``:
@@ -131,10 +132,13 @@ class NetStreamBoard:
     monotonically-folded mirror.  The mirror lags by one relay hop, so
     the pump's in-flight view errs on the *high* side — it can only
     under-admit briefly, never overrun ``max_in_flight``.
+
+    The doorbell is local to each worker: a delivery rings it where it
+    happens, and :meth:`apply` rings it where the count arrives.
     """
 
     def __init__(self, link: Link, run: int):
-        self._slots = [0.0, 0.0]
+        super().__init__([0.0, 0.0], threading.Event())
         self._link = link
         self._run = run
 
@@ -153,20 +157,14 @@ class NetStreamBoard:
 
     def note_delivered(self) -> None:
         self._bump(1)
-
-    def released(self) -> int:
-        return int(self._slots[0])
-
-    def delivered(self) -> int:
-        return int(self._slots[1])
-
-    def in_flight(self) -> int:
-        return max(0, self.released() - self.delivered())
+        self.ring()
 
     def apply(self, body: memoryview) -> None:
         slot, value = _COUNT.unpack(body)
         if 0 <= slot < 2 and value > self._slots[slot]:
             self._slots[slot] = value
+            if slot == 1:
+                self.ring()
 
 
 class _NetOutChannel:

@@ -2,15 +2,17 @@
 
 :class:`AsyncRealtimeKernel` is :class:`~repro.realtime.kernel.RealtimeKernel`
 with its waiting re-expressed for one event loop: the blocking
-primitives become coroutines awaiting :func:`asyncio.sleep`, and the
-watchdog runs as a loop task instead of an OS thread — an OS thread
-must never touch the loop-confined :class:`asyncio.Queue` channels of
-an :class:`~repro.codegen.async_kernel.AsyncioKernel`.
+primitives become coroutines, the doorbell and the admission condition
+become :class:`asyncio.Event` s, and the watchdog runs as a loop task
+instead of an OS thread — an OS thread must never touch the
+loop-confined :class:`asyncio.Queue` channels of an
+:class:`~repro.codegen.async_kernel.AsyncioKernel`.
 
 All admission *logic* — shed/degrade policy, the pump, the ledger, the
-deadline scan — is inherited unchanged; only the substrate-specific
-waiting differs, which is exactly the paper's porting contract applied
-to the realtime layer itself.
+deadline scan, the rule for how long the watchdog may sleep — is
+inherited unchanged; only the substrate-specific waiting differs, which
+is exactly the paper's porting contract applied to the realtime layer
+itself.
 """
 
 from __future__ import annotations
@@ -21,10 +23,23 @@ from typing import Any, Callable, Optional
 
 from ..codegen.kernel import Shutdown
 from .budget import LatencyBudget
-from .kernel import RealtimeKernel
+from .kernel import RealtimeKernel, StreamBoard
 from .topology import StreamTopology
 
 __all__ = ["AsyncRealtimeKernel"]
+
+
+class _Room(asyncio.Event):
+    """The admission condition on a loop: the pump ``notify_all()`` s
+    it, the parked grabber task awaits it."""
+
+    notify_all = asyncio.Event.set
+
+    async def park(self) -> None:
+        # No await between the caller's check and this clear(): on one
+        # loop nothing can pop the head in between.
+        self.clear()
+        await self.wait()
 
 
 class AsyncRealtimeKernel(RealtimeKernel):
@@ -41,7 +56,10 @@ class AsyncRealtimeKernel(RealtimeKernel):
         topology: StreamTopology,
         budget: LatencyBudget,
     ):
-        super().__init__(inner, topology, budget, start_watchdog=False)
+        super().__init__(
+            inner, topology, budget, start_watchdog=False,
+            board=StreamBoard([0.0, 0.0], asyncio.Event()))
+        self._room = _Room()
         self._watch_task: Optional[asyncio.Task] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -54,13 +72,21 @@ class AsyncRealtimeKernel(RealtimeKernel):
             self._watch_task.set_name("rt-watchdog")
 
     async def _watch_async(self) -> None:
-        interval = self._budget.watchdog_interval_s
+        bell = self._board.bell
+        loop = asyncio.get_running_loop()
         while True:
-            await asyncio.sleep(interval)
-            self._watch_tick()
+            # The timeout rings the same bell a delivery does.
+            timer = loop.call_later(self._watch_tick(), bell.set)
+            try:
+                await bell.wait()
+            finally:
+                timer.cancel()
+            bell.clear()
 
     async def ashutdown(self) -> None:
         """Cancel the watchdog task; stop the wrapped kernel's services."""
+        self._closing = True
+        self._room.notify_all()
         if self._watch_task is not None:
             self._watch_task.cancel()
             await asyncio.gather(self._watch_task, return_exceptions=True)
@@ -86,13 +112,13 @@ class AsyncRealtimeKernel(RealtimeKernel):
         period = self._pace_setup()
         if period is None:
             return
-        now = time.perf_counter()
-        while now < self._next_due:
-            if self.stop.is_set():
-                raise Shutdown
-            await asyncio.sleep(min(0.002, self._next_due - now))
-            now = time.perf_counter()
-        self._next_due = max(self._next_due + period, now - period)
+        # One sleep to the due time; teardown cancels the task.
+        wait = self._next_due - time.perf_counter()
+        if wait > 0:
+            await asyncio.sleep(wait)
+        if self.stop.is_set():
+            raise Shutdown
+        self._pace_advance(period)
 
     # -- admission (the grabber task) --------------------------------------
 
@@ -109,17 +135,14 @@ class AsyncRealtimeKernel(RealtimeKernel):
                 entry = self._pending[-1]
                 if edge not in entry.values:
                     entry.values[edge] = value
-                    self._drain()
+                    self._kick()
                     return None
         # No pending entry can take it (flush raced us): send directly.
         return await self._inner.send_(edge, value)
 
     async def _admit_async(self, value: Any) -> None:
-        if self._budget.policy == "block":
-            while not self._admit_has_room():
-                if self.stop.is_set():
-                    raise Shutdown
-                await asyncio.sleep(0.001)
+        while self._must_park():
+            await self._room.park()
         return self._admit_locked(value)
 
     # -- teardown (the grabber task, via generated stop_) ------------------
@@ -130,10 +153,13 @@ class AsyncRealtimeKernel(RealtimeKernel):
         return await self._inner.stop_(edge)
 
     async def _flush_async(self) -> None:
-        if not self._begin_flush():
-            return
-        while not self._flush_step():
-            await asyncio.sleep(0.001)
+        with self._lock:
+            flushing = self._begin_flush()
+        while flushing:
+            with self._lock:
+                if self._flush_step():
+                    return
+            await self._room.park()
 
     # -- delivery (the output task) ----------------------------------------
 

@@ -4,9 +4,10 @@ SKiPPER's target applications are *real-time*: the Transvision demo of
 the paper processes a live video stream under a hard per-frame latency
 bound.  A :class:`LatencyBudget` makes that bound explicit at runtime —
 attached to a stream run it arms a watchdog (deadline misses are
-detected while the frame is still in flight), bounds how many frames may
-be inside the process network at once, and selects what happens to new
-frames when the network is saturated.
+detected while the frame is still in flight: it sleeps until the
+earliest deadline still open, so there is no scan period to set),
+bounds how many frames may be inside the process network at once, and
+selects what happens to new frames when the network is saturated.
 
 The four overload policies:
 
@@ -58,8 +59,6 @@ class LatencyBudget:
     frame_period_ms: float = 0.0
     #: In degraded mode only one frame in ``degrade_ratio`` is admitted.
     degrade_ratio: int = 2
-    #: Watchdog scan period (seconds) for in-flight deadline detection.
-    watchdog_interval_s: float = 0.002
 
     def __post_init__(self):
         if self.policy not in OVERLOAD_POLICIES:

@@ -7,10 +7,10 @@ supervised kernel and polices two choke points of the stream
 (:class:`~repro.realtime.topology.StreamTopology`):
 
 * **Admission** (the process hosting the stream input): frames the
-  grabber sends are parked in a bounded admission buffer; a pump on the
-  watchdog thread releases them into the process network with
-  non-blocking puts, but only while fewer than ``max_in_flight`` frames
-  are between release and delivery.  When the buffer is full the
+  grabber sends are parked in a bounded admission buffer; a pump
+  releases them into the process network with non-blocking puts, but
+  only while fewer than ``max_in_flight`` frames are between release
+  and delivery.  When the buffer is full the
   configured overload policy decides: ``block`` the grabber,
   ``shed-newest``, ``shed-oldest``, or enter ``degrade`` mode (admit one
   frame in ``degrade_ratio`` until the backlog clears).  Shedding
@@ -20,16 +20,25 @@ supervised kernel and polices two choke points of the stream
 
 * **Delivery** (the process hosting the stream output): each non-Stop
   value on the delivery edge is timestamped and counted on the shared
-  :class:`StreamBoard`, closing the in-flight window.
+  :class:`StreamBoard`, closing the in-flight window — and rings the
+  board's doorbell, which is what releases the next frame.
 
 The watchdog also flags deadline misses *while frames are in flight*
 (pending or released-but-undelivered frames older than the budget), and
 the admission side paces the grabber to ``frame_period_ms`` — the hook
 where the seeded ``burst`` / ``input-surge`` overload faults fire.
+
+Nothing here ticks.  The one service thread of the admission side (the
+watchdog) sleeps on the board's doorbell until the earliest deadline it
+has not flagged yet; a ``block`` grabber facing a full buffer parks on a
+condition the pump notifies; pacing is one wait to the due time.  An
+executive with no frame in it wakes once per ``deadline_ms``.
 """
 
 from __future__ import annotations
 
+import os
+import select
 import threading
 import time
 from collections import deque
@@ -45,28 +54,99 @@ from .topology import StreamTopology
 __all__ = ["StreamBoard", "RealtimeKernel"]
 
 
+class _PipeBell:
+    """``threading.Event``'s ``set`` / ``wait`` / ``clear`` over a pipe:
+    the doorbell of a board that OS processes share.
+
+    Both ends are non-blocking and every process of the run holds both,
+    so a ring is one ``write`` that never waits and a killed ringer
+    leaves nothing half-done.  Built from a multiprocessing context, so
+    it crosses ``fork`` by inheritance and ``spawn`` by descriptor
+    passing, like the context's queues.
+    """
+
+    def __init__(self, ctx: Any):
+        self._rx, self._tx = ctx.Pipe(duplex=False)
+        for end in (self._rx, self._tx):
+            os.set_blocking(end.fileno(), False)
+
+    def set(self) -> None:
+        try:
+            os.write(self._tx.fileno(), b"\0")
+        except BlockingIOError:
+            pass  # a pipe full of rings nobody answered: it is rung
+
+    def wait(self, timeout: float) -> bool:
+        # poll() rounds the timeout up to whole milliseconds; the
+        # sleeper's are tens of them, and none has to end on the dot.
+        poller = select.poll()
+        poller.register(self._rx, select.POLLIN)
+        return bool(poller.poll(timeout * 1000.0))
+
+    def clear(self) -> None:
+        try:
+            while len(os.read(self._rx.fileno(), 4096)) == 4096:
+                pass
+        except BlockingIOError:
+            pass
+
+    def close(self) -> None:
+        self._rx.close()
+        self._tx.close()
+
+
 class StreamBoard:
-    """Shared released/delivered frame counters.
+    """Shared released/delivered frame counters, and a doorbell.
 
     Slot 0 counts frames released into the network (written only by the
     admission pump), slot 1 frames delivered at the stream output
     (written only by the output thread) — single-writer slots, so a
     lock-free ``multiprocessing.Array('d', 2)`` works across OS
     processes exactly like the heartbeat board.
+
+    A delivery frees an in-flight slot, so :meth:`note_delivered` rings
+    the ``bell`` (anything with ``threading.Event``'s ``set`` / ``wait``
+    / ``clear``) the admission side's service thread sleeps on in
+    :meth:`wait`.  The count moves *before* the ring and the sleeper
+    clears the bell *before* it reads the count, so no delivery is
+    slept through.  An admission does not ring: see
+    :meth:`RealtimeKernel._watch_tick`.
     """
 
-    def __init__(self, slots: Any):
+    def __init__(self, slots: Any, bell: Any):
         self._slots = slots
+        self.bell = bell
 
     @classmethod
     def local(cls) -> "StreamBoard":
-        return cls([0.0, 0.0])
+        """A board for one interpreter."""
+        return cls([0.0, 0.0], threading.Event())
+
+    @classmethod
+    def shared(cls, ctx: Any) -> "StreamBoard":
+        """A board for the processes of one multiprocessing context;
+        whoever builds it :meth:`close` s it when they are gone."""
+        return cls(ctx.Array("d", 2, lock=False), _PipeBell(ctx))
+
+    def close(self) -> None:
+        """Give the doorbell's descriptors back (a pipe has some)."""
+        if isinstance(self.bell, _PipeBell):
+            self.bell.close()
+
+    def ring(self) -> None:
+        self.bell.set()
+
+    def wait(self, timeout: float) -> None:
+        """Sleep until rung, ``timeout`` seconds at most."""
+        if self.bell.wait(timeout):
+            self.bell.clear()
 
     def note_released(self) -> None:
         self._slots[0] += 1.0
 
     def note_delivered(self) -> None:
         self._slots[1] += 1.0
+        self.ring()
 
     def released(self) -> int:
         return int(self._slots[0])
@@ -134,8 +214,16 @@ class RealtimeKernel:
         self._matcher = getattr(inner, "matcher", None)
         self._fault_report = getattr(inner, "fault_report", None)
 
+        #: What the pump waits after a ``queue.Full`` before it tries
+        #: again — the period on which the kernel's own blocked sends do.
+        self._retry_s = getattr(inner, "_poll_s", budget.deadline_ms / 1000.0)
+
         # -- admission state (guarded by _lock) --
         self._lock = threading.Lock()
+        #: Where a ``block`` grabber facing a full buffer, and the
+        #: end-of-stream flush, park: notified when the pump pops the
+        #: head of the buffer, and at shutdown.
+        self._room = threading.Condition(self._lock)
         self._frames: List[FrameRecord] = []
         self._pending: Deque[_PendingFrame] = deque()
         #: Deadline-scan cursor: the first record still on its way, and
@@ -144,6 +232,8 @@ class RealtimeKernel:
         self._scan_released = 0
         self._events: List[RealtimeRecord] = []
         self._last_shed = False   # swallow trailing sends of a shed frame
+        self._full = False        # the last drain ended on a queue.Full
+        self._closing = False     # shutdown() was called
         self._stopping = False
         self._flushed = False
         self._degraded = False
@@ -157,10 +247,6 @@ class RealtimeKernel:
         self._stamps: List[float] = []
 
         self._watchdog: Optional[threading.Thread] = None
-        # Local event, never the shared multiprocessing stop event: a
-        # daemon thread parked inside a shared semaphore at process exit
-        # poisons it for every other process (see the heartbeat thread).
-        self._watchdog_stop = threading.Event()
         # A coroutine-kernel wrapper passes start_watchdog=False and runs
         # the same tick from an event-loop task instead (an OS thread
         # must not touch loop-confined asyncio queues).
@@ -185,9 +271,17 @@ class RealtimeKernel:
                 self._events.append(record)
 
     def shutdown(self) -> None:
-        """Stop the watchdog (and the wrapped kernel's service threads)."""
-        self._watchdog_stop.set()
+        """Stop the watchdog (and the wrapped kernel's service threads).
+
+        Every sleeper of this layer is woken here, not waited out: a
+        parked grabber unwinds with :class:`Shutdown`, the watchdog
+        finds ``_closing`` and returns.
+        """
+        with self._room:
+            self._closing = True
+            self._room.notify_all()
         if self._watchdog is not None:
+            self._board.ring()
             self._watchdog.join(1.0)
         inner_shutdown = getattr(self._inner, "shutdown", None)
         if inner_shutdown is not None:
@@ -207,22 +301,20 @@ class RealtimeKernel:
         period = self._pace_setup()
         if period is None:
             return
-        now = time.perf_counter()
-        while now < self._next_due:
-            if self.stop.is_set():
-                raise Shutdown
-            time.sleep(min(0.002, self._next_due - now))
-            now = time.perf_counter()
-        self._next_due = max(self._next_due + period, now - period)
+        # One wait that ends on the due time or on stop, whichever
+        # comes first (every stop flag of a run wakes its waiters).
+        if self.stop.wait(self._next_due - time.perf_counter()):
+            raise Shutdown
+        self._pace_advance(period)
 
     def _pace_setup(self) -> Optional[float]:
         """Fire overload faults; returns this frame's effective period.
 
         ``None`` means no pacing wait applies (no period configured, or
         a burst fault releases the frame back-to-back); otherwise
-        ``_next_due`` is primed and the caller sleeps up to it — in
-        whatever way suits its substrate (``time.sleep`` for threads,
-        ``asyncio.sleep`` for the coroutine wrapper).
+        ``_next_due`` is primed, the caller waits up to it — in
+        whatever way suits its substrate — and then calls
+        :meth:`_pace_advance`.
         """
         if self._matcher is not None:
             specs = self._matcher.fire(
@@ -261,6 +353,12 @@ class RealtimeKernel:
             self._next_due = time.perf_counter()
         return period
 
+    def _pace_advance(self, period: float) -> None:
+        """Schedule the next grab one period on — or, after a stall of
+        more than a period, from now: lost time is not caught up."""
+        self._next_due = max(self._next_due + period,
+                             time.perf_counter() - period)
+
     # -- admission (the grabber thread) ------------------------------------
 
     def send_(self, edge: str, value: Any) -> None:
@@ -276,23 +374,28 @@ class RealtimeKernel:
                 entry = self._pending[-1]
                 if edge not in entry.values:
                     entry.values[edge] = value
-                    self._drain()
+                    self._kick()
                     return None
         # No pending entry can take it (flush raced us): send directly.
         return self._inner.send_(edge, value)
 
     def _admit(self, value: Any) -> None:
-        if self._budget.policy == "block":
-            while not self._admit_has_room():
-                if self.stop.is_set():
-                    raise Shutdown
-                time.sleep(0.001)
+        with self._room:
+            while self._must_park():
+                self._room.wait()
+        # One grabber: between here and there the buffer only shrinks.
         return self._admit_locked(value)
 
-    def _admit_has_room(self) -> bool:
-        """Block-policy gate: buffer below the admission depth?"""
-        with self._lock:
-            return len(self._pending) < self._budget.admission_depth
+    def _must_park(self) -> bool:
+        """``block`` policy, buffer at the admission depth: the grabber
+        parks until the pump pops the head (caller holds ``_lock``).
+        Raises :class:`Shutdown` once the run is over instead."""
+        if (self._budget.policy != "block"
+                or len(self._pending) < self._budget.admission_depth):
+            return False
+        if self._closing or self.stop.is_set():
+            raise Shutdown
+        return True
 
     def _admit_locked(self, value: Any) -> None:
         """Admission decision for one frame (takes ``_lock`` itself)."""
@@ -332,10 +435,9 @@ class RealtimeKernel:
                 _PendingFrame(record, self._topo.admission_edges)
             )
             self._pending[-1].values[self._topo.primary_edge] = value
-            # Kick the pump inline so throughput is not gated on the
-            # watchdog tick; the watchdog remains the backstop that
-            # drains when the grabber goes quiet.
-            self._drain()
+            # Pump inline: a frame that fits goes out on the grabber's
+            # own thread, without waking anybody.
+            self._kick()
         return None
 
     def _pop_sheddable(self) -> Optional[_PendingFrame]:
@@ -372,12 +474,24 @@ class RealtimeKernel:
             self._inner.try_send_(edge, value)
             return True
         except queue.Full:
+            self._full = True
             return False
 
-    def _drain(self) -> None:
-        """Pump until stalled (caller holds ``_lock``)."""
+    def _drain(self) -> bool:
+        """Pump until stalled (caller holds ``_lock``).
+
+        Returns True when it was a ``queue.Full`` that stalled it — the
+        one stall no event ends, so somebody has to try again."""
+        self._full = False
         while self._pump_step():
             pass
+        return self._full
+
+    def _kick(self) -> None:
+        """Pump from the grabber's side (caller holds ``_lock``); a full
+        queue is handed to the service thread, which owns the retry."""
+        if self._drain():
+            self._board.ring()
 
     def _pump_step(self) -> bool:
         """Release the head frame if capacity allows (holds ``_lock``).
@@ -400,24 +514,41 @@ class RealtimeKernel:
             entry.unsent.pop(0)
             progressed = True
         self._pending.popleft()
+        self._room.notify_all()
         entry.record.released_us = self.now_us()
         self._board.note_released()
         return True
 
     def _watch_loop(self) -> None:
-        interval = self._budget.watchdog_interval_s
-        while not self._watchdog_stop.wait(interval):
-            self._watch_tick()
+        while not self._closing:
+            self._board.wait(self._watch_tick())
 
-    def _watch_tick(self) -> None:
-        """One watchdog round: pump, deadline scan, degrade hysteresis."""
+    def _watch_tick(self) -> float:
+        """One watchdog round: pump, deadline scan, degrade hysteresis.
+
+        Returns how long, in seconds, the service thread may sleep if
+        the doorbell stays silent: until the earliest deadline it has
+        not flagged yet — a delivery, which frees a slot, rings.  With
+        nothing left to flag that is one whole ``deadline_ms``, and this
+        is why an admission need not ring: no frame admitted meanwhile
+        can be late before the sleeper is up again.  Only a pump that
+        met a full queue has no event to wait for and retries on the
+        kernel's poll period.
+        """
         with self._lock:
-            self._drain()
-            self._scan_deadlines()
+            full = self._drain()
+            due_us = self._scan_deadlines()
             self._maybe_exit_degraded()
+            if due_us is None:
+                timeout = self._budget.deadline_ms / 1000.0
+            else:
+                timeout = max(0.0, (due_us - self.now_us()) / 1e6)
+        return min(timeout, self._retry_s) if full else timeout
 
-    def _scan_deadlines(self) -> None:
-        """Flag frames over budget *while still in flight* (lock held).
+    def _scan_deadlines(self) -> Optional[float]:
+        """Flag frames over budget *while still in flight* (lock held);
+        returns the earliest deadline, on the kernel clock, among those
+        on their way and not flagged yet (``None``: there is none).
 
         Starts at the first record still on its way: everything before
         ``_scan_from`` is shed, failed, or released and — by the FIFO
@@ -432,6 +563,7 @@ class RealtimeKernel:
         frames = self._frames
         released_seen = self._scan_released
         settled_prefix = True
+        earliest = None
         for index in range(self._scan_from, len(frames)):
             rec = frames[index]
             if rec.released_us is not None:
@@ -442,17 +574,23 @@ class RealtimeKernel:
                 rec.released_us is None or released_seen > delivered)
             if on_its_way:
                 settled_prefix = False
-                if (not rec.deadline_missed
-                        and now_us - rec.admitted_us > deadline):
+                if rec.deadline_missed:
+                    continue
+                if now_us - rec.admitted_us > deadline:
                     rec.deadline_missed = True
                     self._event(
                         "deadline-miss", rec.frame,
                         f"{(now_us - rec.admitted_us) / 1000:.1f} ms in "
                         f"flight", locked=True,
                     )
+                elif earliest is None:
+                    # Admission order is deadline order: the first one
+                    # still open is the earliest.
+                    earliest = rec.admitted_us + deadline
             elif settled_prefix:
                 self._scan_from = index + 1
                 self._scan_released = released_seen
+        return earliest
 
     def _maybe_exit_degraded(self) -> None:
         if not self._degraded:
@@ -472,34 +610,33 @@ class RealtimeKernel:
 
     def _flush_on_stop(self) -> None:
         """Blocking-release every buffered frame before Stop propagates."""
-        if not self._begin_flush():
-            return
-        while not self._flush_step():
-            time.sleep(0.001)
+        with self._room:
+            if self._begin_flush():
+                while not self._flush_step():
+                    self._room.wait()
 
     def _begin_flush(self) -> bool:
-        """Claim the (one-shot) flush; False when already flushed."""
-        with self._lock:
-            if self._flushed:
-                return False
-            self._flushed = True
-            self._stopping = True
-            return True
+        """Claim the (one-shot) flush; False when already flushed.
+        From here on the pump ignores the in-flight window.  Caller
+        holds ``_lock``."""
+        if self._flushed:
+            return False
+        self._flushed = self._stopping = True
+        return True
 
     def _flush_step(self) -> bool:
-        """One flush round; returns True when flushing is finished."""
-        if self.stop.is_set():
-            with self._lock:
-                for entry in self._pending:
-                    entry.record.status = "failed"
-                    entry.record.reason = "aborted at teardown"
-                self._pending.clear()
+        """One flush round (caller holds ``_lock``); True when finished.
+
+        Otherwise a full queue holds frames back: the service thread is
+        rung to retry, and the caller parks until it pops a head."""
+        if self._closing or self.stop.is_set():
+            for entry in self._pending:
+                entry.record.status = "failed"
+                entry.record.reason = "aborted at teardown"
+            self._pending.clear()
             return True
-        with self._lock:
-            if not self._pending:
-                return True
-            self._pump_step()
-        return False
+        self._kick()
+        return not self._pending
 
     # -- delivery (the output thread) --------------------------------------
 

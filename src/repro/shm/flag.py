@@ -1,4 +1,4 @@
-"""A lock-free one-byte stop flag in shared memory.
+"""A lock-free one-byte stop flag in shared memory, with a latch to wait on.
 
 ``multiprocessing.Event`` serialises every ``is_set()`` and ``set()``
 through an inter-process semaphore.  A worker that dies — in particular
@@ -14,12 +14,20 @@ so there is nothing to race: any interleaving of loads and the single
 monotonic store is correct.  This is the same single-writer assumption
 the :class:`~repro.shm.ring.Ring` counters and the fault supervisor's
 ``HealthBoard`` already rely on.
+
+A byte cannot wake anybody, so a *latch* sits beside it for
+:meth:`StopFlag.wait`: a named FIFO that ``set()`` writes one byte into
+and nobody ever reads.  It is level-triggered (once written it polls
+readable for every process, for good) and as lock-free as the byte — a
+waiter is a ``select`` on its own descriptor, so one killed mid-wait
+leaves nothing behind for the others to trip over.
 """
 
 from __future__ import annotations
 
 import os
-import time
+import select
+import tempfile
 from typing import Any, Dict, Optional
 
 try:
@@ -31,42 +39,59 @@ from .ring import RingError
 
 __all__ = ["StopFlag"]
 
+#: Where the latch FIFOs live: beside the segments where the host has a
+#: ``/dev/shm`` (one listing shows everything a run owns).
+_LATCH_DIR = "/dev/shm" if os.path.isdir("/dev/shm") else tempfile.gettempdir()
+
 
 class StopFlag:
     """SIGKILL-tolerant replacement for a ``multiprocessing.Event``.
 
     Picklable: crossing a process boundary ships only the segment name;
-    each process (re-)attaches its own mapping lazily.  The *creator*
-    owns the final :meth:`unlink`.  Once the segment is gone,
-    :meth:`is_set` reports ``True`` — a vanished flag means the run is
-    over, and late pollers must stop, not crash.
+    a process that got the flag that way attaches its own mapping (and
+    opens the latch) lazily, a forked child keeps using what it
+    inherited.  The *creator* owns the final :meth:`unlink`.  Once the
+    segment is gone, :meth:`is_set` reports ``True`` — a vanished flag
+    means the run is over, and late pollers must stop, not crash.
 
     Any number of threads may share one flag.  A worker's executive
-    threads all reach a freshly forked (or unpickled) flag at about the
-    same time; each that finds no mapping for its process attaches one,
-    and ``dict.setdefault`` — atomic under the GIL — makes exactly one
-    of them the mapping every thread uses.  A loser closes a segment
-    nobody else ever saw.  (Storing "the latest attach" instead let a
-    loser's segment be collected while a third thread still held its
-    buffer: ``ValueError: operation forbidden on released memoryview``,
-    a dead executive thread, a run that starved until its timeout.)
+    threads all reach a freshly unpickled flag at about the same time;
+    each that finds no mapping yet attaches one, and ``dict.setdefault``
+    — atomic under the GIL — makes exactly one of them the mapping every
+    thread uses.  A loser closes a segment nobody else ever saw.
+    (Storing "the latest attach" instead let a loser's segment be
+    collected while a third thread still held its buffer: ``ValueError:
+    operation forbidden on released memoryview``, a dead executive
+    thread, a run that starved until its timeout.)
     """
 
-    __slots__ = ("name", "_attached")
+    __slots__ = ("name", "_attached", "_view")
 
     def __init__(self, name: Optional[str] = None):
         if _shared_memory is None:  # pragma: no cover
             raise RingError("POSIX shared memory is unavailable on this host")
-        #: pid -> this process's mapping (a forked child inherits its
-        #: parent's entry and never looks at it).
-        self._attached: Dict[int, Any] = {}
+        #: This process's mapping and latch descriptor, by kind.
+        self._attached: Dict[str, Any] = {}
+        #: The mapped byte, resolved once: ``is_set`` is called by every
+        #: ``send_`` / ``recv_`` / ``alt_`` of every packet hop.
+        self._view: Optional[memoryview] = None
         if name is None:
             segment = _shared_memory.SharedMemory(create=True, size=1)
             segment.buf[0] = 0
             self.name = segment.name
-            self._attached[os.getpid()] = segment
+            self._attached["segment"] = segment
+            self._view = segment.buf
+            os.mkfifo(self._latch_path, 0o600)
+            # Held open for the flag's whole life: a FIFO forgets what
+            # was written once its last descriptor closes, and a setter
+            # may exit before the first waiter arrives.
+            self.fileno()
         else:
             self.name = name
+
+    @property
+    def _latch_path(self) -> str:
+        return os.path.join(_LATCH_DIR, self.name.lstrip("/") + ".latch")
 
     # -- pickling: ship the name, re-attach lazily ----------------------------
 
@@ -76,45 +101,81 @@ class StopFlag:
     def __setstate__(self, state):
         self.name = state
         self._attached = {}
+        self._view = None
 
-    def _buf(self):
-        segment = self._attached.get(os.getpid())
-        if segment is None:
-            mine = _shared_memory.SharedMemory(name=self.name)
-            segment = self._attached.setdefault(os.getpid(), mine)
-            if segment is not mine:
-                mine.close()
-        return segment.buf
+    def _first(self, kind: str, mine: Any, discard: Any) -> Any:
+        """Publish ``mine`` as this process's ``kind`` unless another
+        thread got there first (then ``discard`` it and use theirs)."""
+        winner = self._attached.setdefault(kind, mine)
+        if winner is not mine:
+            discard(mine)
+        return winner
+
+    def _buf(self) -> memoryview:
+        view = self._view
+        if view is None:
+            segment = self._first(
+                "segment", _shared_memory.SharedMemory(name=self.name),
+                _shared_memory.SharedMemory.close)
+            view = self._view = segment.buf
+        return view
+
+    def fileno(self) -> int:
+        """This process's descriptor of the latch: readable once set."""
+        fd = self._attached.get("latch")
+        if fd is None:
+            # O_RDWR: opening a FIFO for one direction only would block
+            # until somebody opens the other.
+            fd = self._first(
+                "latch",
+                os.open(self._latch_path, os.O_RDWR | os.O_NONBLOCK),
+                os.close)
+        return fd
 
     # -- the Event surface the kernels rely on --------------------------------
 
     def is_set(self) -> bool:
         try:
-            return self._buf()[0] != 0
+            return (self._view or self._buf())[0] != 0
         except FileNotFoundError:
             return True
 
     def set(self) -> None:
+        """Store the byte, then trip the latch (in that order: whoever
+        the latch wakes reads the flag as set).  Every call writes — a
+        setter killed between the two leaves a latch the next ``set()``
+        still trips."""
         try:
             self._buf()[0] = 1
-        except FileNotFoundError:
-            pass
+            os.write(self.fileno(), b"\1")
+        except (FileNotFoundError, BlockingIOError):
+            pass  # vanished: already over; full: tripped long ago
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        """Poll until set (2 ms cadence); no shared lock, no poisoning."""
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        while not self.is_set():
-            if deadline is not None and time.monotonic() >= deadline:
-                return False
-            time.sleep(0.002)
-        return True
+        """Block until set, in any process, or ``timeout`` seconds.
+
+        ``select.select``, not ``poll``: a pacing wait has to end *on*
+        its due time, and ``poll`` rounds up to whole milliseconds.
+        """
+        if self.is_set():
+            return True
+        try:
+            fd = self.fileno()
+        except FileNotFoundError:
+            return True
+        if timeout is not None and timeout < 0:
+            timeout = 0.0
+        ready, _, _ = select.select([fd], [], [], timeout)
+        return bool(ready) or self.is_set()
 
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        segment = self._attached.pop(os.getpid(), None)
+        self._view = None
+        fd = self._attached.pop("latch", None)
+        if fd is not None:
+            os.close(fd)
+        segment = self._attached.pop("segment", None)
         if segment is not None:
             try:
                 segment.close()
@@ -122,8 +183,17 @@ class StopFlag:
                 pass
 
     def unlink(self) -> None:
-        """Remove the segment (idempotent; creator-owned)."""
+        """Remove the segment and the latch (idempotent; creator-owned).
+
+        Sets the flag first: a waiter parked on the latch holds its own
+        descriptor and would sleep through the name going away.
+        """
+        self.set()
         self.close()
+        try:
+            os.unlink(self._latch_path)
+        except FileNotFoundError:
+            pass
         try:
             segment = _shared_memory.SharedMemory(name=self.name)
         except FileNotFoundError:

@@ -134,7 +134,6 @@ class TestThousandStreamSoak:
         )
         budget = LatencyBudget(
             deadline_ms=5000, max_in_flight=2, policy="block",
-            watchdog_interval_s=0.05,
         )
 
         async def one_stream():

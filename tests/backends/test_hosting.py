@@ -8,6 +8,8 @@ backend and expect the same answer.
 """
 
 import dataclasses
+import gc
+import os
 import queue
 import threading
 
@@ -217,6 +219,31 @@ class TestHostRunContract:
                 "    raise RuntimeError('boom')\n"
             )
         self.assert_cleaned_up()
+
+
+def test_twenty_budgeted_process_runs_leak_no_descriptor_and_no_segment():
+    """Every budgeted ``processes`` run builds a stop flag (a segment and
+    a latch FIFO in ``/dev/shm``, a descriptor each) and a stream board
+    (a doorbell pipe): all of it must be gone when the run returns."""
+    def one_run():
+        prog, table, mapping = make_soak(
+            nproc=2, frames=3, pieces=2, work_us=0.0)
+        report = get_backend("processes").run(
+            mapping, table, program=prog, timeout=60.0,
+            budget=LatencyBudget(deadline_ms=10_000.0, policy="block",
+                                 max_in_flight=2))
+        assert len(report.realtime.ledger.delivered) == 3
+
+    def held():
+        gc.collect()
+        return (len(os.listdir("/proc/self/fd")),
+                sorted(os.listdir("/dev/shm")))
+
+    one_run()       # whatever the first run of an interpreter keeps
+    before = held()
+    for _ in range(20):
+        one_run()
+    assert held() == before
 
 
 class TestSameAnswerOnEveryBackend:

@@ -1,7 +1,11 @@
 """Unit tests for the realtime data model: budgets, the frame ledger,
 and the admission/delivery join of :func:`assemble_report`."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.realtime import (
     OVERLOAD_POLICIES,
@@ -53,6 +57,22 @@ class TestLatencyBudget:
             queue_depth=5, frame_period_ms=40.0, degrade_ratio=3,
         )
         assert LatencyBudget.from_dict(budget.to_dict()) == budget
+
+    @given(st.builds(
+        LatencyBudget,
+        deadline_ms=st.floats(0.001, 1e6),
+        policy=st.sampled_from(OVERLOAD_POLICIES),
+        max_in_flight=st.integers(1, 64),
+        queue_depth=st.integers(0, 64),
+        frame_period_ms=st.floats(0.0, 1e4),
+        degrade_ratio=st.integers(2, 16),
+    ))
+    def test_every_budget_round_trips_equal(self, budget):
+        # What crosses the serve / tcp wire is to_dict(): a field it
+        # leaves out silently reverts to its default on the other side.
+        wire = budget.to_dict()
+        assert set(wire) == {f.name for f in dataclasses.fields(budget)}
+        assert LatencyBudget.from_dict(wire) == budget
 
 
 def frame(i, admitted, **kw):

@@ -202,3 +202,137 @@ class TestManyThreadsOneFlag:
             assert all(view is views[0] for view in views)
         finally:
             flag.unlink()
+
+
+#: Liveness bound of the waits below: a latch that never trips fails
+#: the test instead of hanging it.
+WAIT = 30.0
+
+
+def _wait_then_report(flag, started, results):
+    started.put(os.getpid())
+    results.put(flag.wait(WAIT))
+
+
+def _count_getpid_calls(flag, results):
+    """Child body: how often ``is_set`` asks for the pid, after its
+    first call in this process."""
+    real, calls = os.getpid, []
+
+    def counting():
+        calls.append(1)
+        return real()
+
+    flag.is_set()
+    os.getpid = counting
+    try:
+        for _ in range(100):
+            flag.is_set()
+    finally:
+        os.getpid = real
+    results.put(len(calls))
+
+
+class TestLatch:
+    """``wait()`` blocks on a FIFO beside the segment: level-triggered,
+    crossing processes by name, with no lock a dead waiter could hold."""
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_a_set_in_a_child_wakes_the_waiting_parent(self, start_method):
+        ctx = multiprocessing.get_context(start_method)
+        flag = StopFlag()
+        try:
+            child = ctx.Process(target=_set_and_exit, args=(flag,))
+            child.start()
+            assert flag.wait(WAIT) is True
+            child.join(WAIT)
+            assert child.exitcode == 0
+        finally:
+            flag.unlink()
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_a_killed_waiter_poisons_nothing(self, start_method):
+        ctx = multiprocessing.get_context(start_method)
+        flag = StopFlag()
+        started, results = ctx.Queue(), ctx.Queue()
+        try:
+            waiters = [
+                ctx.Process(target=_wait_then_report,
+                            args=(flag, started, results))
+                for _ in range(3)
+            ]
+            for waiter in waiters:
+                waiter.start()
+            pids = [started.get(timeout=WAIT) for _ in waiters]
+            os.kill(pids[0], signal.SIGKILL)        # mid-wait, most likely
+            flag.set()
+            assert [results.get(timeout=WAIT) for _ in range(2)] == [
+                True, True]
+            for waiter in waiters:
+                waiter.join(WAIT)
+            assert sorted(w.exitcode for w in waiters) == [
+                -signal.SIGKILL, 0, 0]
+            # Level-triggered: still tripped for whoever looks next.
+            assert flag.wait(0) is True
+            assert pickle.loads(pickle.dumps(flag)).wait(0) is True
+        finally:
+            flag.unlink()
+
+    def test_a_plain_pickle_clone_waits_on_the_same_latch(self):
+        flag = StopFlag()
+        try:
+            clone = pickle.loads(pickle.dumps(flag))
+            woke = []
+            waiter = threading.Thread(
+                target=lambda: woke.append(clone.wait(WAIT)))
+            waiter.start()
+            assert clone.wait(0) is False
+            flag.set()
+            waiter.join(WAIT)
+            assert woke == [True]
+            assert clone.fileno() != flag.fileno()
+        finally:
+            clone.close()
+            flag.unlink()
+
+    def test_unlink_removes_the_latch_and_is_idempotent(self):
+        flag = StopFlag()
+        latch = flag._latch_path
+        assert os.path.exists(latch)
+        before = len(os.listdir("/proc/self/fd"))
+        flag.unlink()
+        assert not os.path.exists(latch)
+        assert len(os.listdir("/proc/self/fd")) < before
+        flag.unlink()
+        assert flag.wait(0) is True     # vanished: the run is over
+
+    def test_a_waiter_on_a_vanishing_flag_returns(self):
+        flag = StopFlag()
+        clone = pickle.loads(pickle.dumps(flag))
+        woke = []
+        waiter = threading.Thread(
+            target=lambda: woke.append(clone.wait(WAIT)))
+        try:
+            clone.fileno()              # attached, as a worker would be
+            waiter.start()
+            flag.unlink()               # nobody ever called set()
+            waiter.join(WAIT)
+            assert woke == [True]
+        finally:
+            clone.close()
+
+    @pytest.mark.parametrize("start_method", START_METHODS)
+    def test_is_set_asks_for_no_pid_after_its_first_call(self, start_method):
+        ctx = multiprocessing.get_context(start_method)
+        flag = StopFlag()
+        results = ctx.Queue()
+        try:
+            child = ctx.Process(target=_count_getpid_calls,
+                                args=(flag, results))
+            child.start()
+            assert results.get(timeout=WAIT) == 0
+            child.join(WAIT)
+            assert child.exitcode == 0
+            assert not flag.is_set()
+        finally:
+            flag.unlink()
