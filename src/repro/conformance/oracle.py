@@ -32,7 +32,6 @@ PHASES = ("build", "reference", "run", "differential", "invariant")
 CHECK_POLICY = FaultPolicy(
     packet_timeout_s=0.3,
     heartbeat_timeout_s=0.15,
-    poll_s=0.002,
 )
 
 

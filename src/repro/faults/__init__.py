@@ -8,12 +8,17 @@ This package gives the reproduction a failure story, in two halves:
   backends (real injected failures), so a chaos scenario is replayable
   across every execution layer.
 
-* **Supervision** — :class:`~repro.faults.supervisor.SupervisedKernel`
-  wraps the kernel primitives (the paper's "only platform-dependent
-  part") with per-packet sequence envelopes, heartbeats, timeouts, and
-  master-side re-dispatch so ``df``/``tf``/``scm`` farms survive worker
-  loss.  Everything observed lands in a :class:`FaultReport` attached to
-  the :class:`~repro.machine.executive.RunReport`.
+* **Supervision** — one clock-free policy core per farm,
+  :class:`~repro.faults.farm.FarmSupervisor`, decides re-dispatch,
+  quarantine, demotion, hedging, migration and probing from events and
+  the instants they carry.  Two drivers feed it:
+  :class:`~repro.faults.supervisor.SupervisedKernel` wraps the kernel
+  primitives (the paper's "only platform-dependent part") with
+  per-packet sequence envelopes and heartbeats and passes wall-clock
+  readings; the simulator passes virtual time.  So ``df``/``tf``/``scm``
+  farms survive worker loss the same way everywhere.  Everything
+  observed lands in a :class:`FaultReport` attached to the
+  :class:`~repro.machine.executive.RunReport`.
 
 The generated executive code never changes: supervision lives entirely
 behind the kernel-primitive interface.

@@ -15,9 +15,14 @@ __all__ = ["FaultPolicy"]
 class FaultPolicy:
     """How aggressively the supervised executive detects and recovers.
 
+    Every duration is seconds *on the executing machine's clock*: the
+    real kernels judge them against ``time.monotonic()``, the simulator
+    against virtual time — one policy core
+    (:class:`~repro.faults.farm.FarmSupervisor`) reads them for both.
     The defaults suit interactive runs (sub-second detection without
     false positives on a loaded laptop); chaos tests shrink the timeouts
-    to keep the suite fast.
+    to keep the suite fast, virtual-time tests to the scale of their
+    cost model.
     """
 
     #: Seconds a dispatched packet may stay unanswered before the
@@ -37,11 +42,6 @@ class FaultPolicy:
     max_redispatch: int = 3
     #: Multiplier applied to the packet timeout on each re-dispatch.
     backoff: float = 1.5
-    #: Supervisor polling granularity while blocked in ``alt_``.
-    poll_s: float = 0.005
-    #: Virtual detection latency charged by the simulator (µs) between a
-    #: fault occurring and the master acting on it.
-    detect_us: float = 500.0
     #: Seconds after quarantine before the circuit breaker sends the
     #: first probation packet to the retired worker.  The default is
     #: deliberately longer than typical short chaos runs, so probation

@@ -21,17 +21,14 @@ __all__ = ["HedgeClock"]
 class HedgeClock:
     """Farm-wide adaptive percentile threshold over completed services.
 
-    The clock is unit-agnostic apart from the floor: real kernels feed
-    wall-clock seconds and keep the policy's ``hedge_floor_s`` (a guard
-    against hedging on measurement noise), while the simulator feeds
-    virtual microseconds with ``floor=0.0`` — virtual time has no
-    jitter, so the percentile rule applies undamped.
+    Fed and read in seconds on the executing machine's clock, wall or
+    virtual; ``hedge_floor_s`` guards against hedging on measurement
+    noise, so a virtual-time run — whose packets may be far shorter, and
+    jitter-free — sets it to the scale of its cost model.
     """
 
-    def __init__(self, policy: Optional[HealthPolicy] = None, *,
-                 floor: Optional[float] = None):
+    def __init__(self, policy: Optional[HealthPolicy] = None):
         self.policy = policy or HealthPolicy()
-        self._floor = self.policy.hedge_floor_s if floor is None else floor
         self._window: Deque[float] = deque(maxlen=self.policy.hedge_window)
         self._seen = 0
         #: Hedges issued / won by the duplicate / wasted (late loser).
@@ -67,12 +64,8 @@ class HedgeClock:
         pct = self.percentile()
         if pct is None:
             return None
-        return max(self._floor, self.policy.hedge_factor * pct)
-
-    def overdue(self, elapsed_s: float) -> bool:
-        """Has this in-flight time crossed the speculation threshold?"""
-        threshold = self.threshold_s()
-        return threshold is not None and elapsed_s > threshold
+        return max(self.policy.hedge_floor_s,
+                   self.policy.hedge_factor * pct)
 
     def to_dict(self) -> dict:
         threshold = self.threshold_s()

@@ -25,7 +25,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .trace import Trace
@@ -33,6 +33,11 @@ if TYPE_CHECKING:  # pragma: no cover
 from ..core.functions import FunctionTable
 from ..core.semantics import EndOfStream, TaskOutcome
 from ..core.sizes import HEADER_BYTES, payload_bytes
+from ..faults.farm import Abandon, FarmSupervisor
+from ..faults.plan import PlanMatcher
+from ..faults.policy import FaultPolicy
+from ..faults.report import FaultReport
+from ..faults.topology import FaultTopology
 from ..pnt.graph import ProcessGraph, ProcessKind
 from ..syndex.distribute import Mapping
 from ..syndex.route import RoutingTable, route_mapping
@@ -68,6 +73,33 @@ class _NoPiece:
 
 
 _NO_PIECE = _NoPiece()
+
+
+@dataclass
+class _Envelope:
+    """A supervised packet or answer in transit: the value under the
+    sequence number the farm's supervisor knows it by."""
+
+    seq: int
+    value: Any
+
+
+def _enveloped(seq: Optional[int], value: Any) -> Any:
+    """``value`` as a supervised worker answers it: under the sequence
+    number its packet came with, if it came with one."""
+    return value if seq is None else _Envelope(seq, value)
+
+
+@dataclass
+class _Supervised:
+    """One supervised farm in virtual time: the policy core the real
+    kernels run (:class:`~repro.faults.farm.FarmSupervisor`), plus where
+    its packets leave the dispatcher and come back to the owner."""
+
+    core: FarmSupervisor
+    dispatcher: str  # the pid whose CPU and out ports carry a send
+    out_base: int  # dispatcher out port of worker 0
+    in_base: int  # owner in port of worker 0
 
 
 @dataclass
@@ -200,9 +232,6 @@ class _FarmState:
     busy: Dict[int, bool] = field(default_factory=dict)
     pending: int = 0
     started: bool = False
-    #: Worker indices retired after a detected crash/stall: the master
-    #: never dispatches to them again (matches the supervised kernels).
-    quarantined: set = field(default_factory=set)
 
 
 class Executive:
@@ -231,55 +260,43 @@ class Executive:
         self.routing: RoutingTable = route_mapping(mapping)
         self._edge_index = {id(e): i for i, e in enumerate(self.graph.edges)}
 
-        # Fault model: the same FaultPlan that drives the real kernels,
-        # charged in virtual time (see repro.faults).
+        # Fault model: the FaultPlan that drives the real kernels makes
+        # the same faults happen here (a crashed worker never answers
+        # and stops beating, a limping one computes ``factor`` times
+        # slower, a dropped message is never delivered), and what is
+        # *done* about them is decided by the kernels' own policy core,
+        # one per supervised farm, driven in virtual seconds.
         self._matcher = None
-        self._fault_topology = None
-        self._fault_policy = None
         self.fault_report = None
-        if fault_plan is not None:
-            from ..faults.plan import PlanMatcher
-            from ..faults.policy import FaultPolicy
-            from ..faults.report import FaultReport
-            from ..faults.topology import FaultTopology
-
-            self._matcher = PlanMatcher(fault_plan)
-            self._fault_topology = FaultTopology.from_mapping(mapping)
-            self._fault_policy = fault_policy or FaultPolicy()
-            self.fault_report = FaultReport()
-        self._dead_pids: set = set()
-        self._scm_quarantined: Dict[str, set] = {}
-
-        # Gray-failure model: limplock factors latch per worker pid and
-        # every farm carries a virtual HedgeClock fed with simulated
-        # service times, so the hedged-vs-unhedged verdict of the real
-        # kernels reproduces in virtual time (same threshold logic).
+        #: Worker pid -> the fault that silenced it for good.
+        self._silent: Dict[str, str] = {}
+        #: Latched limplock factors, per worker pid.
         self._limp_factors: Dict[str, float] = {}
-        self._limp_flagged: set = set()
-        self._limp_offers: Dict[str, int] = {}
-        self._hp = None
-        # Online re-mapping twin: the same count-based decisions the
-        # supervised kernels make, replayed in virtual time.
-        self._rp = None
-        self._remap_migrated: set = set()
-        self._remap_counts: Dict[str, int] = {}
-        self._hedge_clocks: Dict[str, Any] = {}
-        self._worker_farm: Dict[str, Tuple[Any, Any]] = {}
-        self._master_farm: Dict[str, Any] = {}
-        if self._fault_policy is not None:
-            from ..health import HedgeClock
-
-            self._hp = self._fault_policy.health_policy()
-            self._rp = self._fault_policy.remap_policy()
-            for farm in self._fault_topology.farms:
-                # Clocks run in virtual µs, floorless: simulated service
-                # times carry no measurement noise to guard against.
-                self._hedge_clocks[farm.sid] = HedgeClock(self._hp,
-                                                          floor=0.0)
-                if farm.kind == "farm":
-                    self._master_farm[farm.owner_pid] = farm
+        self._sups: List[_Supervised] = []
+        self._dispatchers: Dict[str, _Supervised] = {}
+        self._owners: Dict[str, _Supervised] = {}
+        self._worker_core: Dict[str, Tuple[FarmSupervisor, int]] = {}
+        if fault_plan is not None:
+            self._matcher = PlanMatcher(fault_plan)
+            self.fault_report = FaultReport()
+            policy = fault_policy or FaultPolicy()
+            for farm in FaultTopology.from_mapping(mapping).farms:
+                if not farm.supervised:
+                    continue  # e.g. an scm whose split/merge are separated
+                core = FarmSupervisor(farm, policy, self.fault_report)
+                sup = _Supervised(
+                    core, farm.dispatcher_pid,
+                    *((1, 2) if farm.kind == "farm" else (0, 1)))
+                self._sups.append(sup)
+                self._dispatchers[farm.dispatcher_pid] = sup
+                self._owners[farm.owner_pid] = sup
                 for w in farm.workers:
-                    self._worker_farm[w.pid] = (farm, w)
+                    self._worker_core[w.pid] = (core, w.index)
+                    # The heartbeat is a fact, not a thread: a simulated
+                    # worker is up from t=0 and, while it lives, fresh
+                    # at every instant; dying stamps its last beat.
+                    core.beat(w.index, 0.0)
+                    core.beat(w.index, math.inf)
 
         # Machine state.
         self._proc_free: Dict[str, float] = {}
@@ -354,9 +371,10 @@ class Executive:
         cost = spec.cost_of(*args)
         return self.costs.default_func_cost if cost is None else cost
 
-    def _schedule(self, time: float, handler: str, *args) -> None:
+    def _schedule(self, time: float, *args) -> None:
+        """Deliver a message: ``_handle_arrive(*args)`` at ``time``."""
         self._horizon = max(self._horizon, time)
-        heapq.heappush(self._events, (time, next(self._seq), (handler, args)))
+        heapq.heappush(self._events, (time, next(self._seq), args))
 
     def _send(self, pid: str, port: int, value: Any, time: float) -> None:
         """Emit ``value`` from (pid, port): deliver along every out edge."""
@@ -365,7 +383,7 @@ class Executive:
             if edge.src != pid or edge.src_port != port:
                 continue
             idx = self._edge_index[id(edge)]
-            if self._matcher is not None and self._drop(idx, value, time):
+            if self._matcher is not None and self._drop(idx, time):
                 continue  # the message is lost in transit
             if payload is None:
                 payload = payload_bytes(value)
@@ -390,12 +408,24 @@ class Executive:
                     if self.trace is not None:
                         self.trace.add_transfer(cid, pid, start, t)
                 arrival = t
-            self._schedule(arrival, "arrive", edge.dst, edge.dst_port, value, edge.loop)
+            self._schedule(arrival, edge.dst, edge.dst_port, value, edge.loop)
 
     # -- event handlers --------------------------------------------------
 
     def _handle_arrive(self, pid: str, port: int, value: Any, loop: bool) -> None:
         process = self.graph[pid]
+        sup = self._owners.get(pid)
+        if sup is not None and isinstance(value, _Envelope):
+            # A supervised worker's answer reaches its farm's owner: the
+            # core dedupes it and names the port it belongs to — not
+            # always the one it came in on (a re-dispatch, a hedge).
+            now = self._now * 1e-6
+            origin = sup.core.result(port - sup.in_base, value.seq, now)
+            # The kernels scan between any two answers; so do we.
+            self._carry_out(sup, sup.core.tick(now), self._now)
+            if origin is None:
+                return  # a duplicate: first result won
+            port, value = sup.in_base + origin, value.value
         if process.kind == ProcessKind.MEM:
             # Feedback: store the next iteration's state.
             self._mem_state[pid] = value
@@ -448,20 +478,20 @@ class Executive:
     def _fire_worker(self, pid: str, inputs: Dict[int, Any]) -> None:
         process = self.graph[pid]
         x = inputs[0]
+        seq = None
+        if isinstance(x, _Envelope):
+            seq, x = x.seq, x.value
+        if pid in self._silent:
+            return  # crashed, stalled or starved: it never answers
         if isinstance(x, _NoPiece):
             end = self._compute(pid, self._now, self.costs.local_delivery)
-            self._send(pid, 0, _NO_PIECE, end)
+            self._send(pid, 0, _enveloped(seq, _NO_PIECE), end)
             return
         delay_us = 0.0
         if self._matcher is not None:
-            if pid in self._dead_pids:
-                # A packet addressed to an already-dead worker: the real
-                # dispatcher reroutes instantly, so no detection latency.
-                self._fault_recover(pid, "reroute", x, self._now,
-                                    detected=False)
-                return
+            proc = self._processor_of(pid)
             specs = self._matcher.fire(
-                process=pid, processor=self._processor_of(pid),
+                process=pid, processor=proc,
                 kinds=("crash", "stall", "delay", "slow-worker",
                        "limplock", "credit-starvation"),
             )
@@ -470,8 +500,7 @@ class Executive:
                     delay_us += spec.delay_us
                     self.fault_report.add(
                         "injected", spec.kind, pid, self._now,
-                        processor=self._processor_of(pid),
-                        note=f"{spec.delay_us:.0f} us",
+                        processor=proc, note=f"{spec.delay_us:.0f} us",
                     )
                 elif spec.kind == "limplock":
                     # Persistent gray failure: every subsequent firing of
@@ -479,7 +508,7 @@ class Executive:
                     self._limp_factors[pid] = spec.factor
                     self.fault_report.add(
                         "injected", "limplock", pid, self._now,
-                        processor=self._processor_of(pid),
+                        processor=proc,
                         note=f"x{spec.factor:g} slowdown latched",
                     )
             fatal = next(
@@ -488,114 +517,22 @@ class Executive:
                 None,
             )
             if fatal is not None:
-                # The worker consumed the packet and will never answer
-                # (a starved worker keeps beating but stops dequeuing —
-                # to the master both look like eternal silence).
+                # The worker consumed the packet and will never answer.
+                # A crashed one also stops beating; a stalled or starved
+                # one beats on — BEAT fresh, COUNT flat.
                 self.fault_report.add(
-                    "injected", fatal.kind, pid, self._now,
-                    processor=self._processor_of(pid),
+                    "injected", fatal.kind, pid, self._now, processor=proc,
                 )
-                self._dead_pids.add(pid)
-                self._fault_recover(pid, fatal.kind, x, self._now)
+                self._silent[pid] = fatal.kind
+                if fatal.kind == "crash" and pid in self._worker_core:
+                    core, index = self._worker_core[pid]
+                    core.beat(index, self._now * 1e-6)
                 return
         spec = self.table[process.func]
-        base = self._func_cost(process.func, x)
-        cost = base + delay_us
-        factor = self._limp_factors.get(pid)
-        if factor is not None:
-            cost = base * factor + delay_us
+        cost = (self._func_cost(process.func, x)
+                * self._limp_factors.get(pid, 1.0) + delay_us)
         end = self._compute(pid, self._now, cost)
-        result = self._call(pid, spec, x)
-        if factor is not None and pid not in self._limp_flagged:
-            self._limp_flagged.add(pid)
-            self.fault_report.add(
-                "limping", "slow", pid, self._now,
-                processor=self._processor_of(pid),
-                note=f"x{factor:g} service-time stretch",
-            )
-        if not self._observe_service(pid, base, end, result):
-            self._send(pid, 0, result, end)
-
-    def _observe_service(self, pid: str, base_cost: float, end: float,
-                         result: Any) -> bool:
-        """Feed the farm's virtual HedgeClock; maybe win a virtual hedge.
-
-        When hedging is enabled and this worker's in-flight time crosses
-        the clock's adaptive threshold, a healthy farm-mate recomputes
-        the packet speculatively and delivers straight to the owner
-        (sequential functions are deterministic, so first-result-wins is
-        exact); the loser's late copy is the discarded duplicate, so the
-        caller must not send it — a True return means "already
-        delivered".  Both CPUs are charged for the race: hedging buys
-        latency with spare capacity, never for free.
-        """
-        entry = self._worker_farm.get(pid)
-        if entry is None or self._hp is None or not self._hp.enabled:
-            return False
-        farm, worker = entry
-        clock = self._hedge_clocks[farm.sid]
-        start = self._now
-        elapsed = end - start
-        threshold = clock.threshold_s()  # virtual µs (floorless clock)
-        delivered = False
-        effective = end
-        if (self._hp.hedge_enabled and farm.supervised
-                and threshold is not None and elapsed > threshold):
-            survivor = next(
-                (w for w in farm.workers
-                 if w.pid != pid and w.pid not in self._dead_pids
-                 and w.pid not in self._limp_factors),
-                None,
-            )
-            if survivor is not None:
-                issue_at = start + threshold
-                clock.issued += 1
-                self.fault_report.add(
-                    "hedge", "limplock", pid, issue_at,
-                    processor=worker.processor,
-                    note=(f"in-flight {elapsed:.0f} us > "
-                          f"{threshold:.0f} us"),
-                )
-                h_end = self._compute(
-                    survivor.pid, issue_at + self.costs.master_dispatch,
-                    base_cost,
-                )
-                if h_end < end:
-                    # The duplicate answers first, via the *survivor's*
-                    # side of the machine (the loser's own result would
-                    # queue behind its limping processor).
-                    clock.won += 1
-                    self.fault_report.add(
-                        "hedge-win", "limplock", survivor.pid, h_end,
-                        processor=survivor.processor,
-                        latency_us=h_end - start,
-                    )
-                    port = (2 + worker.index if farm.kind == "farm"
-                            else 1 + worker.index)
-                    self._schedule(
-                        h_end + self.costs.local_delivery, "arrive",
-                        farm.owner_pid, port, result, False,
-                    )
-                    clock.wasted += 1
-                    self.fault_report.add(
-                        "duplicate", "hedge-waste", pid, end,
-                        processor=worker.processor,
-                        note="late loser of the hedge race discarded",
-                    )
-                    delivered = True
-                    effective = h_end
-                else:
-                    clock.wasted += 1
-                    self.fault_report.add(
-                        "duplicate", "hedge-waste", survivor.pid, h_end,
-                        processor=survivor.processor,
-                    )
-        if pid not in self._limp_factors:
-            # Only healthy services calibrate the threshold (limped
-            # samples would inflate the percentile until hedging
-            # self-disables — mirrors the real supervisor).
-            clock.record(effective - start)
-        return delivered
+        self._send(pid, 0, _enveloped(seq, self._call(pid, spec, x)), end)
 
     def _fire_split(self, pid: str, inputs: Dict[int, Any]) -> None:
         process = self.graph[pid]
@@ -614,7 +551,7 @@ class Executive:
             )
         for i in range(degree):
             piece = pieces[i] if i < len(pieces) else _NO_PIECE
-            self._send(pid, i, piece, end)
+            self._dispatch(pid, 0, i, piece, end)
 
     def _fire_merge(self, pid: str, inputs: Dict[int, Any]) -> None:
         process = self.graph[pid]
@@ -675,7 +612,6 @@ class Executive:
         worker_index = port - 2
         farm.pending -= 1
         farm.busy[worker_index] = False
-        self._note_virtual_completion(pid)
         spec = self.table[process.func]  # the accumulator
         if process.params["farm_kind"] == "tf":
             outcome = value
@@ -722,224 +658,77 @@ class Executive:
         for i in range(degree):
             if not farm.queue:
                 break
-            if farm.busy[i] or i in farm.quarantined:
-                continue
-            if self._health_demoted(pid, i):
+            if farm.busy[i]:
                 continue
             packet = farm.queue.pop(0)
             farm.busy[i] = True
             farm.pending += 1
             end = self._compute(pid, end, self.costs.master_dispatch)
-            self._send(pid, 1 + i, packet, end)
+            self._dispatch(pid, 1, i, packet, end)
         if farm.started and farm.pending == 0 and not farm.queue:
             farm.started = False
             self._send(pid, 0, farm.acc_value, end)
 
     # -- fault model -------------------------------------------------------------
 
-    def _note_virtual_completion(self, master_pid: str) -> None:
-        """The simulator's re-map clock: one tick per farm completion.
+    def _dispatch(self, pid: str, base: int, port: int, value: Any,
+                  time: float) -> None:
+        """A farm dispatcher (master / split) addresses ``value`` to
+        worker ``port`` (its out port ``base + port``); a supervised
+        farm's core picks who really gets it."""
+        sup = self._dispatchers.get(pid)
+        if sup is None:
+            self._send(pid, base + port, value, time)
+        else:
+            self._carry_out(
+                sup, sup.core.dispatch(port, value, time * 1e-6), time)
 
-        Mirrors ``SupervisedKernel._note_completion`` + ``_apply_remap``
-        in virtual time: every settled packet advances the count of each
-        farm-mate that is currently flagged limping, and a worker whose
-        continuous streak reaches ``confirm_completions`` is migrated
-        (full dispatch exclusion) while a healthy mate exists.  Counting
-        completions rather than microseconds is what makes the decision
-        sequence identical to the wall-clock kernels'.
-        """
-        if (self._rp is None or not self._rp.enabled
-                or self._hp is None or not self._hp.enabled):
-            return
-        farm = self._master_farm.get(master_pid)
-        if farm is None:
-            return
-        for w in farm.workers:
-            if w.pid in self._remap_migrated or w.pid in self._dead_pids:
-                continue
-            if w.pid not in self._limp_flagged:
-                self._remap_counts.pop(w.pid, None)
-                continue
-            count = self._remap_counts.get(w.pid, 0) + 1
-            self._remap_counts[w.pid] = count
-            if count < self._rp.confirm_completions:
-                continue
-            active = [m for m in farm.workers
-                      if m.pid != w.pid and m.pid not in self._dead_pids
-                      and m.pid not in self._remap_migrated]
-            healthy = [m for m in active
-                       if m.pid not in self._limp_factors]
-            if len(active) < self._rp.min_active or not healthy:
-                continue
-            self._remap_counts.pop(w.pid, None)
-            self._remap_migrated.add(w.pid)
-            self.fault_report.add(
-                "remap", "limping", w.pid, self._now,
-                processor=w.processor,
-                note=f"migrated after {self._rp.confirm_completions} farm "
-                     f"completions limping",
-            )
+    def _carry_out(self, sup: _Supervised, decisions: List[Any],
+                   time: float) -> None:
+        """Do what the core decided, at virtual time ``time`` (µs)."""
+        for decision in decisions:
+            if isinstance(decision, Abandon):
+                raise RuntimeError(
+                    f"farm {sup.core.farm.sid} abandoned packet "
+                    f"#{decision.seq}: no survivors or re-dispatch budget "
+                    "exhausted"
+                )
+            if decision.why != "dispatch":
+                # A send the dispatcher did not plan costs it the same
+                # bookkeeping as one it did.
+                time = self._compute(sup.dispatcher, time,
+                                     self.costs.master_dispatch)
+            self._send(sup.dispatcher, sup.out_base + decision.worker,
+                       _Envelope(decision.seq, decision.value), time)
 
-    def _health_demoted(self, master_pid: str, index: int) -> bool:
-        """Health-weighted dispatch: keep a flagged-limping worker on a
-        1-in-``keep_stride`` packet trickle while a healthy farm-mate
-        exists (matches ``FarmHealth.keeps`` on the real kernels — the
-        trickle lets its score recover rather than freezing it)."""
-        if self._hp is None or not self._hp.enabled:
-            return False
-        farm = self._master_farm.get(master_pid)
-        if farm is None:
-            return False
-        worker = next((w for w in farm.workers if w.index == index), None)
-        if worker is None:
-            return False
-        if worker.pid in self._remap_migrated:
-            # Migrated by the re-mapper: no trickle at all while any
-            # healthy farm-mate remains (the limp factor is latched for
-            # the whole simulated run, so restoration never applies).
-            if any(w.pid not in self._limp_factors
-                   and w.pid not in self._dead_pids
-                   and w.pid not in self._remap_migrated
-                   for w in farm.workers):
-                return True
-        if worker.pid not in self._limp_flagged:
-            return False
-        if not any(w.pid not in self._limp_factors
-                   and w.pid not in self._dead_pids
-                   for w in farm.workers):
-            return False  # nobody healthy left: better limping than idle
-        offers = self._limp_offers.get(worker.pid, 0)
-        self._limp_offers[worker.pid] = offers + 1
-        return offers % self._hp.keep_stride() != 0
-
-    def _drop(self, edge_idx: int, value: Any, time: float) -> bool:
-        """Lose one planned message; arrange recovery on farm edges."""
+    def _drop(self, edge_idx: int, time: float) -> bool:
+        """Lose one planned message (the farm's core will miss it)."""
         name = f"e{edge_idx}"
         specs = self._matcher.fire(edge=name,
                                    kinds=("drop", "partial-partition"))
-        if not specs:
-            return False
-        kind = specs[0].kind
-        self.fault_report.add("injected", kind, name, time)
-        topo = self._fault_topology
-        entry = topo.dispatch_edges.get(name) or topo.work_in_edges.get(name)
-        if entry is not None and not isinstance(value, _NoPiece):
-            # A lost dispatch packet times out at the supervisor and is
-            # re-sent; the carrying worker is not quarantined (a
-            # partial partition stalls the link, not the worker).
-            farm, worker = entry
-            handler = "fault_scm" if farm.kind == "scm" else "fault_farm"
-            self._schedule(
-                time + self._fault_policy.detect_us, handler,
-                farm, worker.index, kind, value, time, True, False,
-            )
-        return True
+        if specs:
+            self.fault_report.add("injected", specs[0].kind, name, time)
+        return bool(specs)
 
-    def _fault_recover(self, pid: str, kind: str, packet: Any,
-                       inject_time: float, detected: bool = True) -> None:
-        """Schedule supervisor recovery for a worker that will not answer."""
-        topo = self._fault_topology
-        entry = next(
-            ((farm, w) for farm in topo.farms for w in farm.workers
-             if w.pid == pid),
-            None,
-        )
-        if entry is None:
-            return  # a non-farm process died: nothing supervises it
-        farm, worker = entry
-        if not farm.supervised:
-            return  # e.g. an scm whose split/merge are separated
-        delay = self._fault_policy.detect_us if detected else 0.0
-        handler = "fault_scm" if farm.kind == "scm" else "fault_farm"
-        self._schedule(
-            inject_time + delay, handler,
-            farm, worker.index, kind, packet, inject_time, detected,
-            kind in ("crash", "stall", "credit-starvation"),
-        )
+    def _next_tick(self, rescue_only: bool) -> Tuple[float, Any]:
+        """(when, which farm) of the earliest supervision scan that
+        could decide anything; ``(inf, None)`` if there is none.
 
-    def _handle_fault_farm(self, farm, index: int, kind: str, packet: Any,
-                           inject_time: float, detected: bool,
-                           quarantine: bool) -> None:
-        """df/tf recovery: re-queue the packet, retire the worker."""
-        pid = farm.owner_pid  # the master
-        state = self._farms.get(pid)
-        if state is None:
-            return
-        worker = farm.workers[index]
-        if detected:
-            self.fault_report.add(
-                "detected", kind, worker.pid, self._now,
-                processor=worker.processor,
-            )
-        if quarantine and index not in state.quarantined:
-            state.quarantined.add(index)
-            self.fault_report.add(
-                "quarantine", kind, worker.pid, self._now,
-                processor=worker.processor,
-            )
-        # The packet is no longer in flight; put it back at the head of
-        # the queue and let the master redistribute (the dead worker's
-        # busy flag stays set, so it is skipped — as on real kernels).
-        state.pending -= 1
-        state.queue.insert(0, packet)
-        if kind in ("drop", "partial-partition"):
-            # The worker is healthy — the packet was lost on the way to
-            # it — so its slot is free for the re-dispatch.
-            state.busy[index] = False
-        end = self._compute(pid, self._now, self.costs.master_dispatch)
-        self.fault_report.add(
-            "redispatch", kind, worker.pid, self._now,
-            processor=worker.processor, latency_us=end - inject_time,
-        )
-        self._master_dispatch(pid, state, end)
-
-    def _handle_fault_scm(self, farm, index: int, kind: str, piece: Any,
-                          inject_time: float, detected: bool,
-                          quarantine: bool) -> None:
-        """scm recovery: recompute the piece on a surviving worker and
-        deliver the result to the dead worker's merge port."""
-        worker = farm.workers[index]
-        quarantined = self._scm_quarantined.setdefault(farm.sid, set())
-        if detected:
-            self.fault_report.add(
-                "detected", kind, worker.pid, self._now,
-                processor=worker.processor,
-            )
-        if quarantine and index not in quarantined:
-            quarantined.add(index)
-            self.fault_report.add(
-                "quarantine", kind, worker.pid, self._now,
-                processor=worker.processor,
-            )
-        survivors = [
-            w for w in farm.workers
-            if w.index not in quarantined and w.pid not in self._dead_pids
-        ]
-        if not survivors:
-            self.fault_report.add(
-                "abandoned", "give-up", farm.sid, self._now,
-                note="no surviving scm workers",
-            )
-            return
-        survivor = survivors[index % len(survivors)]
-        process = self.graph[survivor.pid]
-        spec = self.table[process.func]
-        end = self._compute(
-            survivor.pid,
-            self._now + self.costs.master_dispatch,
-            self._func_cost(process.func, piece),
-        )
-        result = self._call(survivor.pid, spec, piece)
-        self.fault_report.add(
-            "redispatch", kind, survivor.pid, self._now,
-            processor=survivor.processor, latency_us=end - inject_time,
-            note=f"piece {index} recomputed on {survivor.pid}",
-        )
-        # Deliver to the merge port the dead worker was feeding.
-        self._schedule(
-            end + self.costs.local_delivery, "arrive",
-            farm.owner_pid, 1 + index, result, False,
-        )
+        With no message left in the machine (``rescue_only``) only a
+        farm with packets in flight is worth waking — its scan is what
+        un-wedges the run.  A verdict on a suspect or a probe of a
+        retired worker does not extend a run that is otherwise over
+        (the kernels' scans stop with their collect loops, too).
+        """
+        best: Tuple[float, Any] = (math.inf, None)
+        now = self._now * 1e-6
+        for sup in self._sups:
+            if rescue_only and not sup.core.inflight:
+                continue
+            wake = sup.core.next_wake(now)
+            if wake is not None and wake < best[0]:
+                best = (wake, sup)
+        return best
 
     # -- iteration control ------------------------------------------------------
 
@@ -1004,23 +793,31 @@ class Executive:
     def _drain(self) -> float:
         """Run events until the queue empties; returns the completion horizon
         (latest CPU, link or delivery completion time)."""
-        while self._events:
-            time, _seq, (handler, args) = heapq.heappop(self._events)
-            self._now = time
-            if handler == "arrive":
-                self._handle_arrive(*args)
-            elif handler == "fault_farm":
-                self._handle_fault_farm(*args)
-            elif handler == "fault_scm":
-                self._handle_fault_scm(*args)
-            else:
-                raise RuntimeError(f"unknown event {handler!r}")
-        return self._horizon
+        events = self._events
+        while True:
+            if self._sups:
+                wake, sup = self._next_tick(rescue_only=not events)
+                if wake * 1e6 < (events[0][0] if events else math.inf):
+                    # A supervision scan is due before the next message:
+                    # the core is told the instant it asked for, to the
+                    # digit.
+                    self._now = wake * 1e6
+                    self._carry_out(sup, sup.core.tick(wake), self._now)
+                    continue
+            if not events:
+                return self._horizon
+            self._now, _seq, args = heapq.heappop(events)
+            self._handle_arrive(*args)
 
     def _finish_faults(self):
         """Sort the fault report and annotate the trace, if any."""
         if self.fault_report is None:
             return None
+        for sup in self._sups:
+            # The run is over: as on the kernels, the dispatcher's Stops
+            # make the core pass its pending verdicts on silence so far.
+            for worker in sup.core.farm.workers:
+                sup.core.stop(worker.index, self._horizon * 1e-6)
         self.fault_report.sorted()
         if self.trace is not None:
             self.fault_report.annotate_trace(self.trace)

@@ -159,14 +159,15 @@ class ClusterHarness:
             self._spawn_worker()
 
     def scale_to(self, n: int) -> int:
-        """Grow the pool to ``n`` workers (elastic scale-up; up-only).
+        """Grow the pool to ``n`` workers (up-only).
 
         Spawns the extra subprocesses immediately (when the harness owns
         its workers) and extends the respawn budget proportionally, so a
         scaled-up cluster self-heals at its new size.  Shrinking is
-        deliberately unsupported — see
-        :class:`repro.sched.elastic.ElasticController` — so a target at
-        or below the current size is a no-op.  Returns the (new) size.
+        deliberately unsupported — tearing workers down mid-stream would
+        re-create the latency spike the extra capacity absorbs — so a
+        target at or below the current size is a no-op.  Returns the
+        (new) size.
         """
         with self._cond:
             if self._closing:

@@ -111,10 +111,6 @@ class NetHealthBoard:
     def last(self, slot: int) -> float:
         return self._slots[slot]
 
-    def stale(self, slot: int, now: float, timeout: float) -> bool:
-        last = self._slots[slot]
-        return last > 0.0 and (now - last) > timeout
-
     def apply(self, body: memoryview) -> None:
         slot, age = _SLOT_AGE.unpack(body)
         if 0 <= slot < len(self._slots):

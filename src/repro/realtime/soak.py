@@ -284,7 +284,7 @@ def run_soak(
         max_in_flight=max_in_flight, frame_period_ms=frame_period_ms,
     )
     fault_policy = FaultPolicy(
-        packet_timeout_s=0.3, heartbeat_timeout_s=0.15, poll_s=0.002,
+        packet_timeout_s=0.3, heartbeat_timeout_s=0.15,
         probe_after_s=0.2, health=health, remap=remap,
     )
     report = get_backend(backend).run(

@@ -5,10 +5,8 @@ interface with registered policies (``round-robin`` baseline, ``aaa``
 greedy, ``bicriteria`` Pareto search) routing *both* placement halves —
 processes onto processors, mapped processors onto tcp workers — plus
 the online side: a count-based :class:`RemapPolicy` migrating work off
-degraded workers mid-stream (see
-:class:`~repro.faults.supervisor.SupervisedKernel`) and an
-:class:`ElasticController` growing the worker pool under sustained
-overload.
+degraded workers mid-stream (decided by
+:class:`~repro.faults.farm.FarmSupervisor`).
 
 Static criteria and the calibrated cost model live in
 :mod:`repro.sched.costmodel`; the Pareto search in
@@ -22,7 +20,6 @@ from .costmodel import (
     processor_loads,
     speeds_from_report,
 )
-from .elastic import ElasticController, ElasticDecision, ElasticPolicy
 from .mapper import Candidate, bicriteria_map, bicriteria_search, pareto_front
 from .registry import (
     DEFAULT_SCHEDULER,
@@ -40,9 +37,6 @@ __all__ = [
     "predict",
     "processor_loads",
     "speeds_from_report",
-    "ElasticController",
-    "ElasticDecision",
-    "ElasticPolicy",
     "Candidate",
     "bicriteria_map",
     "bicriteria_search",

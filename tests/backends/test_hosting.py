@@ -24,7 +24,7 @@ from repro.realtime import LatencyBudget
 from repro.realtime.soak import frame_value, make_soak
 
 POLICY = FaultPolicy(
-    packet_timeout_s=0.3, heartbeat_timeout_s=0.15, poll_s=0.002,
+    packet_timeout_s=0.3, heartbeat_timeout_s=0.15,
 )
 
 HOSTED = ["threads", "processes", "tcp"]

@@ -33,7 +33,7 @@ CORPUS = load_corpus(os.path.join(
     os.path.dirname(os.path.dirname(__file__)), "conformance", "corpus"))
 
 POLICY = FaultPolicy(
-    packet_timeout_s=0.3, heartbeat_timeout_s=0.15, poll_s=0.002,
+    packet_timeout_s=0.3, heartbeat_timeout_s=0.15,
 )
 
 

@@ -353,7 +353,7 @@ def test_every_size_equals_sequential_emulation(
 # -- (d) supervised farms keep grain 1 ----------------------------------------
 
 POLICY = FaultPolicy(
-    packet_timeout_s=0.3, heartbeat_timeout_s=0.15, poll_s=0.002,
+    packet_timeout_s=0.3, heartbeat_timeout_s=0.15,
 )
 
 

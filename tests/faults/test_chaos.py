@@ -24,7 +24,6 @@ from repro.machine import FAST_TEST
 POLICY = FaultPolicy(
     packet_timeout_s=0.3,
     heartbeat_timeout_s=0.15,
-    poll_s=0.002,
 )
 
 REAL_BACKENDS = ["threads", "processes"]

@@ -1,9 +1,11 @@
 """Fault injection on the discrete-event simulator.
 
-The simulator charges fault costs in *virtual* time: detection latency
-is the policy's ``detect_us`` and re-dispatch shows up as extra
-makespan, while the recovered outputs stay bit-identical to the
-fault-free sequential emulation.
+The simulator makes the planned fault happen and drives the kernels' own
+policy core (:class:`repro.faults.farm.FarmSupervisor`) in *virtual*
+seconds: detection fires when the same ``FaultPolicy`` deadlines expire
+on the simulated clock, re-dispatch shows up as extra makespan, and the
+recovered outputs stay bit-identical to the fault-free sequential
+emulation.
 """
 
 import pytest
@@ -12,6 +14,7 @@ from repro.backends import get_backend
 from repro.faults import FaultPlan, FaultPolicy, FaultSpec
 from repro.faults.demo import RECIPES, make_demo
 from repro.faults.topology import FaultTopology
+from repro.health import HealthPolicy
 from repro.machine import FAST_TEST
 
 
@@ -45,17 +48,29 @@ class TestCrashRecovery:
         assert f"{skeleton}0.worker1" in faults.quarantined[0]
 
     def test_detection_latency_is_virtual(self):
-        policy = FaultPolicy(detect_us=800.0)
+        # Timeouts on the scale of the cost model (a FAST_TEST packet is
+        # ~50 us), in virtual seconds; no hedge, so the packet waits for
+        # the verdict.  A crashed worker's last beat is its death, so it
+        # is convicted once its packet is overdue *and* the beat stale.
+        policy = FaultPolicy(
+            packet_timeout_s=0.002, heartbeat_timeout_s=0.001,
+            health=HealthPolicy(hedge_enabled=False),
+        )
         plan = FaultPlan([FaultSpec(
             kind="crash", process="df0.worker1", occurrence=0,
         )])
         report = run_simulated("df", plan, policy)
-        latencies = report.faults.recovery_latencies()
-        assert latencies
-        # Recovery happens at detection plus the master's dispatch cost,
-        # so the virtual latency is at least detect_us and the same
-        # order of magnitude.
-        assert all(800.0 <= lat < 8000.0 for lat in latencies)
+        faults = report.faults
+        (injected,), (detected,) = faults.injected, faults.detected
+        assert detected.kind == "crash"
+        # The packet was sent at t~0 and swallowed 20 us later: the
+        # verdict falls at least the deadline after the send, and in the
+        # same order of magnitude.
+        assert injected.time_us < 100.0
+        assert 2000.0 <= detected.time_us < 20000.0
+        assert report.makespan > 2000.0
+        (latency,) = faults.recovery_latencies()
+        assert 0.0 < latency < 2000.0  # re-dispatch -> answer: one packet
 
     def test_processor_keyed_crash(self):
         _prog, _table, _args, mapping = make_demo("df")
@@ -107,8 +122,10 @@ class TestDrop:
         faults = report.faults
         assert len(faults.injected) == 1
         assert faults.redispatches == 1
-        # The worker is healthy; only the message was lost.
-        assert faults.quarantined == []
+        # Supervision sees silence, not its cause: as on the real
+        # kernels the addressee of the lost packet is retired on a
+        # *stall* verdict (probation would re-admit it in a longer run).
+        assert [r.kind for r in faults.detected] == ["stall"]
 
 
 class TestGrayFailureKinds:
@@ -118,7 +135,10 @@ class TestGrayFailureKinds:
             kind="limplock", process="df0.worker1", occurrence=0,
             factor=5.0,
         )])
-        limped = run_simulated("df", plan)
+        # Ten packets over three workers: the limping one completes too
+        # few for the default three-sample guard to trust its score.
+        limped = run_simulated("df", plan, FaultPolicy(
+            health=HealthPolicy(min_samples=2)))
         assert limped.one_shot_results == clean.one_shot_results
         # The latch persists: every firing after the occurrence is 5x,
         # so the virtual makespan stretches well past one delay's worth.
@@ -144,8 +164,9 @@ class TestGrayFailureKinds:
         assert len(faults.injected) >= 1
         assert faults.injected[0].kind == "partial-partition"
         assert faults.redispatches >= 1
-        # One direction of a link stalled; the worker itself is healthy.
-        assert faults.quarantined == []
+        # One direction of a link stalled: to the supervisor that is a
+        # silent worker, never a dead one.
+        assert {r.kind for r in faults.detected} == {"stall"}
 
     def test_credit_starvation_quarantines_the_consumer(self):
         plan = FaultPlan([FaultSpec(

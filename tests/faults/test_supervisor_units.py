@@ -1,61 +1,89 @@
 """Unit tests for the supervision plumbing: health board, farm topology
 extraction, fault reports, the policy's deadline schedule, the circuit
-breaker, and the bounded re-dispatch flush."""
+breaker, the cold-start and suspect rules (on the clock-free policy
+core, with explicit instants), and the kernel's bounded re-dispatch
+flush."""
 
-import time
+import pytest
 
 from repro.codegen.kernel import Kernel
 from repro.faults import FaultPolicy, FaultReport
 from repro.faults.demo import make_demo
+from repro.faults.farm import FarmSupervisor, ReleaseStop, Send
 from repro.faults.supervisor import (
     HealthBoard,
     Packet,
     Result,
     SupervisedKernel,
-    _InFlight,
-    _Suspect,
 )
 from repro.faults.topology import FaultTopology
+from repro.health import HealthPolicy
 from repro.machine.trace import Trace
 from repro.syndex.distribute import Mapping
 
+#: An arbitrary instant, on nobody's clock.
+T0 = 1000.0
+
+
+def make_core(**policy_kwargs):
+    """The policy core of the df demo farm (three workers)."""
+    _prog, _table, _args, mapping = make_demo("df")
+    (farm,) = FaultTopology.from_mapping(mapping).farms
+    return FarmSupervisor(farm, FaultPolicy(**policy_kwargs), FaultReport())
+
 
 def make_supervised(**policy_kwargs):
-    """A SupervisedKernel over the df demo farm, no threads started."""
+    """A SupervisedKernel hosting the df demo farm, no threads started."""
     _prog, _table, _args, mapping = make_demo("df")
     topo = FaultTopology.from_mapping(mapping)
     kernel = SupervisedKernel(
         Kernel(), topo, policy=FaultPolicy(**policy_kwargs)
     )
-    return kernel, kernel._states["df0"]
+    return kernel, kernel._hosted["df0"]
+
+
+def takes_for_dead(beats, now, timeout):
+    """Does the policy core, told of worker 0's ``beats``, take it for
+    dead at ``now``?  Its packet is overdue since for ever and the stall
+    deadline out of reach, so it is convicted — ``crash`` — exactly when
+    its heartbeat is stale."""
+    core = make_core(packet_timeout_s=1e-9, stall_factor=1e18,
+                     heartbeat_timeout_s=timeout,
+                     health=HealthPolicy(enabled=False))
+    for at in beats:
+        core.beat(0, at)
+    core.dispatch(0, "held", now - 1.0)
+    core.tick(now)
+    return [r.kind for r in core.report.detected] == ["crash"]
 
 
 class TestHealthBoard:
+    """The board's stamps, as the policy core reads them."""
+
     def test_fresh_after_beat(self):
         board = HealthBoard.local(2)
         board.beat(0)
         now = board.last(0)
-        assert not board.stale(0, now + 0.01, timeout=0.1)
+        assert not takes_for_dead([now], now + 0.01, timeout=0.1)
 
     def test_stale_after_timeout(self):
         board = HealthBoard.local(1)
         board.beat(0)
-        assert board.stale(0, board.last(0) + 1.0, timeout=0.1)
+        last = board.last(0)
+        assert takes_for_dead([last], last + 1.0, timeout=0.1)
 
     def test_never_beaten_slot_is_fresh_until_first_deadline(self):
-        # Slots start at "now" conceptually: last() is 0.0, so staleness
-        # is measured from the epoch and the supervisor only consults it
-        # once a packet is overdue.
+        # A slot nobody has written reads 0.0 — "not started yet" — and
+        # the kernel reports no beat for it.
         board = HealthBoard.local(1)
         assert board.last(0) == 0.0
 
     def test_never_beaten_slot_is_never_stale(self):
         # A worker that never started cannot have died: even an
-        # arbitrarily late "now" must not flag the untouched slot (the
+        # arbitrarily late "now" must not convict it of a crash (the
         # stall path covers workers that never start).
-        board = HealthBoard.local(2)
-        for now in (0.0, 1.0, 1e9):
-            assert not board.stale(0, now, timeout=0.1)
+        for now in (2.0, 1e9):
+            assert not takes_for_dead([], now, timeout=0.1)
 
     def test_future_timestamp_is_not_stale(self):
         # Clock skew: a heartbeat stamped *after* the supervisor's "now"
@@ -64,7 +92,8 @@ class TestHealthBoard:
         # read as fresh, not wrap into a huge staleness.
         board = HealthBoard.local(1)
         board.beat(0)
-        assert not board.stale(0, board.last(0) - 5.0, timeout=0.1)
+        last = board.last(0)
+        assert not takes_for_dead([last], last - 5.0, timeout=0.1)
 
 
 class TestEnvelopes:
@@ -213,149 +242,191 @@ class TestFaultPolicy:
 
 
 class TestCircuitBreaker:
+    """Quarantine, probation and re-admission."""
+
+    def convict(self, core, index, at=T0):
+        """Worker ``index`` sits on a packet, its beat long stale, until
+        the scan at ``at`` convicts it; returns the packet's seq."""
+        core.beat(index, at - 100.0)
+        (sent,) = core.dispatch(index, f"lost{index}", at - 50.0)
+        core.tick(at)
+        assert index in core.quarantined
+        return sent.seq
+
+    def probes(self, core):
+        return [r for r in core.report.records if r.category == "probe"]
+
     def test_quarantine_creates_breaker(self):
-        kernel, state = make_supervised(probe_after_s=10.0)
-        worker = state.farm.workers[1]
-        kernel._quarantine(state, worker, "crash", seq=0)
-        assert worker.index in state.quarantined
-        breaker = state.breakers[worker.index]
+        core = make_core(probe_after_s=10.0)
+        self.convict(core, 1)
+        breaker = core.breakers[1]
         assert breaker.probes == 0
-        assert breaker.next_probe_at > time.monotonic()
-        categories = [r.category for r in kernel.fault_report.records]
+        assert breaker.next_probe_at == T0 + 10.0
+        categories = [r.category for r in core.report.records]
         assert "quarantine" in categories
 
     def test_quarantine_is_idempotent(self):
-        kernel, state = make_supervised()
-        worker = state.farm.workers[0]
-        kernel._quarantine(state, worker, "crash", seq=0)
-        breaker = state.breakers[worker.index]
-        kernel._quarantine(state, worker, "stall", seq=1)
-        assert state.breakers[worker.index] is breaker  # not reset
-        quarantines = [r for r in kernel.fault_report.records
+        core = make_core()
+        core.beat(0, T0 - 100.0)
+        core.dispatch(0, "first", T0 - 50.0)
+        core.dispatch(0, "second", T0 - 49.9)
+        core.tick(T0 - 49.45)  # only the first is overdue yet
+        breaker = core.breakers[0]
+        core.tick(T0 - 49.3)  # the second conviction of the same worker
+        assert core.breakers[0] is breaker  # not reset
+        assert len(core.report.detected) == 2
+        quarantines = [r for r in core.report.records
                        if r.category == "quarantine"]
         assert len(quarantines) == 1
 
     def test_probe_duplicates_oldest_inflight_packet(self):
-        kernel, state = make_supervised(probe_after_s=0.5)
-        worker = state.farm.workers[2]
-        kernel._quarantine(state, worker, "crash", seq=0)
-        state.breakers[worker.index].next_probe_at = 0.0  # due now
-        now = time.monotonic()
-        state.inflight[7] = _InFlight(7, "payload", 0, 0, now)
-        state.inflight[9] = _InFlight(9, "later", 1, 1, now)
-        with state.lock:
-            kernel._probe_quarantined(state, now)
-        (entry,) = state.pending_sends
-        edge, envelope, attempts = entry
-        assert edge == worker.dispatch_edge
-        assert isinstance(envelope, Packet)
-        assert (envelope.seq, envelope.value) == (7, "payload")
-        breaker = state.breakers[worker.index]
+        core = make_core(probe_after_s=0.5)
+        lost = self.convict(core, 2)  # re-dispatched: still in flight
+        (later,) = core.dispatch(0, "later", T0 + 0.1)
+        assert later.seq > lost
+        assert core.next_wake(T0 + 0.1) == pytest.approx(T0 + 0.5)
+        (probe,) = core.tick(T0 + 0.6)
+        assert probe == Send(2, lost, "lost2", "probe")
+        breaker = core.breakers[2]
         assert breaker.probes == 1
-        assert breaker.next_probe_at > now
-        probes = [r for r in kernel.fault_report.records
-                  if r.category == "probe"]
-        assert len(probes) == 1 and probes[0].seq == 7
+        assert breaker.next_probe_at > T0 + 0.6
+        (record,) = self.probes(core)
+        assert record.seq == lost
 
     def test_probe_waits_for_its_deadline(self):
-        kernel, state = make_supervised(probe_after_s=1000.0)
-        worker = state.farm.workers[0]
-        kernel._quarantine(state, worker, "crash", seq=0)
-        state.inflight[0] = _InFlight(0, "x", 0, 1, time.monotonic())
-        with state.lock:
-            kernel._probe_quarantined(state, time.monotonic())
-        assert state.pending_sends == []
-        assert state.breakers[worker.index].probes == 0
+        core = make_core(probe_after_s=1000.0)
+        self.convict(core, 0)
+        assert core.tick(T0 + 1.0) == []
+        assert core.breakers[0].probes == 0
 
     def test_max_probes_retires_the_worker(self):
-        kernel, state = make_supervised(probe_after_s=0.0, max_probes=2)
-        worker = state.farm.workers[0]
-        kernel._quarantine(state, worker, "crash", seq=0)
-        state.inflight[0] = _InFlight(0, "x", 0, 1, time.monotonic())
-        breaker = state.breakers[worker.index]
-        for _ in range(5):
-            breaker.next_probe_at = 0.0
-            with state.lock:
-                kernel._probe_quarantined(state, time.monotonic())
-        assert breaker.probes == 2  # stopped at max_probes
-        assert len(state.pending_sends) == 2
+        core = make_core(probe_after_s=0.0, max_probes=2)
+        self.convict(core, 0)
+        sent = []
+        for step in range(1, 6):
+            sent += core.tick(T0 + step * 1e-3)
+        assert core.breakers[0].probes == 2  # stopped at max_probes
+        assert [d.why for d in sent] == ["probe", "probe"]
 
     def test_no_probe_without_live_work(self):
         # Probes duplicate real in-flight packets; with nothing in
         # flight (or during teardown) there is nothing safe to send.
-        kernel, state = make_supervised(probe_after_s=0.0)
-        worker = state.farm.workers[0]
-        kernel._quarantine(state, worker, "crash", seq=0)
-        state.breakers[worker.index].next_probe_at = 0.0
-        with state.lock:
-            kernel._probe_quarantined(state, time.monotonic())
-        assert state.pending_sends == []
+        core = make_core(probe_after_s=0.0)
+        seq = self.convict(core, 0)
+        survivor = core.inflight[seq].assigned
+        assert core.result(survivor, seq, T0 + 0.001) == 0
+        assert core.tick(T0 + 1.0) == []
+        assert self.probes(core) == []
 
     def test_readmit_clears_quarantine_and_breaker(self):
-        kernel, state = make_supervised()
-        worker = state.farm.workers[1]
-        kernel._quarantine(state, worker, "crash", seq=0)
-        kernel._readmit(state, worker)
-        assert worker.index not in state.quarantined
-        assert worker.index not in state.breakers
-        categories = [r.category for r in kernel.fault_report.records]
+        core = make_core()
+        seq = self.convict(core, 1)
+        # The "dead" worker answers after all: a stale original.
+        assert core.result(1, seq, T0 + 0.001) == 1
+        assert 1 not in core.quarantined
+        assert 1 not in core.breakers
+        categories = [r.category for r in core.report.records]
         assert "readmit" in categories
 
     def test_readmit_of_healthy_worker_is_a_no_op(self):
-        kernel, state = make_supervised()
-        kernel._readmit(state, state.farm.workers[0])
-        assert kernel.fault_report.records == []
+        core = make_core()
+        (sent,) = core.dispatch(0, "v", T0)
+        assert core.result(0, sent.seq, T0 + 0.001) == 0
+        assert core.report.records == []
+
+
+#: Hedging that engages after two completions, 3 x their 2 ms = 6 ms.
+SNAPPY_HEDGE = dict(health=HealthPolicy(hedge_min_samples=2,
+                                        hedge_floor_s=0.001))
+
+
+def warm_up(core, workers=(1, 2)):
+    """``workers`` come up at T0 and answer one packet each in 2 ms."""
+    for index in workers:
+        core.beat(index, T0)
+        (sent,) = core.dispatch(index, "warm", T0)
+        core.result(index, sent.seq, T0 + 0.002)
+    assert core.hedge.threshold_s() == pytest.approx(0.006)
 
 
 class TestStuckRuleColdStart:
     """The BEAT-fresh/COUNT-flat clock starts at the worker's first
     observed beat, never at dispatch: a worker whose OS process is
-    still starting is not stuck."""
+    still starting is not stuck — nor overdue, nor a suspect."""
 
     STUCK_AFTER_S = 0.25  # HealthPolicy default
 
-    def stuck_records(self, kernel):
-        return [r for r in kernel.fault_report.records
+    def stuck_records(self, core):
+        return [r for r in core.report.records
                 if r.category == "limping" and r.kind == "stuck"]
 
-    def flag(self, kernel, state, rec, now):
-        worker = state.farm.workers[rec.assigned]
-        with state.lock:
-            kernel._maybe_flag_stuck(state, rec, worker, now)
+    def make(self):
+        return make_core(heartbeat_timeout_s=1e6, packet_timeout_s=1e6)
 
     def test_worker_that_never_beat_is_not_stuck(self):
-        kernel, state = make_supervised(heartbeat_timeout_s=1e6)
-        now = time.monotonic()
-        rec = _InFlight(0, "payload", 0, 0, now - 100 * self.STUCK_AFTER_S)
-        self.flag(kernel, state, rec, now)
-        assert self.stuck_records(kernel) == []
+        core = self.make()
+        core.dispatch(0, "payload", T0 - 100 * self.STUCK_AFTER_S)
+        core.tick(T0)
+        assert self.stuck_records(core) == []
 
     def test_clock_starts_at_first_beat_not_dispatch(self):
-        kernel, state = make_supervised(heartbeat_timeout_s=1e6)
-        worker = state.farm.workers[0]
-        now = time.monotonic()
+        core = self.make()
         # Dispatched long ago; the worker only just came up.
-        rec = _InFlight(0, "payload", 0, 0, now - 100 * self.STUCK_AFTER_S)
-        kernel._board.beat(worker.slot)
-        up_at = kernel._board.last(worker.slot)
-        self.flag(kernel, state, rec, up_at + 0.5 * self.STUCK_AFTER_S)
-        assert self.stuck_records(kernel) == []
+        core.dispatch(0, "payload", T0 - 100 * self.STUCK_AFTER_S)
+        up_at = T0
+        core.beat(0, up_at)
+        assert core.next_wake(up_at) == pytest.approx(
+            up_at + self.STUCK_AFTER_S)
+        core.tick(up_at + 0.5 * self.STUCK_AFTER_S)
+        assert self.stuck_records(core) == []
         # Later beats do not move the origin.
-        kernel._board.beat(worker.slot)
-        self.flag(kernel, state, rec, up_at + 1.5 * self.STUCK_AFTER_S)
-        (record,) = self.stuck_records(kernel)
-        assert record.target == worker.pid
+        core.beat(0, up_at + 1.4 * self.STUCK_AFTER_S)
+        core.tick(up_at + 1.5 * self.STUCK_AFTER_S)
+        (record,) = self.stuck_records(core)
+        assert record.target == core.farm.workers[0].pid
 
     def test_warm_worker_is_timed_from_dispatch(self):
-        kernel, state = make_supervised(heartbeat_timeout_s=1e6)
-        worker = state.farm.workers[1]
-        kernel._board.beat(worker.slot)
-        sent_at = kernel._board.last(worker.slot) + 10.0
-        rec = _InFlight(3, "payload", 1, 1, sent_at)
-        self.flag(kernel, state, rec, sent_at + 0.5 * self.STUCK_AFTER_S)
-        assert self.stuck_records(kernel) == []
-        self.flag(kernel, state, rec, sent_at + 1.5 * self.STUCK_AFTER_S)
-        assert len(self.stuck_records(kernel)) == 1
+        core = self.make()
+        core.beat(1, T0)
+        sent_at = T0 + 10.0
+        core.dispatch(1, "payload", sent_at)
+        core.tick(sent_at + 0.5 * self.STUCK_AFTER_S)
+        assert self.stuck_records(core) == []
+        core.tick(sent_at + 1.5 * self.STUCK_AFTER_S)
+        assert len(self.stuck_records(core)) == 1
+
+    def test_cold_worker_is_not_hedged_away(self):
+        """The false conviction under ``spawn``: the hedge rule used to
+        time a packet from its dispatch, so a worker still importing
+        the world was overdue, lost the race, became a suspect and was
+        quarantined ``stall`` at Stop — its planned crash never fired."""
+        core = make_core(**SNAPPY_HEDGE)
+        warm_up(core)
+        (cold,) = core.dispatch(0, "cold", T0)
+        # Far past the threshold, but worker 0 has not produced a beat:
+        # nothing to hedge, and only the stall deadline is armed.
+        assert core.tick(T0 + 0.1) == []
+        policy = core.policy
+        assert core.next_wake(T0 + 0.1) == pytest.approx(
+            T0 + policy.packet_timeout_s * policy.stall_factor)
+        # It comes up: the hedge clock starts now, not at dispatch.
+        core.beat(0, T0 + 0.1)
+        assert core.tick(T0 + 0.105) == []
+        assert core.tick(T0 + 0.107) == [
+            Send(1, cold.seq, "cold", "hedge")]
+
+    def test_worker_that_never_beat_is_no_suspect(self):
+        # However a duplicate came to win against a worker nobody has
+        # seen alive, Stop has nothing to convict it of.
+        core = make_core(**SNAPPY_HEDGE)
+        (cold,) = core.dispatch(0, "cold", T0)
+        rec = core.inflight[cold.seq]
+        rec.hedges, rec.sends[1] = 1, T0 + 0.01
+        assert core.result(1, cold.seq, T0 + 0.02) == 0
+        assert core.report.hedge_wins == 1
+        assert core.suspects == {}
+        assert core.stop(0, T0 + 0.03) == [ReleaseStop(0)]
+        assert core.report.detected == []
 
 
 class TestSuspectsGetNoNewWork:
@@ -364,46 +435,40 @@ class TestSuspectsGetNoNewWork:
     dead, packets would pile up unread in its queue and the master's
     blocking send would park the only thread that can convict it."""
 
-    def dispatch(self, kernel, state, worker, value):
-        kernel.send_(worker.dispatch_edge, value)
-        (rec,) = [r for r in state.inflight.values() if r.value == value]
-        return rec
-
-    def queued(self, kernel, worker):
-        return kernel._base.channel(worker.dispatch_edge).qsize()
+    def make(self):
+        """Worker 0 sits on a packet; a peer wins the hedge race."""
+        core = make_core(**SNAPPY_HEDGE)
+        core.beat(0, T0)
+        warm_up(core)
+        (lost,) = core.dispatch(0, "lost", T0)
+        (hedge,) = core.tick(T0 + 0.01)
+        assert hedge.why == "hedge" and hedge.worker != 0
+        assert core.result(hedge.worker, lost.seq, T0 + 0.012) == 0
+        assert 0 in core.suspects
+        return core, lost.seq
 
     def test_packet_for_a_suspect_goes_to_a_peer(self):
-        kernel, state = make_supervised()
-        silent, peer = state.farm.workers[0], state.farm.workers[1]
-        state.suspects[silent.index] = _Suspect(
-            7, time.monotonic(), 100.0, peer)
+        core, _ = self.make()
         for i in range(8):  # more than its queue would hold
-            rec = self.dispatch(kernel, state, silent, f"v{i}")
-            assert rec.origin_slot == silent.index  # the master's port
-            assert rec.assigned != silent.index
-        assert self.queued(kernel, silent) == 0
+            (sent,) = core.dispatch(0, f"v{i}", T0 + 0.02)
+            assert sent.worker != 0 and sent.why == "dispatch"
+            assert core.inflight[sent.seq].origin_slot == 0  # its port
 
     def test_answering_clears_the_detour(self):
-        kernel, state = make_supervised()
-        silent, peer = state.farm.workers[0], state.farm.workers[1]
-        state.suspects[silent.index] = _Suspect(
-            7, time.monotonic(), 100.0, peer)
-        rec = self.dispatch(kernel, state, silent, "rescued")
-        kernel._accept(state, Result(rec.seq, "r"), silent)  # it spoke
-        assert silent.index not in state.suspects
-        rec = self.dispatch(kernel, state, silent, "next")
-        assert rec.assigned == silent.index
-        assert self.queued(kernel, silent) == 1
+        core, lost = self.make()
+        (rescued,) = core.dispatch(0, "rescued", T0 + 0.02)
+        assert rescued.worker != 0
+        # It speaks — the late loser of the race, a duplicate, but proof.
+        assert core.result(0, lost, T0 + 0.03) is None
+        assert 0 not in core.suspects
+        (sent,) = core.dispatch(0, "next", T0 + 0.04)
+        assert sent.worker == 0
 
     def test_a_lone_suspect_still_gets_the_packet(self):
-        kernel, state = make_supervised()
-        silent = state.farm.workers[0]
-        for other in state.farm.workers[1:]:
-            state.quarantined.add(other.index)
-        state.suspects[silent.index] = _Suspect(
-            7, time.monotonic(), 100.0, silent)
-        rec = self.dispatch(kernel, state, silent, "no peer left")
-        assert rec.assigned == silent.index
+        core, _ = self.make()
+        core.quarantined.update({1, 2})
+        (sent,) = core.dispatch(0, "no peer left", T0 + 0.02)
+        assert sent.worker == 0
 
 
 class TestFlushSendsOverflow:

@@ -1,10 +1,11 @@
-"""The limplock chaos proof, reproduced in virtual time.
+"""The limplock chaos proof, in virtual time.
 
-The discrete-event simulator models the same defense — persistent
-service-time stretch, health-demoted dispatch, virtual hedged
-re-dispatch with first-result-wins delivery — so the qualitative
-verdict of the real-backend chaos proof must reproduce deterministically
-in virtual microseconds: defended per-iteration p99 within 3x the
+The discrete-event simulator stretches the limping worker's service
+time and lets the kernels' own policy core
+(:class:`repro.faults.farm.FarmSupervisor`) defend the farm — scoring,
+health-demoted dispatch, hedged re-dispatch with first-result-wins — so
+the verdict of the real-backend chaos proof is checked here, on the
+same code, deterministically: defended per-iteration p99 within 3x the
 no-fault baseline, undefended beyond it, outputs bit-identical to the
 defense-free run in every arm.
 """
@@ -58,6 +59,11 @@ def make_stream_farm():
 LIMP_PLAN = [dict(kind="limplock", process="df0.worker3", occurrence=0,
                   factor=10.0)]
 
+#: The defense on the scale of the cost model, in virtual seconds: a
+#: packet is 1 ms, so hedging may engage far below the wall-clock noise
+#: floor the default guards against.
+DEFENSE = dict(hedge_floor_s=0.0005)
+
 #: Iterations excluded from the percentile: the hedge clock needs its
 #: sample floor and the detector ``min_samples`` completions before the
 #: defense can engage, so the first frames ride at limped latency by
@@ -84,7 +90,9 @@ class TestVirtualLimplock:
         plan = FaultPlan([FaultSpec(**LIMP_PLAN[0])])
 
         baseline = run(counter, mapping, table)
-        defended = run(counter, mapping, table, fault_plan=plan)
+        defended = run(
+            counter, mapping, table, fault_plan=plan,
+            fault_policy=FaultPolicy(health=HealthPolicy(**DEFENSE)))
         undefended = run(
             counter, mapping, table, fault_plan=plan,
             fault_policy=FaultPolicy(health=HealthPolicy(enabled=False)),
@@ -117,12 +125,15 @@ class TestVirtualLimplock:
         # real chaos runs.
         mapping, table, counter = make_stream_farm()
         plan = FaultPlan([FaultSpec(**LIMP_PLAN[0])])
-        first = run(counter, mapping, table, fault_plan=plan)
-        second = run(counter, mapping, table, fault_plan=plan)
+        policy = FaultPolicy(health=HealthPolicy(**DEFENSE))
+        first = run(counter, mapping, table, fault_plan=plan,
+                    fault_policy=policy)
+        second = run(counter, mapping, table, fault_plan=plan,
+                     fault_policy=policy)
         assert ([r.latency for r in first.iterations]
                 == [r.latency for r in second.iterations])
         assert first.makespan == second.makespan
-        assert first.faults.hedges == second.faults.hedges
+        assert first.faults.hedges == second.faults.hedges > 0
 
     def test_no_hedge_policy_disables_hedging_only(self):
         mapping, table, counter = make_stream_farm()
@@ -130,7 +141,7 @@ class TestVirtualLimplock:
         report = run(
             counter, mapping, table, fault_plan=plan,
             fault_policy=FaultPolicy(
-                health=HealthPolicy(hedge_enabled=False)),
+                health=HealthPolicy(hedge_enabled=False, **DEFENSE)),
         )
         assert report.faults.hedges == 0
         # Scoring and demotion stay on: the worker is still flagged.

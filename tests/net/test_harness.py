@@ -169,3 +169,14 @@ class TestSpawnedWorkersPinThemselves:
         # Spawn ordinal i -> cpus[i % len(cpus)]: the processes
         # backend's rule, wrapping when workers outnumber CPUs.
         assert masks == [{cpus[i % len(cpus)]} for i in range(3)]
+
+
+class TestScaleTo:
+    def test_scale_to_grows_a_live_pool(self):
+        harness = ClusterHarness(size=2, spawn=False)
+        try:
+            assert harness.scale_to(4) == 4
+            assert harness.scale_to(3) == 4  # up-only: shrink is a no-op
+            assert harness.size == 4
+        finally:
+            harness.shutdown()

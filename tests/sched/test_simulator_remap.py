@@ -1,9 +1,10 @@
-"""Online re-mapping, reproduced deterministically in virtual time.
+"""Online re-mapping, deterministically in virtual time.
 
-The simulator models the count-based re-map protocol — confirm a
-limping verdict over N farm completions, then exclude the processor
-from dispatch entirely — so the chaos proof's re-mapping arm must
-reproduce in virtual microseconds: the migrated arm beats the
+The simulator drives the kernels' own policy core, so the count-based
+re-map protocol — confirm a limping verdict over N farm completions,
+then exclude the processor from dispatch entirely — is the code the
+real backends run, and the chaos proof's re-mapping arm is checked here
+in virtual microseconds: the migrated arm beats the
 demotion-only arm, holds p99 within 2x the no-fault baseline, keeps
 outputs bit-identical, and replays the exact same decision sequence
 run after run (the virtual-time parity property of ISSUE 10).
@@ -14,6 +15,7 @@ from repro.health import HealthPolicy
 from repro.sched.remap import RemapPolicy
 
 from tests.health.test_simulator import (
+    DEFENSE,
     LIMP_PLAN,
     make_stream_farm,
     p99,
@@ -21,8 +23,15 @@ from tests.health.test_simulator import (
 )
 
 
+#: Both arms demote with a stride (3) that does not divide the 16-packet
+#: frame: with the default 4 the packets the limping worker would keep
+#: (``seq % 4 == 0``) never land on its port, demotion alone excludes it
+#: as completely as migration does, and there is nothing to compare.
+HEALTH = HealthPolicy(limp_weight=1 / 3, **DEFENSE)
+
+
 def remap_policy():
-    return FaultPolicy(remap=RemapPolicy())
+    return FaultPolicy(health=HEALTH, remap=RemapPolicy())
 
 
 class TestVirtualRemap:
@@ -31,7 +40,9 @@ class TestVirtualRemap:
         plan = FaultPlan([FaultSpec(**LIMP_PLAN[0])])
 
         baseline = run(counter, mapping, table)
-        demoted = run(counter, mapping, table, fault_plan=plan)
+        demoted = run(
+            counter, mapping, table, fault_plan=plan,
+            fault_policy=FaultPolicy(health=HEALTH))
         remapped = run(counter, mapping, table, fault_plan=plan,
                        fault_policy=remap_policy())
 

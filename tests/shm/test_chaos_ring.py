@@ -33,7 +33,6 @@ from repro.syndex import distribute, ring
 POLICY = FaultPolicy(
     packet_timeout_s=0.3,
     heartbeat_timeout_s=0.15,
-    poll_s=0.002,
 )
 
 
