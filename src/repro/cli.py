@@ -46,6 +46,7 @@ from .machine.executive import RunReport
 from .minicaml.compile import compile_source, typecheck_source
 from .minicaml.types import type_to_str
 from .pipeline import build
+from .realtime import OVERLOAD_POLICIES
 from .syndex import arch as arch_mod
 
 __all__ = ["main", "parse_architecture", "load_table"]
@@ -324,8 +325,6 @@ def _add_fault_options(p) -> None:
 
 
 def _add_realtime_options(p) -> None:
-    from .realtime import OVERLOAD_POLICIES
-
     p.add_argument("--deadline-ms", type=float, default=None, metavar="MS",
                    help="per-frame latency budget; attaches the realtime "
                         "layer to stream runs (deadline watchdog, bounded "
@@ -859,8 +858,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="one-shot input value (Python literal; repeatable)")
     p.add_argument("--timeout", type=float, default=120.0,
                    help="per-run deadline in seconds on the daemon")
-    p.add_argument("--tenant-policy", default=None,
-                   choices=("block", "shed-newest", "shed-oldest", "degrade"),
+    p.add_argument("--tenant-policy", default=None, choices=OVERLOAD_POLICIES,
                    help="admission policy when this tenant's request "
                         "queue is full (default: the daemon's)")
     p.add_argument("--tenant-deadline-ms", type=float, default=60_000.0,

@@ -8,11 +8,10 @@ instead of an OS thread — an OS thread must never touch the
 loop-confined :class:`asyncio.Queue` channels of an
 :class:`~repro.codegen.async_kernel.AsyncioKernel`.
 
-All admission *logic* — shed/degrade policy, the pump, the ledger, the
-deadline scan, the rule for how long the watchdog may sleep — is
-inherited unchanged; only the substrate-specific waiting differs, which
-is exactly the paper's porting contract applied to the realtime layer
-itself.
+The admission core, the pump, the fan-out and the rule for how long the
+watchdog may sleep are inherited unchanged; only the waiting differs,
+which is exactly the paper's porting contract applied to the realtime
+layer itself.
 """
 
 from __future__ import annotations
@@ -97,14 +96,10 @@ class AsyncRealtimeKernel(RealtimeKernel):
 
     # -- pacing (the grabber task) -----------------------------------------
 
-    @staticmethod
-    def _task_name() -> str:
-        task = asyncio.current_task()
-        return task.get_name() if task is not None else "main"
-
     async def call_(self, func: Callable, *args: Any) -> Any:
-        if (self._admission_active
-                and self._task_name() == self._input_thread):
+        task = asyncio.current_task()
+        if (self._admission_active and task is not None
+                and task.get_name() == self._input_thread):
             await self._pace_async()
         return await self._inner.call_(func, *args)
 
@@ -127,39 +122,27 @@ class AsyncRealtimeKernel(RealtimeKernel):
                 or self._inner.is_stop(value)):
             return await self._inner.send_(edge, value)
         if edge == self._topo.primary_edge:
-            return await self._admit_async(value)
-        with self._lock:
-            if self._last_shed:
-                return None  # the rest of a shed frame's fan-out
-            if self._pending:
-                entry = self._pending[-1]
-                if edge not in entry.values:
-                    entry.values[edge] = value
-                    self._kick()
-                    return None
-        # No pending entry can take it (flush raced us): send directly.
-        return await self._inner.send_(edge, value)
-
-    async def _admit_async(self, value: Any) -> None:
-        while self._must_park():
-            await self._room.park()
-        return self._admit_locked(value)
+            while True:
+                with self._lock:
+                    if self._offer(value):
+                        return None
+                await self._room.park()
+        if not self._fan_out(edge, value):
+            return await self._inner.send_(edge, value)
+        return None
 
     # -- teardown (the grabber task, via generated stop_) ------------------
 
     async def stop_(self, edge: str) -> None:
         if self._admission_active and edge in self._edge_set:
-            await self._flush_async()
-        return await self._inner.stop_(edge)
-
-    async def _flush_async(self) -> None:
-        with self._lock:
-            flushing = self._begin_flush()
-        while flushing:
             with self._lock:
-                if self._flush_step():
-                    return
-            await self._room.park()
+                flushing = self._begin_flush()
+            while flushing:
+                with self._lock:
+                    flushing = not self._flush_step()
+                if flushing:
+                    await self._room.park()
+        return await self._inner.stop_(edge)
 
     # -- delivery (the output task) ----------------------------------------
 

@@ -19,9 +19,12 @@ The four overload policies:
 * ``shed-oldest`` — the *oldest* waiting frame is dropped to make room.
   The right default for live video: a stale frame is worthless, the
   newest one is what the display needs.
-* ``degrade`` — enter a degraded mode that admits only one frame in
-  ``degrade_ratio`` (adaptive frame-rate halving) until the backlog
-  clears; overflow beyond the queue is shed oldest-first meanwhile.
+* ``degrade`` — enter a degraded mode that admits only one frame in two
+  (adaptive frame-rate halving) until the backlog clears; overflow
+  beyond the queue is shed oldest-first meanwhile.
+
+The budget only names the policy; every decision it implies is taken
+by :class:`~repro.realtime.admission.AdmissionCore`.
 """
 
 from __future__ import annotations
@@ -57,8 +60,6 @@ class LatencyBudget:
     queue_depth: int = 0
     #: Source pacing period, milliseconds; 0 = free-running grabber.
     frame_period_ms: float = 0.0
-    #: In degraded mode only one frame in ``degrade_ratio`` is admitted.
-    degrade_ratio: int = 2
 
     def __post_init__(self):
         if self.policy not in OVERLOAD_POLICIES:
@@ -72,8 +73,6 @@ class LatencyBudget:
             raise ValueError("max_in_flight must be >= 1")
         if self.queue_depth < 0:
             raise ValueError("queue_depth must be >= 0")
-        if self.degrade_ratio < 2:
-            raise ValueError("degrade_ratio must be >= 2")
 
     @property
     def deadline_us(self) -> float:
@@ -95,7 +94,6 @@ class LatencyBudget:
             "max_in_flight": self.max_in_flight,
             "queue_depth": self.queue_depth,
             "frame_period_ms": self.frame_period_ms,
-            "degrade_ratio": self.degrade_ratio,
         }
 
     @classmethod

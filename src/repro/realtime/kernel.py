@@ -1,4 +1,4 @@
-"""Realtime kernel: deadline watchdog and admission control as a wrapper.
+"""Realtime kernel: the admission core's driver, as a kernel wrapper.
 
 Like :class:`~repro.faults.supervisor.SupervisedKernel`, the realtime
 layer hooks the *kernel primitives* and leaves the generated executive
@@ -6,27 +6,24 @@ untouched.  :class:`RealtimeKernel` wraps either a base kernel or a
 supervised kernel and polices two choke points of the stream
 (:class:`~repro.realtime.topology.StreamTopology`):
 
-* **Admission** (the process hosting the stream input): frames the
-  grabber sends are parked in a bounded admission buffer; a pump
-  releases them into the process network with non-blocking puts, but
-  only while fewer than ``max_in_flight`` frames are between release
-  and delivery.  When the buffer is full the
-  configured overload policy decides: ``block`` the grabber,
-  ``shed-newest``, ``shed-oldest``, or enter ``degrade`` mode (admit one
-  frame in ``degrade_ratio`` until the backlog clears).  Shedding
-  happens strictly *before* a frame enters the FIFO network — which is
-  what makes the frame-conservation ledger pair the j-th delivery with
-  the j-th released frame.
+* **Admission** (the process hosting the stream input): every frame the
+  grabber sends is offered to an
+  :class:`~repro.realtime.admission.AdmissionCore`, which decides and
+  keeps the ledger; this side parks the grabber, fans the frame out and
+  pumps the buffered head into the process network with non-blocking
+  puts while the core allows it.  Shedding happens strictly *before* a
+  frame enters the FIFO network, so the j-th delivery is the j-th
+  released frame.
 
 * **Delivery** (the process hosting the stream output): each non-Stop
   value on the delivery edge is timestamped and counted on the shared
-  :class:`StreamBoard`, closing the in-flight window — and rings the
-  board's doorbell, which is what releases the next frame.
+  :class:`StreamBoard` — whose doorbell it rings, which is what
+  releases the next frame.
 
-The watchdog also flags deadline misses *while frames are in flight*
-(pending or released-but-undelivered frames older than the budget), and
-the admission side paces the grabber to ``frame_period_ms`` — the hook
-where the seeded ``burst`` / ``input-surge`` overload faults fire.
+The watchdog reports the board's deliveries to the core and lets it
+flag deadline misses *while frames are in flight*; pacing holds the
+grabber to ``frame_period_ms`` — where the seeded ``burst`` /
+``input-surge`` overload faults fire.
 
 Nothing here ticks.  The one service thread of the admission side (the
 watchdog) sleeps on the board's doorbell until the earliest deadline it
@@ -42,13 +39,14 @@ import select
 import threading
 import time
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional
 
 import queue
 
 from ..codegen.kernel import Shutdown
+from .admission import PARK, AdmissionCore, Shed
 from .budget import LatencyBudget
-from .ledger import FrameRecord, RealtimeRecord, assemble_report
+from .ledger import assemble_report
 from .topology import StreamTopology
 
 __all__ = ["StreamBoard", "RealtimeKernel"]
@@ -159,19 +157,15 @@ class StreamBoard:
 
 
 class _PendingFrame:
-    """One grabbed frame waiting in the admission buffer."""
+    """One buffered frame: its value per out-edge, filled as the grabber
+    sends them, and how many edges the pump has put into the network."""
 
-    __slots__ = ("record", "values", "unsent")
+    __slots__ = ("frame", "values", "sent")
 
-    def __init__(self, record: FrameRecord, edges: List[str]):
-        self.record = record
-        #: edge -> value; filled as the grabber sends on each out-edge.
+    def __init__(self, frame: int):
+        self.frame = frame
         self.values: Dict[str, Any] = {}
-        #: edges not yet put into the network (partial-send tracking).
-        self.unsent: List[str] = list(edges)
-
-    def complete(self, n_edges: int) -> bool:
-        return len(self.values) == n_edges
+        self.sent = 0
 
 
 class RealtimeKernel:
@@ -207,10 +201,8 @@ class RealtimeKernel:
         #: thread, and the topology's property rebuilds the name.
         self._input_thread = topology.input_thread
         self._edge_set = set(topology.admission_edges)
-        self._n_edges = len(topology.admission_edges)
         # Overload injection shares the supervised kernel's matcher and
-        # report when one is underneath; without a fault plan there is
-        # no overload injection, only policy enforcement.
+        # report when one is underneath (without a fault plan, none).
         self._matcher = getattr(inner, "matcher", None)
         self._fault_report = getattr(inner, "fault_report", None)
 
@@ -224,20 +216,15 @@ class RealtimeKernel:
         #: end-of-stream flush, park: notified when the pump pops the
         #: head of the buffer, and at shutdown.
         self._room = threading.Condition(self._lock)
-        self._frames: List[FrameRecord] = []
+        self._core = AdmissionCore(budget)
+        #: The core's admission buffer, with each frame's edge values.
         self._pending: Deque[_PendingFrame] = deque()
-        #: Deadline-scan cursor: the first record still on its way, and
-        #: how many released records lie before it.
-        self._scan_from = 0
-        self._scan_released = 0
-        self._events: List[RealtimeRecord] = []
+        self._paired = 0          # board deliveries reported to the core
+        self._paired_us = 0.0     # ... as of this clock reading
         self._last_shed = False   # swallow trailing sends of a shed frame
         self._full = False        # the last drain ended on a queue.Full
         self._closing = False     # shutdown() was called
-        self._stopping = False
-        self._flushed = False
-        self._degraded = False
-        self._degrade_counter = 0
+        self._flushing = False    # Stop came: release past the window
         self._next_due = 0.0      # pacing clock (perf_counter seconds)
         self._pace_boost: int = 0       # grabs left at burst speed
         self._surge_left: int = 0       # grabs left at surged rate
@@ -260,15 +247,6 @@ class RealtimeKernel:
 
     def __getattr__(self, name: str) -> Any:
         return getattr(self._inner, name)
-
-    def _event(self, kind: str, frame: Optional[int], detail: str = "",
-               *, locked: bool = False) -> None:
-        record = RealtimeRecord(kind, frame, self.now_us(), detail)
-        if locked:
-            self._events.append(record)
-        else:
-            with self._lock:
-                self._events.append(record)
 
     def shutdown(self) -> None:
         """Stop the watchdog (and the wrapped kernel's service threads).
@@ -366,122 +344,55 @@ class RealtimeKernel:
                 or self._inner.is_stop(value)):
             return self._inner.send_(edge, value)
         if edge == self._topo.primary_edge:
-            return self._admit(value)
+            with self._room:
+                while not self._offer(value):
+                    self._room.wait()
+        elif not self._fan_out(edge, value):
+            return self._inner.send_(edge, value)
+        return None
+
+    def _fan_out(self, edge: str, value: Any) -> bool:
+        """Add a secondary out-edge's value to the newest buffered frame;
+        False when none can take it (flush raced us): send it directly."""
         with self._lock:
             if self._last_shed:
-                return None  # the rest of a shed frame's fan-out
+                return True  # the rest of a shed frame's fan-out
             if self._pending:
                 entry = self._pending[-1]
                 if edge not in entry.values:
                     entry.values[edge] = value
                     self._kick()
-                    return None
-        # No pending entry can take it (flush raced us): send directly.
-        return self._inner.send_(edge, value)
+                    return True
+        return False
 
-    def _admit(self, value: Any) -> None:
-        with self._room:
-            while self._must_park():
-                self._room.wait()
-        # One grabber: between here and there the buffer only shrinks.
-        return self._admit_locked(value)
-
-    def _must_park(self) -> bool:
-        """``block`` policy, buffer at the admission depth: the grabber
-        parks until the pump pops the head (caller holds ``_lock``).
-        Raises :class:`Shutdown` once the run is over instead."""
-        if (self._budget.policy != "block"
-                or len(self._pending) < self._budget.admission_depth):
+    def _offer(self, value: Any) -> bool:
+        """Offer a grabbed frame to the core and carry its decisions out
+        (caller holds ``_lock``).  False: park until the pump pops the
+        head — or, once the run is over, raise :class:`Shutdown`."""
+        decisions = self._core.offer(self.now_us())
+        last = decisions[-1]
+        if last is PARK:
+            if self._closing or self.stop.is_set():
+                raise Shutdown
             return False
-        if self._closing or self.stop.is_set():
-            raise Shutdown
-        return True
-
-    def _admit_locked(self, value: Any) -> None:
-        """Admission decision for one frame (takes ``_lock`` itself)."""
-        budget = self._budget
-        with self._lock:
-            frame = len(self._frames)
-            record = FrameRecord(frame=frame, admitted_us=self.now_us())
-            self._frames.append(record)
-            self._last_shed = False
-            if budget.policy == "degrade" and self._degraded:
-                self._degrade_counter += 1
-                if self._degrade_counter % budget.degrade_ratio != 0:
-                    self._shed(record, "degraded")
-                    return None
-            if len(self._pending) >= budget.admission_depth:
-                if budget.policy == "shed-newest":
-                    self._shed(record, "shed-newest")
-                    return None
-                if budget.policy in ("shed-oldest", "degrade"):
-                    if (budget.policy == "degrade"
-                            and not self._degraded):
-                        self._degraded = True
-                        self._degrade_counter = 0
-                        self._event("degraded-enter", frame,
-                                    "admission buffer overflow",
-                                    locked=True)
-                    victim = self._pop_sheddable()
-                    if victim is None:
-                        # Only the half-released head remains: it cannot
-                        # be retracted from the network, so the new
-                        # frame takes the hit instead.
-                        self._shed(record, "shed-oldest")
-                        return None
-                    self._shed(victim.record, "shed-oldest")
-                # block never reaches here; degrade overflows shed-oldest
-            self._pending.append(
-                _PendingFrame(record, self._topo.admission_edges)
-            )
-            self._pending[-1].values[self._topo.primary_edge] = value
+        for shed in decisions[:-1]:
+            self._pending.remove(next(
+                e for e in self._pending if e.frame == shed.frame))
+        self._last_shed = isinstance(last, Shed)
+        if not self._last_shed:
+            entry = _PendingFrame(last.frame)
+            entry.values[self._topo.primary_edge] = value
+            self._pending.append(entry)
             # Pump inline: a frame that fits goes out on the grabber's
             # own thread, without waking anybody.
             self._kick()
-        return None
-
-    def _pop_sheddable(self) -> Optional[_PendingFrame]:
-        """Remove and return the oldest *retractable* buffered frame.
-
-        The pump touches only the head of the deque, so the head is
-        sheddable only while none of its edges have been released; every
-        other entry is untouched by construction.  Caller holds
-        ``_lock``.
-        """
-        if not self._pending:
-            return None
-        head = self._pending[0]
-        if len(head.unsent) == self._n_edges:
-            return self._pending.popleft()
-        if len(self._pending) > 1:
-            victim = self._pending[1]
-            del self._pending[1]
-            return victim
-        return None
-
-    def _shed(self, record: FrameRecord, reason: str) -> None:
-        """Mark one frame shed (caller holds ``_lock``)."""
-        record.status = "shed"
-        record.reason = reason
-        if record is self._frames[-1]:
-            self._last_shed = True
-        self._event("shed", record.frame, reason, locked=True)
+        return True
 
     # -- the pump and watchdog (daemon thread on the admission side) -------
 
-    def _put_nowait(self, edge: str, value: Any) -> bool:
-        try:
-            self._inner.try_send_(edge, value)
-            return True
-        except queue.Full:
-            self._full = True
-            return False
-
     def _drain(self) -> bool:
-        """Pump until stalled (caller holds ``_lock``).
-
-        Returns True when it was a ``queue.Full`` that stalled it — the
-        one stall no event ends, so somebody has to try again."""
+        """Pump until stalled (caller holds ``_lock``); True when a
+        ``queue.Full`` stalled it — no event ends that, so retry it."""
         self._full = False
         while self._pump_step():
             pass
@@ -494,28 +405,29 @@ class RealtimeKernel:
             self._board.ring()
 
     def _pump_step(self) -> bool:
-        """Release the head frame if capacity allows (holds ``_lock``).
-
-        Returns True when it made progress (a send landed)."""
-        budget = self._budget
-        if not self._pending:
-            return False
-        if (not self._stopping
-                and self._board.in_flight() >= budget.max_in_flight):
+        """Release the head frame if the core (or the flush, past the
+        window) allows it (holds ``_lock``); True when a send landed."""
+        if not self._pending or not (
+                self._flushing
+                or self._core.may_release(self._board.in_flight())):
             return False
         entry = self._pending[0]
-        if not entry.complete(self._n_edges):
+        edges = self._topo.admission_edges
+        if len(entry.values) < len(edges):
             return False  # the grabber is still fanning this frame out
-        progressed = False
-        while entry.unsent:
-            edge = entry.unsent[0]
-            if not self._put_nowait(edge, entry.values[edge]):
-                return progressed
-            entry.unsent.pop(0)
-            progressed = True
+        sent = entry.sent
+        for edge in edges[sent:]:
+            try:
+                self._inner.try_send_(edge, entry.values[edge])
+            except queue.Full:
+                self._full = True
+                if entry.sent:  # half in the network: not retractable
+                    self._core.started(entry.frame)
+                return entry.sent > sent
+            entry.sent += 1
         self._pending.popleft()
         self._room.notify_all()
-        entry.record.released_us = self.now_us()
+        self._core.released(entry.frame, self.now_us())
         self._board.note_released()
         return True
 
@@ -524,104 +436,55 @@ class RealtimeKernel:
             self._board.wait(self._watch_tick())
 
     def _watch_tick(self) -> float:
-        """One watchdog round: pump, deadline scan, degrade hysteresis.
+        """One watchdog round: deliveries to the core, pump, deadline scan.
 
         Returns how long, in seconds, the service thread may sleep if
-        the doorbell stays silent: until the earliest deadline it has
-        not flagged yet — a delivery, which frees a slot, rings.  With
-        nothing left to flag that is one whole ``deadline_ms``, and this
-        is why an admission need not ring: no frame admitted meanwhile
-        can be late before the sleeper is up again.  Only a pump that
-        met a full queue has no event to wait for and retries on the
-        kernel's poll period.
+        the doorbell (a delivery frees a slot) stays silent: until the
+        core's next wake, else one ``deadline_ms`` — so an admission
+        need not ring: no frame admitted meanwhile can be late before
+        the sleeper is up.  Only a pump that met a full queue has no
+        event to wait for and retries on the kernel's poll period.
         """
         with self._lock:
+            now = self.now_us()
+            self._pair_deliveries(now)
             full = self._drain()
-            due_us = self._scan_deadlines()
-            self._maybe_exit_degraded()
-            if due_us is None:
-                timeout = self._budget.deadline_ms / 1000.0
-            else:
-                timeout = max(0.0, (due_us - self.now_us()) / 1e6)
+            self._core.tick(now)
+            wake = self._core.next_wake(now)
+        timeout = (self._budget.deadline_ms / 1000.0 if wake is None
+                   else (wake - now) / 1e6)
         return min(timeout, self._retry_s) if full else timeout
 
-    def _scan_deadlines(self) -> Optional[float]:
-        """Flag frames over budget *while still in flight* (lock held);
-        returns the earliest deadline, on the kernel clock, among those
-        on their way and not flagged yet (``None``: there is none).
-
-        Starts at the first record still on its way: everything before
-        ``_scan_from`` is shed, failed, or released and — by the FIFO
-        count — delivered, and none of that is ever undone.  So a tick
-        inspects the frames in flight and pending (plus whatever was
-        shed behind the oldest of them), not every frame the run ever
-        admitted.
-        """
-        now_us = self.now_us()
-        deadline = self._budget.deadline_us
+    def _pair_deliveries(self, now: float) -> None:
+        """Report the board's new deliveries to the core, FIFO-paired
+        with the frames in flight (caller holds ``_lock``).  The board
+        does not stamp them: each is judged by the previous report's
+        reading, when it was still on its way — the ledger join stamps
+        deliveries and backstops the misses."""
         delivered = self._board.delivered()
-        frames = self._frames
-        released_seen = self._scan_released
-        settled_prefix = True
-        earliest = None
-        for index in range(self._scan_from, len(frames)):
-            rec = frames[index]
-            if rec.released_us is not None:
-                released_seen += 1
-            # On its way: in the admission buffer, or released and (FIFO)
-            # not among the first ``delivered`` releases.
-            on_its_way = rec.status == "in-flight" and (
-                rec.released_us is None or released_seen > delivered)
-            if on_its_way:
-                settled_prefix = False
-                if rec.deadline_missed:
-                    continue
-                if now_us - rec.admitted_us > deadline:
-                    rec.deadline_missed = True
-                    self._event(
-                        "deadline-miss", rec.frame,
-                        f"{(now_us - rec.admitted_us) / 1000:.1f} ms in "
-                        f"flight", locked=True,
-                    )
-                elif earliest is None:
-                    # Admission order is deadline order: the first one
-                    # still open is the earliest.
-                    earliest = rec.admitted_us + deadline
-            elif settled_prefix:
-                self._scan_from = index + 1
-                self._scan_released = released_seen
-        return earliest
-
-    def _maybe_exit_degraded(self) -> None:
-        if not self._degraded:
-            return
-        cap = self._budget.max_in_flight
-        if not self._pending and self._board.in_flight() <= max(1, cap // 2):
-            self._degraded = False
-            self._event("degraded-exit", None, "backlog cleared",
-                        locked=True)
+        while self._paired < delivered and self._core.in_flight:
+            self._core.delivered(None, self._paired_us)
+            self._paired += 1
+        self._paired_us = now
 
     # -- teardown (the grabber thread, via generated stop_) ----------------
 
     def stop_(self, edge: str) -> None:
         if self._admission_active and edge in self._edge_set:
-            self._flush_on_stop()
+            # Blocking-release every buffered frame before Stop goes.
+            with self._room:
+                if self._begin_flush():
+                    while not self._flush_step():
+                        self._room.wait()
         return self._inner.stop_(edge)
-
-    def _flush_on_stop(self) -> None:
-        """Blocking-release every buffered frame before Stop propagates."""
-        with self._room:
-            if self._begin_flush():
-                while not self._flush_step():
-                    self._room.wait()
 
     def _begin_flush(self) -> bool:
         """Claim the (one-shot) flush; False when already flushed.
         From here on the pump ignores the in-flight window.  Caller
         holds ``_lock``."""
-        if self._flushed:
+        if self._flushing:
             return False
-        self._flushed = self._stopping = True
+        self._flushing = True
         return True
 
     def _flush_step(self) -> bool:
@@ -630,9 +493,9 @@ class RealtimeKernel:
         Otherwise a full queue holds frames back: the service thread is
         rung to retry, and the caller parks until it pops a head."""
         if self._closing or self.stop.is_set():
+            now = self.now_us()
             for entry in self._pending:
-                entry.record.status = "failed"
-                entry.record.reason = "aborted at teardown"
+                self._core.failed(entry.frame, now, "aborted at teardown")
             self._pending.clear()
             return True
         self._kick()
@@ -650,27 +513,19 @@ class RealtimeKernel:
 
     # -- reporting ---------------------------------------------------------
 
-    def admission_payload(self) -> Optional[Dict]:
-        """This kernel's admission half of the realtime report."""
-        if not self._admission_active:
-            return None
-        with self._lock:
-            return {
-                "frames": [f.to_dict() for f in self._frames],
-                "events": [e.to_dict() for e in self._events],
-            }
-
-    def delivery_payload(self) -> Optional[Dict]:
-        """This kernel's delivery half of the realtime report."""
-        if not self._delivery_active:
-            return None
-        return {"stamps": list(self._stamps), "events": []}
-
     def payload(self) -> Dict[str, Optional[Dict]]:
-        """This kernel's halves of the realtime report, by
+        """This kernel's halves of the realtime report (``None`` for a
+        half it does not host), by
         :func:`~repro.realtime.ledger.assemble_report` parameter."""
-        return {"admission": self.admission_payload(),
-                "delivery": self.delivery_payload()}
+        admission = delivery = None
+        if self._admission_active:
+            with self._lock:
+                admission = {
+                    "frames": [f.to_dict() for f in self._core.ledger.frames],
+                    "events": [e.to_dict() for e in self._core.events]}
+        if self._delivery_active:
+            delivery = {"stamps": list(self._stamps), "events": []}
+        return {"admission": admission, "delivery": delivery}
 
     def build_report(self):
         """Assemble the full report (single-process kernels only)."""

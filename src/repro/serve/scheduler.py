@@ -174,18 +174,15 @@ class RunScheduler:
                 )
                 self.tenants[request.tenant] = tenant
                 self._rr.append(request.tenant)
-            elif request.tenant_policy is not None:
-                tenant.budget = request.tenant_policy
-            now = self._now_us()
-            admitted, displaced, reason = tenant.admit(ticket, now)
-            if admitted:
+            shed = tenant.admit(ticket, self._now_us())
+            for victim in shed:
+                self._live.pop(victim.id, None)
+            if not shed or shed[-1] is not ticket:
                 self._live[ticket.id] = ticket
-                self._cond.notify()
-        for victim in displaced:
-            self._live.pop(victim.id, None)
+                if ticket.record is not None:   # buffered, not parked
+                    self._cond.notify()
+        for victim in shed:
             victim.finish("shed", error=victim.record.reason)
-        if not admitted:
-            ticket.finish("shed", error=reason)
         return ticket
 
     # -- the slots ---------------------------------------------------------
@@ -197,7 +194,7 @@ class RunScheduler:
                 while ticket is None:
                     if self._closing:
                         return
-                    self._cond.wait(0.2)
+                    self._cond.wait()   # whatever brings work notifies
                     ticket = self._next_locked()
             self._execute(ticket)
 
@@ -205,8 +202,12 @@ class RunScheduler:
         """Fair pick: rotate tenant order on every successful dispatch."""
         now = self._now_us()
         for idx, name in enumerate(self._rr):
-            ticket = self.tenants[name].take(now)
+            tenant = self.tenants[name]
+            parked = len(tenant.parked)
+            ticket = tenant.take(now)
             if ticket is not None:
+                if len(tenant.parked) < parked:
+                    self._cond.notify()
                 self._rr = self._rr[idx + 1:] + self._rr[:idx + 1]
                 ticket.state = "running"
                 return ticket
@@ -266,7 +267,10 @@ class RunScheduler:
             tenant.complete(ticket, self._now_us(), failed=failed,
                             reason=reason)
             self._live.pop(ticket.id, None)
-            self._cond.notify()
+            if self._live:
+                self._cond.notify()
+            else:
+                self._cond.notify_all()  # drain() waits for this too
 
     # -- introspection -----------------------------------------------------
 
@@ -289,7 +293,7 @@ class RunScheduler:
     def ledger(self, tenant: str):
         """The tenant's FrameLedger (tests assert conservation on it)."""
         with self._cond:
-            return self.tenants[tenant].ledger
+            return self.tenants[tenant].core.ledger
 
     # -- teardown ----------------------------------------------------------
 
@@ -301,7 +305,7 @@ class RunScheduler:
                 remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
-                self._cond.wait(min(0.2, remaining))
+                self._cond.wait(remaining)
             return True
 
     def close(self) -> None:
@@ -312,11 +316,9 @@ class RunScheduler:
             now = self._now_us()
             orphans: List[Ticket] = []
             for tenant in self.tenants.values():
-                while tenant.queue:
-                    ticket = tenant.queue.popleft()
-                    tenant.fail_queued(ticket, now, "service shut down")
-                    self._live.pop(ticket.id, None)
-                    orphans.append(ticket)
+                orphans += tenant.abort(now, "service shut down")
+            for ticket in orphans:
+                self._live.pop(ticket.id, None)
             self._cond.notify_all()
         for ticket in orphans:
             ticket.finish("failed", error="service shut down")

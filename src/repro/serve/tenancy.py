@@ -1,39 +1,30 @@
-"""Per-tenant admission control: LatencyBudget policies over *requests*.
+"""Per-tenant admission control: the stream admission core over *requests*.
 
 A tenant is one traffic source sharing the service (one camera rig, one
-batch job, one test).  Each tenant carries a
-:class:`~repro.realtime.budget.LatencyBudget` whose knobs are read at
-the request granularity instead of the frame granularity:
+batch job, one test).  It drives an
+:class:`~repro.realtime.admission.AdmissionCore` — the one a stream
+run's realtime kernel drives — with one request per frame:
+``deadline_ms`` is the submit→result turnaround, ``queue_depth`` /
+``max_in_flight`` bound the requests waiting / running, and the core
+alone decides the ``policy``.  The tenant adds the tickets behind the
+core's frames and a FIFO of the submits a ``block`` core parked, each
+offered again when a dispatch frees a buffer slot: a ``block`` tenant
+never sheds, keeps submit order, and counts latency from the submit.
 
-* ``deadline_ms`` — the submit→result turnaround budget; a request
-  completing later is a recorded deadline miss;
-* ``queue_depth`` / ``max_in_flight`` — how many requests may wait for
-  dispatch / execute at once;
-* ``policy`` — what happens to a submit that finds the queue full:
-  ``block`` queues it anyway (backpressure: latency grows, nothing is
-  lost), ``shed-newest`` refuses it, ``shed-oldest`` drops the stalest
-  queued request to make room, ``degrade`` admits only one request in
-  ``degrade_ratio`` until the backlog clears.
-
-Every submitted request lands in the tenant's
-:class:`~repro.realtime.ledger.FrameLedger` and reaches a terminal
-status, so per-tenant conservation — delivered + shed + failed ==
-submitted — holds for the service exactly as it does for a single
-stream run.  This is what keeps tenants isolated: an overloaded tenant
-sheds against *its own* bounded queue while a quiet tenant's requests
-flow past untouched.
-
-All mutating methods must be called under the scheduler's lock; the
-Tenant itself carries no locking.
+Every offered request reaches a terminal status in the core's ledger,
+so delivered + shed + failed == submitted holds per tenant as it does
+per stream run — and an overloaded tenant sheds against *its own*
+bounded queue while a quiet tenant's requests flow past untouched.
+All mutating methods must be called under the scheduler's lock.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
+from ..realtime.admission import PARK, AdmissionCore, Shed
 from ..realtime.budget import LatencyBudget
-from ..realtime.ledger import FrameLedger, FrameRecord, RealtimeRecord
 
 __all__ = ["DEFAULT_TENANT_POLICY", "Tenant"]
 
@@ -44,142 +35,89 @@ DEFAULT_TENANT_POLICY = LatencyBudget(
 
 
 class Tenant:
-    """One tenant's admission queue, in-flight window and ledger."""
+    """One tenant's admission core and the tickets behind its frames."""
 
     def __init__(self, name: str, budget: Optional[LatencyBudget] = None):
         self.name = name
-        self.budget = budget or DEFAULT_TENANT_POLICY
-        self.ledger = FrameLedger()
-        self.events: List[RealtimeRecord] = []
-        self.queue: Deque = deque()       # tickets awaiting dispatch
-        self.in_flight = 0                # tickets running on the pool
-        self.degraded = False
-        self._admit_counter = 0           # degrade-mode modulus counter
+        self.core = AdmissionCore(budget or DEFAULT_TENANT_POLICY)
+        #: frame -> ticket, for the core's admission buffer (in order).
+        self.buffered: Dict[int, Any] = {}
+        #: (ticket, submit µs) the core parked, oldest first.
+        self.parked: Deque[Tuple[Any, float]] = deque()
 
-    # -- admission ---------------------------------------------------------
+    def admit(self, ticket, now_us: float) -> List:
+        """Offer one submitted request; returns the tickets it sheds —
+        itself last when refused — each owed a shed response."""
+        if not self.parked:
+            shed = self._offer(ticket, now_us)
+            if shed is not None:
+                return shed
+        self.parked.append((ticket, now_us))
+        return []
 
-    def admit(self, ticket, now_us: float) -> Tuple[bool, List, str]:
-        """Admit (or shed) one submitted request.
-
-        Returns ``(admitted, displaced, reason)`` where ``displaced``
-        lists tickets shed to make room (``shed-oldest`` / ``degrade``
-        overflow) — the caller owes each a shed response — and
-        ``reason`` explains a refusal of *this* ticket.
-        """
-        record = FrameRecord(frame=len(self.ledger.frames),
-                             admitted_us=now_us)
-        ticket.record = record
-        self.ledger.frames.append(record)
-        policy = self.budget.policy
-        depth = self.budget.admission_depth
-        displaced: List = []
-
-        if policy == "degrade":
-            if not self.degraded and len(self.queue) >= depth:
-                self.degraded = True
-                self._admit_counter = 0
-                self.events.append(RealtimeRecord(
-                    "degraded-enter", record.frame, now_us,
-                    detail=f"queue at {len(self.queue)}/{depth}",
-                ))
-            if self.degraded:
-                self._admit_counter += 1
-                if self._admit_counter % self.budget.degrade_ratio != 1:
-                    return False, displaced, self._shed(
-                        record, now_us, "degraded")
-            while len(self.queue) >= depth:
-                displaced.append(self._displace_oldest(now_us, "degraded"))
-        elif policy == "shed-newest":
-            if len(self.queue) >= depth:
-                return False, displaced, self._shed(
-                    record, now_us, "shed-newest")
-        elif policy == "shed-oldest":
-            while len(self.queue) >= depth:
-                displaced.append(self._displace_oldest(now_us, "shed-oldest"))
-        # ``block``: the queue is unbounded — latency is the cost.
-
-        self.queue.append(ticket)
-        return True, displaced, ""
-
-    def _shed(self, record: FrameRecord, now_us: float, why: str) -> str:
-        record.status = "shed"
-        record.reason = why
-        self.events.append(RealtimeRecord("shed", record.frame, now_us,
-                                          detail=why))
-        return why
-
-    def _displace_oldest(self, now_us: float, why: str):
-        victim = self.queue.popleft()
-        self._shed(victim.record, now_us, why)
-        return victim
-
-    # -- dispatch ----------------------------------------------------------
+    def _offer(self, ticket, now_us: float) -> Optional[List]:
+        """Carry one offer's decisions out; None when the core parks."""
+        decisions = self.core.offer(now_us)
+        last = decisions[-1]
+        if last is PARK:
+            return None
+        shed = [self.buffered.pop(victim.frame) for victim in decisions[:-1]]
+        ticket.record = self.core.ledger.frames[last.frame]
+        if isinstance(last, Shed):
+            shed.append(ticket)
+        else:
+            self.buffered[last.frame] = ticket
+        return shed
 
     def take(self, now_us: float):
-        """The next dispatchable ticket, or None (empty / window full)."""
-        if self.in_flight >= self.budget.max_in_flight or not self.queue:
-            self._maybe_recover(now_us)
+        """The next dispatchable ticket, or None (empty / window full).
+        The oldest parked submit takes the buffer slot this frees."""
+        if not self.core.may_release(self.core.in_flight):
             return None
-        ticket = self.queue.popleft()
-        ticket.record.released_us = now_us
-        self.in_flight += 1
-        self._maybe_recover(now_us)
+        frame = next(iter(self.buffered))
+        ticket = self.buffered.pop(frame)
+        self.core.released(frame, now_us)
+        if self.parked and self._offer(*self.parked[0]) is not None:
+            self.parked.popleft()
         return ticket
-
-    def _maybe_recover(self, now_us: float) -> None:
-        if self.degraded and not self.queue:
-            self.degraded = False
-            self.events.append(RealtimeRecord(
-                "degraded-exit", None, now_us, detail="backlog cleared"))
-
-    # -- completion --------------------------------------------------------
 
     def complete(self, ticket, now_us: float, *, failed: bool = False,
                  reason: str = "") -> None:
         """Terminal accounting for a dispatched ticket."""
-        self.in_flight -= 1
-        record = ticket.record
-        record.delivered_us = now_us
-        record.status = "failed" if failed else "delivered"
         if failed:
-            record.reason = reason or "run failed"
-        latency = record.latency_us
-        if latency is not None and latency > self.budget.deadline_us:
-            record.deadline_missed = True
-            self.events.append(RealtimeRecord(
-                "deadline-miss", record.frame, now_us,
-                detail=f"{latency / 1000:.1f} ms > "
-                       f"{self.budget.deadline_ms:.0f} ms",
-            ))
+            self.core.failed(ticket.record.frame, now_us,
+                             reason or "run failed")
+        else:
+            self.core.delivered(ticket.record.frame, now_us)
 
-    def fail_queued(self, ticket, now_us: float, reason: str) -> None:
-        """A still-queued ticket that can never run (service shutdown)."""
-        record = ticket.record
-        record.status = "failed"
-        record.delivered_us = now_us
-        record.reason = reason
-
-    # -- introspection -----------------------------------------------------
-
-    @property
-    def deadline_misses(self) -> int:
-        return self.ledger.deadline_misses
+    def abort(self, now_us: float, reason: str) -> List:
+        """Fail every request still waiting (service shutdown); returns
+        their tickets.  A parked one has no record to fail."""
+        for frame in self.buffered:
+            self.core.failed(frame, now_us, reason)
+        orphans = list(self.buffered.values())
+        orphans += [ticket for ticket, _ in self.parked]
+        self.buffered.clear()
+        self.parked.clear()
+        return orphans
 
     def to_dict(self) -> dict:
-        L = self.ledger
+        L = self.core.ledger
+        budget = self.core.budget
+        in_flight = self.core.in_flight
         return {
             "tenant": self.name,
-            "policy": self.budget.policy,
-            "deadline_ms": self.budget.deadline_ms,
-            "submitted": L.submitted,
+            "policy": budget.policy,
+            "deadline_ms": budget.deadline_ms,
+            "submitted": L.submitted + len(self.parked),
             "delivered": len(L.delivered),
             "shed": len(L.shed),
             "failed": len(L.failed),
-            "queued": len(self.queue),
-            "in_flight": self.in_flight,
+            "queued": len(self.buffered) + len(self.parked),
+            "in_flight": in_flight,
             "deadline_misses": L.deadline_misses,
-            "degraded": self.degraded,
-            "conserved": L.unaccounted() == len(self.queue) + self.in_flight,
+            "degraded": self.core.degraded,
+            "conserved": L.unaccounted() == len(self.buffered) + in_flight,
             "p50_ms": round(L.p50_us / 1000, 2),
             "p99_ms": round(L.p99_us / 1000, 2),
         }

@@ -1,56 +1,20 @@
-"""Pinned admission behaviour, row by row, for every overload policy.
+"""Pinned admission decisions, row by row, for every overload policy.
 
-Each row offers a fixed number of frames to an admission path whose
-network never accepts and writes down every frame's fate, in frame
-order: ``q`` waiting (buffered or in flight), ``n`` shed-newest, ``o``
-shed-oldest, ``d`` degraded; a trailing ``P`` is a grab that parked
-and so has no record yet.  Both admission paths are driven: the stream
-kernel's and the serving tenant's.
+Each row offers a fixed number of frames to an
+:class:`~repro.realtime.admission.AdmissionCore` whose driver never
+gets one into the network, and writes down every frame's fate in frame
+order: ``q`` waiting, ``n`` shed-newest, ``o`` shed-oldest, ``d``
+degraded; a trailing ``P`` is an offer the core parked, which has no
+record.  The stream kernel and the serve tenant both drive this core,
+so these rows hold for frames and for requests alike.
 """
-
-import queue
-import threading
 
 import pytest
 
 from repro.realtime import LatencyBudget
-from repro.realtime.kernel import RealtimeKernel
-from repro.realtime.topology import StreamTopology
-from repro.serve.scheduler import RunRequest, Ticket
-from repro.serve.tenancy import Tenant
-
-TOPOLOGY = StreamTopology(
-    input_pid="stream.input", input_processor="p0",
-    admission_edges=["e0"], output_pid="stream.output",
-    output_processor="p0", delivery_edge="e9",
-)
+from repro.realtime.admission import PARK, AdmissionCore
 
 CODE = {"shed-newest": "n", "shed-oldest": "o", "degraded": "d"}
-
-
-class Refusing:
-    """An inner kernel whose network refuses every frame until told."""
-
-    hosts = None
-    stop = threading.Event()    # never set
-
-    def __init__(self):
-        self.accepting = False
-        self.network = []
-
-    def now_us(self):
-        return 0.0
-
-    def is_stop(self, value):
-        return False
-
-    def try_send_(self, edge, value):
-        if not self.accepting:
-            raise queue.Full
-        self.network.append(value)
-
-    def recv_(self, edge):
-        return self.network.pop(0)
 
 
 def fates(records):
@@ -58,84 +22,42 @@ def fates(records):
                    for r in records)
 
 
-def budget(policy, depth, ratio, max_in_flight=1):
-    return LatencyBudget(deadline_ms=60_000.0, policy=policy,
-                         max_in_flight=max_in_flight, queue_depth=depth,
-                         degrade_ratio=ratio)
+def core_for(policy, depth, max_in_flight=1):
+    return AdmissionCore(LatencyBudget(
+        deadline_ms=60_000.0, policy=policy, max_in_flight=max_in_flight,
+        queue_depth=depth))
 
 
-def ticket(n):
-    return Ticket(n, RunRequest(source="", table=None, arch=None), None)
-
-
-def kernel_fates(policy, depth, ratio, frames):
-    kernel = RealtimeKernel(Refusing(), TOPOLOGY,
-                            budget(policy, depth, ratio),
-                            start_watchdog=False)
-    parked = 0
-    for k in range(frames):
-        if kernel._must_park():
-            parked += 1
-        else:
-            kernel.send_("e0", k)
-    return fates(kernel._frames) + "P" * parked
-
-
-def tenant_fates(policy, depth, ratio, frames):
-    tenant = Tenant("t", budget(policy, depth, ratio))
-    for k in range(frames):
-        tenant.admit(ticket(k), float(k))
-    return fates(tenant.ledger.frames)
-
-
-#: (policy, queue depth, degrade ratio, frames) -> kernel, tenant.
+#: (policy, queue depth, frames) -> fates.
 ROWS = [
-    ("shed-newest", 2, 2, 5, "qqnnn", "qqnnn"),
-    ("shed-oldest", 2, 2, 5, "oooqq", "oooqq"),
-    ("block", 2, 2, 4, "qqPP", "qqqq"),
-    ("degrade", 1, 2, 12, "oodododododq", "dddddddddddq"),
-    ("degrade", 1, 3, 12, "ooddoddoddqd", "ddddddddddqd"),
-    ("degrade", 1, 4, 12, "oodddodddqdd", "dddddddddqdd"),
-    ("degrade", 2, 2, 12, "ooodododqdqd", "ddddddddqdqd"),
-    ("degrade", 2, 3, 12, "oooddoddqddq", "ddddddddqddq"),
-    ("degrade", 2, 4, 12, "ooodddqdddqd", "ddddddqdddqd"),
+    ("shed-newest", 2, 5, "qqnnn"),
+    ("shed-oldest", 2, 5, "oooqq"),
+    ("block", 2, 4, "qqPP"),
+    ("degrade", 1, 12, "oodododododq"),
+    ("degrade", 2, 12, "ooodododqdqd"),
 ]
 
 
-@pytest.mark.parametrize("policy,depth,ratio,frames,kernel,tenant", ROWS)
+@pytest.mark.parametrize("policy,depth,frames,expected", ROWS)
 def test_fates_into_a_network_that_never_accepts(
-        policy, depth, ratio, frames, kernel, tenant):
-    assert kernel_fates(policy, depth, ratio, frames) == kernel
-    assert tenant_fates(policy, depth, ratio, frames) == tenant
+        policy, depth, frames, expected):
+    core = core_for(policy, depth)
+    parked = sum(core.offer(float(k)) == [PARK] for k in range(frames))
+    assert fates(core.ledger.frames) + "P" * parked == expected
 
 
 def test_degraded_exit():
     """Degraded after each of three offers (depth 2, two in flight at
     most), after both buffered frames are released, after one is
     delivered."""
-    inner = Refusing()
-    kernel = RealtimeKernel(inner, TOPOLOGY, budget("degrade", 2, 2, 2),
-                            start_watchdog=False)
+    core = core_for("degrade", 2, max_in_flight=2)
     seen = ""
     for k in range(3):
-        kernel.send_("e0", k)
-        seen += "T" if kernel._degraded else "F"
-    inner.accepting = True
-    kernel._watch_tick()
-    seen += "T" if kernel._degraded else "F"
-    kernel.recv_("e9")
-    kernel._watch_tick()
-    seen += "T" if kernel._degraded else "F"
+        core.offer(float(k))
+        seen += "T" if core.degraded else "F"
+    core.released(1, 10.0)
+    core.released(2, 10.0)
+    seen += "T" if core.degraded else "F"
+    core.delivered(1, 20.0)
+    seen += "T" if core.degraded else "F"
     assert seen == "FFTTF"
-
-    tenant = Tenant("t", budget("degrade", 2, 2, 2))
-    seen = ""
-    for k in range(3):
-        tenant.admit(ticket(k), float(k))
-        seen += "T" if tenant.degraded else "F"
-    first = tenant.take(10.0)
-    tenant.take(10.0)
-    seen += "T" if tenant.degraded else "F"
-    tenant.complete(first, 20.0)
-    seen += "T" if tenant.degraded else "F"
-    assert seen == "FFTFF"

@@ -85,8 +85,7 @@ class TestPoliciesOnThreads:
 
     def test_degrade_mode_enters_under_overload(self):
         budget = LatencyBudget(deadline_ms=5_000.0, policy="degrade",
-                               max_in_flight=1, queue_depth=1,
-                               degrade_ratio=2)
+                               max_in_flight=1, queue_depth=1)
         report = run_soak_program(
             "threads", budget, frames=16, work_us=2_000.0,
         )

@@ -95,13 +95,13 @@ class Observed(RealtimeKernel):
         finally:
             self.ticked.release()
 
-    def _must_park(self):
-        park = super()._must_park()
-        if park:
+    def _offer(self, value):
+        offered = super()._offer(value)
+        if not offered:
             # Still under the admission lock: whoever takes it next
             # finds this thread inside ``_room.wait()``.
             self.parked.set()
-        return park
+        return offered
 
     def after_ticks(self, n):
         for _ in range(n):
@@ -132,7 +132,7 @@ def make_kernel():
 
 
 def events(kernel, kind):
-    return [e.frame for e in kernel._events if e.kind == kind]
+    return [e.frame for e in kernel._core.events if e.kind == kind]
 
 
 # -- (a) no tick: service rounds per frame ------------------------------------
@@ -260,8 +260,8 @@ def test_a_frame_never_delivered_is_flagged_once_by_the_timer(make_kernel):
     inner.clock_us = 50_000.0
     kernel.after_ticks(1)                # one idle sleep later: still once
     assert events(kernel, "deadline-miss") == [0]
-    assert kernel._frames[0].deadline_missed
-    assert kernel._frames[0].status == "in-flight"
+    assert kernel._core.ledger.frames[0].deadline_missed
+    assert kernel._core.ledger.frames[0].status == "in-flight"
 
 
 def test_the_sleep_is_derived_from_the_earliest_open_deadline():
@@ -333,7 +333,7 @@ def park_a_grabber(kernel):
     grabber = threading.Thread(target=grab)
     grabber.start()
     assert kernel.parked.wait(WAIT)
-    assert len(kernel._frames) == 2
+    assert len(kernel._core.ledger.frames) == 2
     return grabber, outcome
 
 
@@ -344,7 +344,7 @@ def test_a_parked_grabber_resumes_when_the_head_is_released(make_kernel):
     assert kernel.recv_("e9") == "a"     # frees the slot b takes
     grabber.join(WAIT)
     assert outcome == ["admitted"]
-    assert [f.frame for f in kernel._frames] == [0, 1, 2]
+    assert [f.frame for f in kernel._core.ledger.frames] == [0, 1, 2]
     assert kernel.recv_("e9") == "b"
     assert kernel.recv_("e9") == "c"
 
@@ -357,7 +357,7 @@ def test_a_parked_grabber_unwinds_when_the_run_stops(make_kernel):
     kernel.shutdown()
     grabber.join(WAIT)
     assert outcome == ["shutdown"]
-    assert len(kernel._frames) == 2
+    assert len(kernel._core.ledger.frames) == 2
 
 
 # -- (f) the same on one event loop -------------------------------------------
@@ -481,10 +481,10 @@ class TestOnOneEventLoop:
             await kernel.send_("e0", "b")
             grabber = asyncio.ensure_future(kernel.send_("e0", "c"))
             await asyncio.sleep(0)
-            assert not grabber.done() and len(kernel._frames) == 2
+            assert not grabber.done() and len(kernel._core.ledger.frames) == 2
             assert await kernel.recv_("e9") == "a"
             await asyncio.wait_for(grabber, WAIT)
-            assert len(kernel._frames) == 3
+            assert len(kernel._core.ledger.frames) == 3
             # ... and a second one, parked when the run is torn down.
             parked = asyncio.ensure_future(kernel.send_("e0", "d"))
             await asyncio.sleep(0)
@@ -493,7 +493,7 @@ class TestOnOneEventLoop:
             await kernel.ashutdown()
             with pytest.raises(Shutdown):
                 await asyncio.wait_for(parked, WAIT)
-            assert len(kernel._frames) == 3
+            assert len(kernel._core.ledger.frames) == 3
 
         on_a_loop(scenario, deadline_ms=ASLEEP_MS, policy="block",
                   max_in_flight=1, queue_depth=1)
