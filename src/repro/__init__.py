@@ -10,7 +10,7 @@ vision substrate and the real-time vehicle-tracking case study.
 """
 
 from . import backends, core, machine, minicaml, pipeline, pnt, syndex, tracking, vision
-from .backends import Backend, BackendError, backend_names, get_backend, list_backends
+from .backends import BACKENDS, Backend, BackendError, get_backend
 from .core import (
     EndOfStream,
     FunctionTable,
@@ -41,11 +41,10 @@ __all__ = [
     "tracking",
     "pipeline",
     "backends",
+    "BACKENDS",
     "Backend",
     "BackendError",
     "get_backend",
-    "list_backends",
-    "backend_names",
     "scm",
     "df",
     "tf",

@@ -14,17 +14,16 @@ extend them to real hardware:
 * ``standalone`` — emitted self-contained program (``repro emit``) run
   in a clean subprocess with no repro import.
 
-Use :func:`get_backend`/:func:`list_backends` to resolve targets at run
+Use :data:`BACKENDS` (or :func:`get_backend`) to resolve targets at run
 time, or go through :func:`repro.pipeline.run` / the ``repro run`` CLI.
 """
 
-from .base import Backend, BackendError, report_from_blackboard
-from .registry import (
-    backend_capabilities,
-    backend_names,
+from .base import (
+    BACKENDS,
+    Backend,
+    BackendError,
     get_backend,
-    list_backends,
-    register_backend,
+    report_from_blackboard,
 )
 
 # Importing the modules registers the built-in backends.
@@ -46,11 +45,8 @@ import repro.net.coordinator  # noqa: E402,F401
 __all__ = [
     "Backend",
     "BackendError",
-    "register_backend",
+    "BACKENDS",
     "get_backend",
-    "list_backends",
-    "backend_names",
-    "backend_capabilities",
     "report_from_blackboard",
     "EmulateBackend",
     "SimulateBackend",

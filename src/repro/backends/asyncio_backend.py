@@ -38,14 +38,13 @@ from ..machine.executive import RunReport
 from ..machine.trace import Trace
 from ..realtime.async_kernel import AsyncRealtimeKernel
 from ..syndex.distribute import Mapping
-from .base import Backend, BackendError
+from .base import BACKENDS, Backend, BackendError
 from .hosting import merge_run, plan_run
-from .registry import register_backend
 
 __all__ = ["AsyncioBackend"]
 
 
-@register_backend
+@BACKENDS.register
 class AsyncioBackend(Backend):
     """Run the generated coroutine executive on one event loop.
 

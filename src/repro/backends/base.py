@@ -7,7 +7,7 @@ a :class:`Backend` takes a mapped program (or, for pure emulation, the
 program IR) plus the sequential-function table and produces a
 :class:`~repro.machine.executive.RunReport` — whatever substrate it runs
 on.  Registering a new execution target means implementing exactly this
-interface (see :mod:`repro.backends.registry`).
+interface and decorating the class with ``@BACKENDS.register``.
 """
 
 from __future__ import annotations
@@ -17,16 +17,29 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..core.functions import FunctionTable
 from ..core.ir import Program
+from ..core.registry import Registry
 from ..machine.costs import T9000, CostModel
 from ..machine.executive import RunReport
 from ..machine.trace import Trace
 from ..syndex.distribute import Mapping
 
-__all__ = ["Backend", "BackendError", "pin_to_cpu", "report_from_blackboard"]
+__all__ = [
+    "BACKENDS", "Backend", "BackendError", "get_backend", "pin_to_cpu",
+    "report_from_blackboard",
+]
 
 
 class BackendError(RuntimeError):
     """A backend could not execute the mapped program."""
+
+
+#: Execution backends by name; ``repro backends`` prints the columns.
+BACKENDS = Registry(
+    "backend", BackendError,
+    columns=(("faults", "supports_faults"), ("realtime", "supports_realtime"),
+             ("distributed", "distributed")),
+)
+get_backend = BACKENDS.get
 
 
 def pin_to_cpu(index: int) -> Optional[int]:
@@ -58,7 +71,7 @@ class Backend:
 
     Class attributes:
         name: registry key (``emulate``, ``simulate``, ``threads``, ...).
-        description: one-line summary shown by ``list_backends``.
+        description: one-line summary shown by ``repro backends``.
         real: True when the backend actually executes concurrently and
             reports wall-clock time; False for the simulated/sequential
             paths whose times are model-derived (or absent).

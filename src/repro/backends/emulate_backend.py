@@ -10,13 +10,12 @@ from ..core.ir import Program
 from ..machine.costs import T9000, CostModel
 from ..machine.executive import RunReport
 from ..syndex.distribute import Mapping
-from .base import Backend, BackendError
-from .registry import register_backend
+from .base import BACKENDS, Backend, BackendError
 
 __all__ = ["EmulateBackend"]
 
 
-@register_backend
+@BACKENDS.register
 class EmulateBackend(Backend):
     """Run the program IR directly with the declarative semantics.
 

@@ -33,16 +33,10 @@ from ..machine.executive import RunReport
 from ..realtime.kernel import StreamBoard
 from ..shm.batch import BatchPolicy
 from ..shm.flag import StopFlag
-from ..shm.registry import (
-    DEFAULT_TRANSPORT,
-    TRANSPORT_ENV,
-    EdgeSpec,
-    build_channels,
-)
+from ..shm.registry import TRANSPORTS, EdgeSpec, build_channels
 from ..syndex.distribute import Mapping
-from .base import Backend, BackendError, pin_to_cpu
+from .base import BACKENDS, Backend, BackendError, pin_to_cpu
 from .hosting import RunBarrier, RunPlan, host_run, merge_run, plan_run
-from .registry import register_backend
 
 __all__ = ["ProcessBackend", "run_multiprocess", "default_start_method"]
 
@@ -126,7 +120,7 @@ def run_multiprocess(
         # append, coalesce only under backpressure.
         topts["batch_policy"] = BatchPolicy(eager=True)
     channel_set = build_channels(
-        transport or os.environ.get(TRANSPORT_ENV) or DEFAULT_TRANSPORT,
+        TRANSPORTS.resolve(transport),
         [EdgeSpec(*edge) for edge in plan.cross_edges], ctx,
         queue_size=plan.queue_size, options=topts,
     )
@@ -189,7 +183,7 @@ def run_multiprocess(
     return merge_run(plan, barrier.payloads(), wall_us, "processes")
 
 
-@register_backend
+@BACKENDS.register
 class ProcessBackend(Backend):
     """Run the generated executive with one OS process per processor.
 

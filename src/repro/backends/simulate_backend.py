@@ -10,13 +10,12 @@ from ..machine.costs import T9000, CostModel
 from ..machine.executive import Executive, RunReport
 from ..pnt.graph import ProcessKind
 from ..syndex.distribute import Mapping
-from .base import Backend, BackendError
-from .registry import register_backend
+from .base import BACKENDS, Backend, BackendError
 
 __all__ = ["SimulateBackend"]
 
 
-@register_backend
+@BACKENDS.register
 class SimulateBackend(Backend):
     """Interpret the mapped network on the simulated machine.
 

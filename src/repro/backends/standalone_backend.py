@@ -24,8 +24,7 @@ from ..core.ir import Program
 from ..machine.costs import T9000, CostModel
 from ..machine.executive import RunReport
 from ..syndex.distribute import Mapping
-from .base import Backend, BackendError, report_from_blackboard
-from .registry import register_backend
+from .base import BACKENDS, Backend, BackendError, report_from_blackboard
 
 __all__ = ["StandaloneBackend", "run_emitted"]
 
@@ -73,7 +72,7 @@ def run_emitted(
     return parse_blackboard(proc.stdout)
 
 
-@register_backend
+@BACKENDS.register
 class StandaloneBackend(Backend):
     """Emit the program to a scratch directory and run it out-of-tree.
 

@@ -12,14 +12,13 @@ from ..core.ir import Program
 from ..machine.costs import T9000, CostModel
 from ..machine.executive import RunReport
 from ..syndex.distribute import Mapping
-from .base import Backend, BackendError
+from .base import BACKENDS, Backend, BackendError
 from .hosting import host_run, merge_run, plan_run
-from .registry import register_backend
 
 __all__ = ["ThreadBackend"]
 
 
-@register_backend
+@BACKENDS.register
 class ThreadBackend(Backend):
     """Run the generated executive concurrently on Python threads.
 

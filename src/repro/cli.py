@@ -39,7 +39,8 @@ import importlib
 import sys
 from typing import List, Optional
 
-from .backends import BackendError, backend_names, list_backends
+from .backends import BACKENDS, BackendError
+from .codegen.targets import TARGETS
 from .core.artifacts import ensure_parent_dir
 from .core.functions import FunctionTable
 from .machine.executive import RunReport
@@ -47,6 +48,7 @@ from .minicaml.compile import compile_source, typecheck_source
 from .minicaml.types import type_to_str
 from .pipeline import build
 from .realtime import OVERLOAD_POLICIES
+from .shm import TRANSPORTS
 from .syndex import arch as arch_mod
 
 __all__ = ["main", "parse_architecture", "load_table"]
@@ -175,7 +177,7 @@ def _cmd_map(args) -> int:
     import json
 
     from .pipeline import expand, profile as profile_stage
-    from .sched import get_scheduler, list_schedulers, predict
+    from .sched import SCHEDULERS, get_scheduler, predict
 
     source = _read_source(args.spec)
     table = load_table(args.functions)
@@ -192,15 +194,16 @@ def _cmd_map(args) -> int:
         throughput_target_hz=args.throughput_target_hz,
     )
     rows = []
-    for info in list_schedulers():
-        mapping = get_scheduler(info["name"]).place(graph, arch, **criteria)
+    descriptions = SCHEDULERS.descriptions()
+    for name in SCHEDULERS.names():
+        mapping = get_scheduler(name).place(graph, arch, **criteria)
         estimate = predict(
             mapping, durations=durations, edge_bytes=edge_bytes,
             items_hint=args.items,
         )
         rows.append({
-            "policy": info["name"],
-            "description": info["description"],
+            "policy": name,
+            "description": descriptions[name],
             "estimate": estimate.to_dict(),
             "assignment": dict(sorted(mapping.assignment.items())),
         })
@@ -443,11 +446,11 @@ def _cmd_check(args) -> int:
     backends = [b.strip() for b in args.backends.split(",") if b.strip()]
     if not backends:
         raise SystemExit("error: --backends names no backend")
-    unknown = sorted(set(backends) - set(backend_names()))
+    unknown = sorted(set(backends) - set(BACKENDS.names()))
     if unknown:
         raise SystemExit(
             f"error: unknown backend(s) {', '.join(unknown)} "
-            f"(available: {', '.join(backend_names())})"
+            f"(available: {', '.join(BACKENDS.names())})"
         )
     report = run_conformance(
         backends=backends,
@@ -590,35 +593,21 @@ def _cmd_stats(args) -> int:
     return 0
 
 
-def _cmd_transports(args) -> int:
-    from .shm import list_transports, transport_capabilities
+def _cmd_capabilities(args) -> int:
+    """Print one registry's capability table (``repro backends`` etc.)."""
+    registry = args.registry
+    headers = [header for header, _ in registry.columns]
+    widths = [10] + [max(len(header), 4) + 1 for header in headers]
 
-    descriptions = list_transports()
-    capabilities = transport_capabilities()
-    flag = lambda on: "yes" if on else "-"  # noqa: E731
-    print(f"  {'transport':<10} {'shm':<5} {'batching':<9} "
-          f"{'prealloc':<9} description")
-    for name in sorted(descriptions):
-        caps = capabilities[name]
-        print(f"  {name:<10} {flag(caps['shared_memory']):<5} "
-              f"{flag(caps['batching']):<9} {flag(caps['preallocated']):<9} "
-              f"{descriptions[name]}")
-    return 0
+    def row(cells, text):
+        padded = " ".join(f"{c:<{w}}" for c, w in zip(cells, widths))
+        return f"  {padded} {text}"
 
-
-def _cmd_backends(args) -> int:
-    from .backends import backend_capabilities
-
-    descriptions = list_backends()
-    capabilities = backend_capabilities()
-    flag = lambda on: "yes" if on else "-"  # noqa: E731
-    print(f"  {'backend':<10} {'faults':<7} {'realtime':<9} "
-          f"{'distributed':<12} description")
-    for name in sorted(descriptions):
-        caps = capabilities[name]
-        print(f"  {name:<10} {flag(caps['faults']):<7} "
-              f"{flag(caps['realtime']):<9} {flag(caps['distributed']):<12} "
-              f"{descriptions[name]}")
+    print(row([registry.kind, *headers], "description"))
+    descriptions = registry.descriptions()
+    for name, caps in registry.capabilities().items():
+        flags = ["yes" if on else "-" for on in caps.values()]
+        print(row([name, *flags], descriptions[name]))
     return 0
 
 
@@ -672,7 +661,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     common(p, arch=True)
     p.add_argument(
         "--emit",
-        choices=("summary", "dot", "macro", "python", "asyncio"),
+        choices=("summary", "dot", *TARGETS.names()),
         default="summary",
     )
     p.set_defaults(fn=_cmd_compile)
@@ -724,7 +713,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                    help="one-shot input value (Python literal; repeatable)")
     p.add_argument("--real-time", action="store_true",
                    help="25 Hz frame timing with frame skipping")
-    p.add_argument("--backend", choices=backend_names(), default="simulate",
+    p.add_argument("--backend", choices=BACKENDS.names(), default="simulate",
                    help="execution backend (default: simulate)")
     p.add_argument("--gantt", action="store_true",
                    help="print a text Gantt chart of the run")
@@ -739,7 +728,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "run", help="execute on a real backend (threads/processes)",
     )
     common(p, arch=True)
-    p.add_argument("--backend", choices=backend_names(), default="threads",
+    p.add_argument("--backend", choices=BACKENDS.names(), default="threads",
                    help="execution backend (default: threads)")
     p.add_argument("--max-iterations", type=int, default=None)
     p.add_argument("--arg", action="append", default=[], metavar="VALUE",
@@ -886,13 +875,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         "backends",
         help="list the execution backends and their capability matrix",
     )
-    p.set_defaults(fn=_cmd_backends)
+    p.set_defaults(fn=_cmd_capabilities, registry=BACKENDS)
 
     p = sub.add_parser(
         "transports",
         help="list the intra-host transports of the processes backend",
     )
-    p.set_defaults(fn=_cmd_transports)
+    p.set_defaults(fn=_cmd_capabilities, registry=TRANSPORTS)
 
     args = parser.parse_args(argv)
     return args.fn(args)

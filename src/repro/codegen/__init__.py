@@ -16,11 +16,8 @@ from .pygen import generate_python, load_executive, run_generated, thread_name
 from .targets import (
     CodegenTarget,
     EmitError,
+    TARGETS,
     get_target,
-    list_targets,
-    register_target,
-    target_capabilities,
-    target_names,
 )
 
 __all__ = [
@@ -42,9 +39,6 @@ __all__ = [
     "run_generated_asyncio",
     "CodegenTarget",
     "EmitError",
-    "register_target",
+    "TARGETS",
     "get_target",
-    "target_names",
-    "list_targets",
-    "target_capabilities",
 ]

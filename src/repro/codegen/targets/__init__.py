@@ -26,19 +26,16 @@ Built-in targets:
 from .registry import (
     MANIFEST_NAME,
     CodegenTarget,
+    TARGETS,
     EmitError,
     build_manifest,
     get_target,
-    list_targets,
-    register_target,
-    target_capabilities,
-    target_names,
     write_emitted_file,
     write_emitted_set,
 )
 
 # Importing a target module registers it (the dace one-import-per-target
-# idiom): each module ends in a @register_target class.
+# idiom): each module ends in a @TARGETS.register class.
 from . import python_target   # noqa: E402,F401  (registers "python")
 from . import asyncio_target  # noqa: E402,F401  (registers "asyncio")
 from . import macro_target    # noqa: E402,F401  (registers "macro")
@@ -53,11 +50,8 @@ __all__ = [
     "CodegenTarget",
     "EmitError",
     "MANIFEST_NAME",
-    "register_target",
+    "TARGETS",
     "get_target",
-    "target_names",
-    "list_targets",
-    "target_capabilities",
     "build_manifest",
     "write_emitted_file",
     "write_emitted_set",

@@ -16,7 +16,7 @@ from typing import Optional
 
 from ...syndex.distribute import Mapping
 from .python_target import ExecutiveGenerator
-from .registry import CodegenTarget, register_target
+from .registry import TARGETS, CodegenTarget
 
 __all__ = ["AsyncioGenerator", "AsyncioTarget"]
 
@@ -31,7 +31,7 @@ class AsyncioGenerator(ExecutiveGenerator):
     PROVENANCE = "repro.codegen.targets.asyncio"
 
 
-@register_target
+@TARGETS.register
 class AsyncioTarget(CodegenTarget):
     name = "asyncio"
     description = "coroutine executive on one event loop (asyncio backend)"

@@ -14,12 +14,12 @@ from typing import List, Optional
 
 from ...syndex.distribute import Mapping
 from ..macro import emit_all, emit_macro
-from .registry import CodegenTarget, register_target, write_emitted_set
+from .registry import TARGETS, CodegenTarget, write_emitted_set
 
 __all__ = ["MacroTarget"]
 
 
-@register_target
+@TARGETS.register
 class MacroTarget(CodegenTarget):
     name = "macro"
     description = "m4-style macro-code, one program per processor (Fig. 2)"

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 
 from ...pnt.graph import ProcessGraph, ProcessKind
 from ...syndex.distribute import Mapping
-from .registry import CodegenTarget, register_target
+from .registry import TARGETS, CodegenTarget
 
 __all__ = ["ExecutiveGenerator", "PythonTarget", "thread_name"]
 
@@ -430,7 +430,7 @@ class ExecutiveGenerator:
         return "\n".join(lines)
 
 
-@register_target
+@TARGETS.register
 class PythonTarget(CodegenTarget):
     """Threaded Python executive — the reference dialect.
 

@@ -10,12 +10,13 @@ transformation of a :class:`~repro.syndex.distribute.Mapping` into an
 executive for one substrate, written purely against
 :data:`~repro.codegen.kernel.KERNEL_PRIMITIVES`.
 
-Targets mirror :mod:`repro.backends.registry` deliberately — a codegen
-target is the *emission* half of what an execution backend *runs*, and
-several targets (``python`` → ``threads``/``processes``, ``asyncio`` →
-``asyncio``) name the backend their executives are built for.  The
-``standalone`` target goes one step further and emits a directory that
-runs with no ``repro`` import at all.
+Targets register in the same :class:`~repro.core.registry.Registry` as
+execution backends do — a codegen target is the *emission* half of what
+an execution backend *runs*, and several targets (``python`` →
+``threads``/``processes``, ``asyncio`` → ``asyncio``) name the backend
+their executives are built for.  The ``standalone`` target goes one
+step further and emits a directory that runs with no ``repro`` import
+at all.
 """
 
 from __future__ import annotations
@@ -23,18 +24,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional
 
+from ...core.registry import Registry
 from ...syndex.distribute import Mapping
 
 __all__ = [
     "CodegenTarget",
     "EmitError",
-    "register_target",
+    "TARGETS",
     "get_target",
-    "target_names",
-    "list_targets",
-    "target_capabilities",
     "build_manifest",
     "write_emitted_file",
     "MANIFEST_NAME",
@@ -53,7 +52,7 @@ class CodegenTarget:
     Class attributes:
         name: registry key (``python``, ``asyncio``, ``standalone``,
             ``macro``).
-        description: one-line summary shown by :func:`list_targets`.
+        description: one-line summary of the emission.
         runnable: True when :meth:`generate` produces a module that
             :func:`~repro.codegen.pygen.load_executive` can load and a
             kernel can run; False for documentation-only emissions
@@ -98,58 +97,13 @@ class CodegenTarget:
         )
 
 
-_REGISTRY: Dict[str, Type[CodegenTarget]] = {}
-
-
-def register_target(cls: Type[CodegenTarget]) -> Type[CodegenTarget]:
-    """Class decorator adding a :class:`CodegenTarget` to the registry."""
-    if not cls.name or cls.name == "?":
-        raise ValueError(f"target class {cls.__name__} has no name")
-    if cls.name in _REGISTRY:
-        raise ValueError(f"codegen target {cls.name!r} already registered")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def get_target(name: str) -> CodegenTarget:
-    """Instantiate the codegen target registered under ``name``."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise EmitError(
-            f"unknown codegen target {name!r}; available: "
-            f"{', '.join(target_names())}"
-        ) from None
-    return cls()
-
-
-def target_names() -> List[str]:
-    """Registered target names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def list_targets() -> Dict[str, str]:
-    """Mapping of target name -> one-line description."""
-    return {name: _REGISTRY[name].description for name in target_names()}
-
-
-def target_capabilities() -> Dict[str, Dict[str, object]]:
-    """Per-target capability flags, in sorted-name order.
-
-    Keys per target: ``runnable``, ``standalone``, ``backend`` — sourced
-    from the registered class attributes so tooling never drifts from
-    the code (the same guarantee
-    :func:`repro.backends.registry.backend_capabilities` gives).
-    """
-    out: Dict[str, Dict[str, object]] = {}
-    for name in target_names():
-        cls = _REGISTRY[name]
-        out[name] = {
-            "runnable": bool(cls.runnable),
-            "standalone": bool(cls.standalone),
-            "backend": cls.backend,
-        }
-    return out
+#: Codegen targets by name.
+TARGETS = Registry(
+    "codegen target", EmitError,
+    columns=(("runnable", "runnable"), ("standalone", "standalone"),
+             ("backend", "backend")),
+)
+get_target = TARGETS.get
 
 
 # -- emission helpers ---------------------------------------------------------

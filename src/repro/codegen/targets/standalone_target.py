@@ -41,8 +41,8 @@ from ...syndex.distribute import Mapping
 from .python_target import ExecutiveGenerator
 from .registry import (
     CodegenTarget,
+    TARGETS,
     EmitError,
-    register_target,
     write_emitted_set,
 )
 
@@ -380,7 +380,7 @@ class StandaloneGenerator(ExecutiveGenerator):
     )
 
 
-@register_target
+@TARGETS.register
 class StandaloneTarget(CodegenTarget):
     name = "standalone"
     description = "self-contained emitted program (runs without repro)"

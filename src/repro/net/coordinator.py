@@ -37,9 +37,8 @@ from ..machine.costs import T9000, CostModel
 from ..machine.executive import RunReport
 from ..machine.trace import CounterSample, Instant, Trace
 from ..syndex.distribute import Mapping
-from ..backends.base import Backend, BackendError
+from ..backends.base import BACKENDS, Backend, BackendError
 from ..backends.hosting import RunBarrier, RunPlan, merge_run, plan_run
-from ..backends.registry import register_backend
 from . import codec
 from .protocol import ConnectionClosed, Frame, Link, pack_run, split_edge, split_run
 
@@ -168,10 +167,10 @@ def run_distributed(
             "the tcp backend has no live workers (start some with "
             "`repro worker --connect HOST:PORT`)"
         )
-    from ..sched.registry import resolve_scheduler
+    from ..sched.registry import SCHEDULERS
 
     participating = list(plan.participating)
-    assignment = resolve_scheduler(scheduler).assign(
+    assignment = SCHEDULERS.get(SCHEDULERS.resolve(scheduler)).assign(
         mapping, participating, live)
     procs_of: Dict[WorkerLink, List[str]] = {}
     for proc in participating:
@@ -329,7 +328,7 @@ def _tag_hosts(trace: Trace, hosts: Dict[str, str]) -> None:
     trace.counters = stamped
 
 
-@register_backend
+@BACKENDS.register
 class TcpBackend(Backend):
     """Run the generated executive on a TCP cluster of workers.
 

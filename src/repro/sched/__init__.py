@@ -21,15 +21,7 @@ from .costmodel import (
     speeds_from_report,
 )
 from .mapper import Candidate, bicriteria_map, bicriteria_search, pareto_front
-from .registry import (
-    DEFAULT_SCHEDULER,
-    Scheduler,
-    get_scheduler,
-    list_schedulers,
-    register_scheduler,
-    resolve_scheduler,
-    scheduler_names,
-)
+from .registry import DEFAULT_SCHEDULER, SCHEDULERS, Scheduler, get_scheduler
 from .remap import RemapPolicy
 
 __all__ = [
@@ -42,11 +34,8 @@ __all__ = [
     "bicriteria_search",
     "pareto_front",
     "DEFAULT_SCHEDULER",
+    "SCHEDULERS",
     "Scheduler",
     "get_scheduler",
-    "list_schedulers",
-    "register_scheduler",
-    "resolve_scheduler",
-    "scheduler_names",
     "RemapPolicy",
 ]

@@ -13,31 +13,25 @@ through one interface:
   per-processor loads so the heaviest processor never lands on the same
   worker as the second-heaviest.
 
-Mirrors the backend/target/transport registries: decorate a subclass
-with :func:`register_scheduler`, select by name (``repro map``,
-``--scheduler``, ``REPRO_SCHEDULER``).
+One :class:`~repro.core.registry.Registry`, like backends, targets and
+transports: decorate a subclass with ``@SCHEDULERS.register``, select by
+name (``repro map``, ``--scheduler``).  ``REPRO_SCHEDULER`` picks only
+the tcp coordinator's worker-assignment policy; placement with no
+``--scheduler`` stays the AAA heuristic.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional
 
+from ..core.registry import Registry
 from ..pnt.graph import ProcessGraph
 from ..syndex.arch import Architecture
 from ..syndex.distribute import Mapping, distribute, round_robin
 from .costmodel import processor_loads
 from .mapper import bicriteria_map
 
-__all__ = [
-    "Scheduler",
-    "register_scheduler",
-    "get_scheduler",
-    "resolve_scheduler",
-    "scheduler_names",
-    "list_schedulers",
-    "DEFAULT_SCHEDULER",
-]
+__all__ = ["Scheduler", "SCHEDULERS", "get_scheduler", "DEFAULT_SCHEDULER"]
 
 #: The coordinator's default worker-assignment policy; overridable per
 #: run (``scheduler=``) or process-wide (``REPRO_SCHEDULER``).
@@ -100,47 +94,14 @@ def _lpt_assign(
     return assignment
 
 
-_SCHEDULERS: Dict[str, Scheduler] = {}
+#: Placement policies by name.
+SCHEDULERS = Registry(
+    "scheduler", env="REPRO_SCHEDULER", default=DEFAULT_SCHEDULER
+)
+get_scheduler = SCHEDULERS.get
 
 
-def register_scheduler(cls):
-    """Class decorator: instantiate and register one policy by name."""
-    instance = cls()
-    if not instance.name:
-        raise ValueError(f"{cls.__name__} has no name")
-    _SCHEDULERS[instance.name] = instance
-    return cls
-
-
-def get_scheduler(name: str) -> Scheduler:
-    try:
-        return _SCHEDULERS[name]
-    except KeyError:
-        known = ", ".join(sorted(_SCHEDULERS))
-        raise ValueError(
-            f"unknown scheduler {name!r} (registered: {known})"
-        ) from None
-
-
-def resolve_scheduler(name: Optional[str] = None) -> Scheduler:
-    """Explicit name, else ``REPRO_SCHEDULER``, else the default."""
-    return get_scheduler(
-        name or os.environ.get("REPRO_SCHEDULER") or DEFAULT_SCHEDULER
-    )
-
-
-def scheduler_names() -> List[str]:
-    return sorted(_SCHEDULERS)
-
-
-def list_schedulers() -> List[Dict[str, str]]:
-    return [
-        {"name": s.name, "description": s.description}
-        for _, s in sorted(_SCHEDULERS.items())
-    ]
-
-
-@register_scheduler
+@SCHEDULERS.register
 class RoundRobinScheduler(Scheduler):
     """The naive baseline on both halves (kept for A/B comparisons)."""
 
@@ -152,7 +113,7 @@ class RoundRobinScheduler(Scheduler):
         return round_robin(graph, arch)
 
 
-@register_scheduler
+@SCHEDULERS.register
 class AaaScheduler(Scheduler):
     """The AAA greedy list-scheduler, with LPT worker assignment."""
 
@@ -171,7 +132,7 @@ class AaaScheduler(Scheduler):
         return _lpt_assign(mapping, processors, workers, durations)
 
 
-@register_scheduler
+@SCHEDULERS.register
 class BicriteriaScheduler(Scheduler):
     """Pareto search over latency x throughput x reliability."""
 

@@ -22,17 +22,13 @@ from .flag import StopFlag
 from .pipe import PipeChannel
 from .registry import (
     DEFAULT_TRANSPORT,
-    TRANSPORT_ENV,
+    TRANSPORTS,
     ChannelSet,
     EdgeSpec,
     Transport,
     TransportError,
     build_channels,
     get_transport,
-    list_transports,
-    register_transport,
-    transport_capabilities,
-    transport_names,
 )
 from .ring import (
     DEFAULT_SLOT_BYTES,
@@ -59,17 +55,13 @@ __all__ = [
     "PipeChannel",
     "StopFlag",
     "DEFAULT_TRANSPORT",
-    "TRANSPORT_ENV",
+    "TRANSPORTS",
     "ChannelSet",
     "EdgeSpec",
     "Transport",
     "TransportError",
     "build_channels",
     "get_transport",
-    "list_transports",
-    "register_transport",
-    "transport_capabilities",
-    "transport_names",
     "Ring",
     "RingError",
     "RingHandle",

@@ -1,40 +1,34 @@
 """Transport registry: one intra-host channel story per registered name.
 
-Mirrors the execution-backend and codegen-target registries: a
-:class:`Transport` subclass registers itself under a short name, the
-processes backend resolves the requested name at run time, and channel
-selection happens *per edge* — a transport may decline an edge (return
-``None`` from :meth:`Transport.channel_for`), in which case the edge
-falls back down the chain, ultimately to the ``queue`` transport, which
-accepts every edge and every picklable payload.  Adding a
-transport therefore never touches the kernel or the backend: register a
-class, and every intra-host edge can ride it.
+One :class:`~repro.core.registry.Registry`, like execution backends and
+codegen targets: a :class:`Transport` subclass registers itself under a
+short name with ``@TRANSPORTS.register``, the processes backend resolves
+the requested name at run time, and channel selection happens *per
+edge* — a transport may decline an edge (return ``None`` from
+:meth:`Transport.channel_for`), in which case the edge falls back down
+the chain, ultimately to the ``queue`` transport, which accepts every
+edge and every picklable payload.  Adding a transport therefore never
+touches the kernel or the backend: register a class, and every
+intra-host edge can ride it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Type
+from typing import Any, Dict, Optional, Sequence
+
+from ..core.registry import Registry
 
 __all__ = [
     "EdgeSpec",
     "Transport",
     "TransportError",
     "ChannelSet",
-    "register_transport",
+    "TRANSPORTS",
     "get_transport",
-    "transport_names",
-    "list_transports",
-    "transport_capabilities",
     "build_channels",
     "DEFAULT_TRANSPORT",
-    "TRANSPORT_ENV",
 ]
-
-#: Environment override for the intra-host transport of the processes
-#: backend (same idiom as ``REPRO_MP_START_METHOD``): CI legs set
-#: ``REPRO_TRANSPORT=ring`` to certify the ring data plane everywhere.
-TRANSPORT_ENV = "REPRO_TRANSPORT"
 
 DEFAULT_TRANSPORT = "queue"
 
@@ -57,7 +51,7 @@ class EdgeSpec:
 class Transport:
     """One way to move packets across an intra-host processor boundary.
 
-    Subclasses register with :func:`register_transport` and implement
+    Subclasses register with ``@TRANSPORTS.register`` and implement
     :meth:`channel_for`, returning a queue-compatible channel object
     (``put``/``put_nowait``/``get``/``get_nowait`` with ``queue.Full``/
     ``queue.Empty`` semantics, picklable across the start method) — or
@@ -72,7 +66,7 @@ class Transport:
 
     name: str = "?"
     description: str = ""
-    #: Capability flags surfaced by :func:`transport_capabilities`.
+    #: Capability flags surfaced by ``repro transports``.
     shared_memory = False
     batching = False
     preallocated = False
@@ -88,57 +82,17 @@ class Transport:
         raise NotImplementedError
 
 
-_REGISTRY: Dict[str, Type[Transport]] = {}
-
-
-def register_transport(cls: Type[Transport]) -> Type[Transport]:
-    """Class decorator adding a :class:`Transport` to the registry."""
-    if not cls.name or cls.name == "?":
-        raise ValueError(f"transport class {cls.__name__} has no name")
-    if cls.name in _REGISTRY:
-        raise ValueError(f"transport {cls.name!r} already registered")
-    _REGISTRY[cls.name] = cls
-    return cls
-
-
-def get_transport(name: str) -> Transport:
-    """Instantiate the transport registered under ``name``."""
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise TransportError(
-            f"unknown transport {name!r}; available: "
-            f"{', '.join(transport_names())}"
-        ) from None
-    if not cls.available():
-        raise TransportError(
-            f"transport {name!r} is not available on this host"
-        )
-    return cls()
-
-
-def transport_names() -> List[str]:
-    """Registered transport names, sorted."""
-    return sorted(_REGISTRY)
-
-
-def list_transports() -> Dict[str, str]:
-    """Mapping of transport name -> one-line description."""
-    return {name: _REGISTRY[name].description for name in transport_names()}
-
-
-def transport_capabilities() -> Dict[str, Dict[str, bool]]:
-    """Per-transport capability flags, in sorted-name order."""
-    out: Dict[str, Dict[str, bool]] = {}
-    for name in transport_names():
-        cls = _REGISTRY[name]
-        out[name] = {
-            "shared_memory": bool(cls.shared_memory),
-            "batching": bool(cls.batching),
-            "preallocated": bool(cls.preallocated),
-            "available": bool(cls.available()),
-        }
-    return out
+#: Intra-host transports by name; ``repro transports`` prints the columns.
+#: ``REPRO_TRANSPORT`` overrides the processes backend's choice (same
+#: idiom as ``REPRO_MP_START_METHOD``): CI legs set ``REPRO_TRANSPORT=ring``
+#: to certify the ring data plane everywhere.
+TRANSPORTS = Registry(
+    "transport", TransportError,
+    columns=(("shm", "shared_memory"), ("batching", "batching"),
+             ("prealloc", "preallocated")),
+    env="REPRO_TRANSPORT", default=DEFAULT_TRANSPORT,
+)
+get_transport = TRANSPORTS.get
 
 
 class ChannelSet:

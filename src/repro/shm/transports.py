@@ -7,7 +7,7 @@ from typing import Any, Dict, Optional
 from .batch import BatchPolicy
 from .channel import RingChannel
 from .pipe import PipeChannel
-from .registry import EdgeSpec, Transport, register_transport
+from .registry import TRANSPORTS, EdgeSpec, Transport
 
 try:
     from multiprocessing import shared_memory as _shared_memory
@@ -17,7 +17,7 @@ except ImportError:  # pragma: no cover
 __all__ = ["QueueTransport", "RingTransport"]
 
 
-@register_transport
+@TRANSPORTS.register
 class QueueTransport(Transport):
     """The default path: one bounded pipe channel per edge.
 
@@ -39,7 +39,7 @@ class QueueTransport(Transport):
         return PipeChannel(ctx, queue_size)
 
 
-@register_transport
+@TRANSPORTS.register
 class RingTransport(Transport):
     """Preallocated shared-memory ring with packet batching per edge.
 

@@ -1,30 +1,24 @@
-"""Tests for the backend registry and the common interface."""
+"""Backend-specific registry facts.
+
+The contract every registry shares is in ``tests/core/test_registry.py``.
+"""
 
 import pytest
 
 from repro.backends import (
+    BACKENDS,
     AsyncioBackend,
-    Backend,
     BackendError,
     EmulateBackend,
     ProcessBackend,
     SimulateBackend,
     StandaloneBackend,
     ThreadBackend,
-    backend_names,
     get_backend,
-    list_backends,
 )
-from repro.backends.registry import register_backend
 
 
 class TestRegistry:
-    def test_builtin_backends_registered(self):
-        assert backend_names() == [
-            "asyncio", "emulate", "processes", "simulate", "standalone",
-            "tcp", "threads",
-        ]
-
     def test_get_backend_returns_instances(self):
         from repro.net import TcpBackend
 
@@ -56,46 +50,6 @@ class TestRegistry:
         ):
             get_backend("transputer")
 
-    def test_unavailable_backend_rejected(self):
-        from repro.backends.registry import _REGISTRY
-
-        @register_backend
-        class Unavailable(Backend):
-            name = "test-unavailable"
-            description = "registered but cannot run here"
-
-            @classmethod
-            def available(cls):
-                return False
-
-        try:
-            assert "test-unavailable" in backend_names()
-            with pytest.raises(BackendError, match="not available"):
-                get_backend("test-unavailable")
-        finally:
-            del _REGISTRY["test-unavailable"]
-        assert "test-unavailable" not in backend_names()
-
-    def test_list_backends_has_descriptions(self):
-        listed = list_backends()
-        assert set(listed) == set(backend_names())
-        assert all(listed.values())
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_backend
-            class Clashing(Backend):  # noqa: F811 - intentionally clashing
-                name = "threads"
-                description = "clash"
-
-    def test_anonymous_registration_rejected(self):
-        with pytest.raises(ValueError, match="name"):
-
-            @register_backend
-            class Nameless(Backend):
-                description = "no name"
-
     def test_real_flags(self):
         assert not get_backend("emulate").real
         assert not get_backend("simulate").real
@@ -106,17 +60,9 @@ class TestRegistry:
         assert get_backend("tcp").real
 
     def test_capability_matrix(self):
-        from repro.backends import backend_capabilities
-
-        caps = backend_capabilities()
-        assert list(caps) == backend_names()  # sorted, stable
-        assert all(
-            set(flags) == {"real", "faults", "realtime", "distributed"}
-            for flags in caps.values()
-        )
+        caps = BACKENDS.capabilities()
         assert caps["emulate"] == {
-            "real": False, "faults": False,
-            "realtime": False, "distributed": False,
+            "faults": False, "realtime": False, "distributed": False,
         }
         assert caps["processes"]["faults"]
         assert caps["processes"]["realtime"]

@@ -419,11 +419,23 @@ class TestSupervisedGrain:
         assert len(report.faults.injected) == 1
         # Per item: no chunk was ever built, and every item owes exactly
         # one worker span (a crashed firing records none; its
-        # re-dispatch records the one the packet is owed).
+        # re-dispatch records the one the packet is owed).  The only
+        # other firings are of a second copy of a packet whose first copy
+        # still runs: a hedge or a probe, and under limplock a
+        # re-dispatch off the limping worker.  Every discarded late
+        # answer is one of them; a losing copy still running when the
+        # run ends records its span but is never heard.  With no hedge
+        # or probe, the crash arm's count is exact.
         assert chunks_built == []
         worker_spans = [s for s in report.trace.compute
                         if "_worker" in s.owner]
-        assert len(worker_spans) == frames * pieces
+        faults = report.faults
+        items = frames * pieces
+        copies = faults.hedges + len(faults.by_category("probe"))
+        if chaos == "limplock":
+            copies += faults.redispatches
+        assert items + faults.duplicates <= len(worker_spans) <= (
+            items + copies)
         if chaos == "crash":
             assert report.faults.redispatches >= 1
 

@@ -11,16 +11,7 @@ from repro.codegen.pygen import (
     executive_module_name,
     generate_python,
 )
-from repro.codegen.targets import (
-    CodegenTarget,
-    EmitError,
-    get_target,
-    list_targets,
-    register_target,
-    target_capabilities,
-    target_names,
-)
-from repro.codegen.targets.registry import _REGISTRY
+from repro.codegen.targets import TARGETS, CodegenTarget, get_target
 from repro.conformance.functions import reset_stream
 from repro.conformance.generator import build_case, generate_case
 from repro.conformance.oracle import build_mapping
@@ -39,21 +30,8 @@ def _result_keys(blackboard):
 
 
 class TestRegistry:
-    def test_builtin_targets_registered(self):
-        assert target_names() == ["asyncio", "macro", "python", "standalone"]
-
-    def test_list_targets_has_descriptions(self):
-        listed = list_targets()
-        assert set(listed) == set(target_names())
-        assert all(listed.values())
-
     def test_capability_matrix(self):
-        caps = target_capabilities()
-        assert list(caps) == target_names()  # sorted, stable
-        assert all(
-            set(flags) == {"runnable", "standalone", "backend"}
-            for flags in caps.values()
-        )
+        caps = TARGETS.capabilities()
         assert caps["python"] == {
             "runnable": True, "standalone": False, "backend": "threads",
         }
@@ -61,27 +39,10 @@ class TestRegistry:
         assert not caps["macro"]["runnable"]
         assert caps["standalone"]["standalone"]
 
-    def test_unknown_target_lists_available(self):
-        with pytest.raises(EmitError, match="python"):
-            get_target("fpga")
+    def test_custom_target_round_trip(self, monkeypatch):
+        monkeypatch.setattr(TARGETS, "_classes", dict(TARGETS._classes))
 
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(ValueError, match="already registered"):
-
-            @register_target
-            class Clashing(CodegenTarget):  # noqa: F811
-                name = "python"
-                description = "clash"
-
-    def test_anonymous_registration_rejected(self):
-        with pytest.raises(ValueError, match="name"):
-
-            @register_target
-            class Nameless(CodegenTarget):
-                description = "no name"
-
-    def test_custom_target_round_trip(self):
-        @register_target
+        @TARGETS.register
         class Custom(CodegenTarget):
             name = "test-custom"
             description = "python dialect under another name"
@@ -91,12 +52,8 @@ class TestRegistry:
                     mapping, max_iterations=max_iterations
                 )
 
-        try:
-            assert "test-custom" in target_names()
-            _, mapping = _case(0)
-            assert get_target("test-custom").generate(mapping)
-        finally:
-            del _REGISTRY["test-custom"]
+        _, mapping = _case(0)
+        assert get_target("test-custom").generate(mapping)
 
 
 class TestPythonTarget:

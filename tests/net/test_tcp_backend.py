@@ -10,7 +10,7 @@ import time
 
 import pytest
 
-from repro.backends import backend_capabilities, get_backend
+from repro.backends import BACKENDS, get_backend
 from repro.core import FunctionTable, ProgramBuilder
 from repro.faults import FaultPlan, FaultPolicy
 from repro.faults.topology import FaultTopology
@@ -81,9 +81,9 @@ class TestDistributedEquivalence:
 
 
 def test_capability_matrix_reports_tcp_distributed():
-    caps = backend_capabilities()
+    caps = BACKENDS.capabilities()
     assert caps["tcp"] == {
-        "real": True, "faults": True, "realtime": True, "distributed": True,
+        "faults": True, "realtime": True, "distributed": True,
     }
     assert not caps["emulate"]["distributed"]
     assert not caps["processes"]["distributed"]

@@ -1,17 +1,8 @@
-"""The Scheduler interface, its registry, and the LPT assignment half."""
-
-import pytest
+"""The scheduler policies, the REPRO_SCHEDULER knob, and LPT assignment."""
 
 from repro.core import FunctionTable, ProgramBuilder
 from repro.pnt import expand_program
-from repro.sched import (
-    DEFAULT_SCHEDULER,
-    Scheduler,
-    get_scheduler,
-    list_schedulers,
-    resolve_scheduler,
-    scheduler_names,
-)
+from repro.sched import DEFAULT_SCHEDULER, SCHEDULERS, get_scheduler
 from repro.sched.registry import _lpt_assign
 from repro.syndex import distribute, ring
 
@@ -39,40 +30,17 @@ def df_stream_graph(degree=4):
 
 
 class TestRegistry:
-    def test_at_least_two_policies_registered(self):
-        names = scheduler_names()
-        assert len(names) >= 2
-        assert "round-robin" in names
-        assert "bicriteria" in names
-
-    def test_listing_carries_descriptions(self):
-        for entry in list_schedulers():
-            assert entry["name"] and entry["description"]
-
-    def test_unknown_name_raises_with_known_list(self):
-        with pytest.raises(ValueError, match="round-robin"):
-            get_scheduler("fifo")
-
     def test_resolve_precedence(self, monkeypatch):
         monkeypatch.delenv("REPRO_SCHEDULER", raising=False)
-        assert resolve_scheduler().name == DEFAULT_SCHEDULER
+        assert SCHEDULERS.resolve() == DEFAULT_SCHEDULER == "bicriteria"
         monkeypatch.setenv("REPRO_SCHEDULER", "round-robin")
-        assert resolve_scheduler().name == "round-robin"
+        assert SCHEDULERS.resolve() == "round-robin"
         # An explicit name wins over the environment.
-        assert resolve_scheduler("aaa").name == "aaa"
-
-    def test_register_requires_a_name(self):
-        from repro.sched.registry import register_scheduler
-
-        class Nameless(Scheduler):
-            pass
-
-        with pytest.raises(ValueError, match="no name"):
-            register_scheduler(Nameless)
+        assert SCHEDULERS.resolve("aaa") == "aaa"
 
     def test_every_policy_places_every_process(self):
         graph = df_stream_graph(4)
-        for name in scheduler_names():
+        for name in SCHEDULERS.names():
             mapping = get_scheduler(name).place(graph, ring(5))
             assert set(mapping.assignment) == set(graph.processes)
             mapping.validate()

@@ -5,18 +5,13 @@ import multiprocessing
 import pytest
 
 from repro.shm import (
+    TRANSPORTS,
     ChannelSet,
     EdgeSpec,
     RingChannel,
     Transport,
-    TransportError,
     build_channels,
-    get_transport,
-    list_transports,
-    transport_capabilities,
-    transport_names,
 )
-from repro.shm.registry import _REGISTRY, register_transport
 
 
 def spec(edge="e0", src="a", dst="b"):
@@ -24,38 +19,12 @@ def spec(edge="e0", src="a", dst="b"):
 
 
 class TestRegistry:
-    def test_builtins_are_registered(self):
-        assert transport_names() == ["queue", "ring"]
-
-    def test_descriptions(self):
-        described = list_transports()
-        assert set(described) == {"queue", "ring"}
-        assert all(described.values())
-
     def test_capabilities_matrix(self):
-        caps = transport_capabilities()
-        assert not caps["queue"]["shared_memory"]
-        assert caps["ring"]["shared_memory"]
-        assert caps["ring"]["batching"]
-        assert caps["ring"]["preallocated"]
-
-    def test_unknown_transport_is_loud(self):
-        with pytest.raises(TransportError, match="unknown transport"):
-            get_transport("carrier-pigeon")
-
-    def test_duplicate_registration_rejected(self):
-        class Dupe(Transport):
-            name = "ring"
-
-        with pytest.raises(ValueError, match="already registered"):
-            register_transport(Dupe)
-
-    def test_nameless_registration_rejected(self):
-        class NoName(Transport):
-            pass
-
-        with pytest.raises(ValueError, match="has no name"):
-            register_transport(NoName)
+        caps = TRANSPORTS.capabilities()
+        assert not caps["queue"]["shm"]
+        assert caps["ring"] == {
+            "shm": True, "batching": True, "prealloc": True,
+        }
 
 
 class TestBuildChannels:
@@ -81,9 +50,12 @@ class TestBuildChannels:
         finally:
             built.destroy()
 
-    def test_declined_edges_fall_back_to_queue(self):
+    def test_declined_edges_fall_back_to_queue(self, monkeypatch):
         """A transport may refuse an edge; the chain must complete it."""
-        @register_transport
+        monkeypatch.setattr(
+            TRANSPORTS, "_classes", dict(TRANSPORTS._classes))
+
+        @TRANSPORTS.register
         class Picky(Transport):
             name = "picky-test-transport"
             description = "declines every edge except e1"
@@ -93,17 +65,14 @@ class TestBuildChannels:
                     return None
                 return ctx.Queue(maxsize=queue_size)
 
-        try:
-            ctx = multiprocessing.get_context()
-            built = build_channels(
-                "picky-test-transport", [spec("e0"), spec("e1")], ctx
-            )
-            assert built.by_transport == {
-                "e0": "queue", "e1": "picky-test-transport",
-            }
-            built.destroy()
-        finally:
-            del _REGISTRY["picky-test-transport"]
+        ctx = multiprocessing.get_context()
+        built = build_channels(
+            "picky-test-transport", [spec("e0"), spec("e1")], ctx
+        )
+        assert built.by_transport == {
+            "e0": "queue", "e1": "picky-test-transport",
+        }
+        built.destroy()
 
     def test_channel_set_destroy_unlinks_rings(self):
         ctx = multiprocessing.get_context()

@@ -6,6 +6,7 @@ import textwrap
 import pytest
 
 from repro.cli import load_table, main, parse_architecture
+from repro.codegen.targets import TARGETS
 
 
 SPEC = """
@@ -134,6 +135,15 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "def build_executive(kernel, table):" in out
 
+    @pytest.mark.parametrize("target", TARGETS.names())
+    def test_compile_emits_every_registered_target(
+        self, target, workspace, capsys
+    ):
+        assert main(["compile", "spec.ml", "--functions",
+                     "app_functions:TABLE", "--arch", "ring:3",
+                     "--emit", target]) == 0
+        assert capsys.readouterr().out.strip()
+
     def test_emulate_stream(self, workspace, capsys):
         assert main([
             "emulate", "stream.ml", "--functions", "app_functions:TABLE",
@@ -160,7 +170,33 @@ class TestCommands:
                   "app_functions:TABLE"])
 
 
+#: ``repro backends`` / ``repro transports`` output, pinned byte for byte.
+GOLDEN_BACKENDS = """\
+  backend    faults  realtime  distributed  description
+  asyncio    -       yes       -            generated coroutine executive on one event loop
+  emulate    -       -         -            sequential emulation of the program IR (reference output)
+  processes  yes     yes       -            generated executive on pinned OS processes (true parallelism)
+  simulate   yes     yes       -            discrete-event simulation on the modelled machine
+  standalone -       -         -            emitted self-contained program in a clean subprocess
+  tcp        yes     yes       yes          generated executive on a TCP worker cluster (distributed)
+  threads    yes     yes       -            generated executive on Python threads (GIL-bound)
+"""
+
+GOLDEN_TRANSPORTS = """\
+  transport  shm   batching  prealloc  description
+  queue      -     -         -         bounded pipe channel per edge (pickle, no feeder thread)
+  ring       yes   yes       yes       shared-memory seqlock ring, batched tag-codec slots
+"""
+
+
 class TestBackendSelection:
+    @pytest.mark.parametrize("command, golden", [
+        ("backends", GOLDEN_BACKENDS), ("transports", GOLDEN_TRANSPORTS),
+    ])
+    def test_capability_table_is_pinned(self, command, golden, capsys):
+        assert main([command]) == 0
+        assert capsys.readouterr().out == golden
+
     def test_backends_command(self, capsys):
         assert main(["backends"]) == 0
         out = capsys.readouterr().out
