@@ -1,5 +1,7 @@
 """End-to-end tests of the case-study application (E2/E3/E5 shape)."""
 
+import hashlib
+
 import pytest
 
 from repro import build
@@ -69,6 +71,27 @@ class TestSequentialEmulation:
         # the tracker must recover by the final frame.
         assert len(app.displayed[2]) < 3
         assert result.final_state.tracking
+
+
+class TestTrackerGolden:
+    """Three vehicles, one occluded mark: a digest of everything displayed.
+
+    Frames 0, 4 and 5 run the reinitialisation band search, the others
+    the tracking windows, so a change in either detection path or in the
+    tracker's decisions changes the digest.
+    """
+
+    DIGEST = "90b3d2a88666d09e4cc2d1a33b92ccd5ced9a92973fc4699db695300424a1ff1"
+
+    def test_displayed_marks_are_pinned(self):
+        occ = (Occlusion(vehicle_index=1, mark_index=0, start=3, end=5),)
+        app = build_tracking_app(nproc=4, n_frames=12, frame_size=512,
+                                 n_vehicles=3, occlusions=occ)
+        compiled = compile_source(app.source, app.table)
+        emulate(compiled.ir, app.table, call_sink=True)
+        assert [len(ms) for ms in app.displayed] == [9, 9, 9, 6, 6] + [9] * 7
+        digest = hashlib.sha256(repr(app.displayed).encode()).hexdigest()
+        assert digest == self.DIGEST
 
 
 class TestParallelEquivalence:
