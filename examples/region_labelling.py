@@ -4,8 +4,8 @@ SKiPPER's first published demo [Ginhac et al., MVA'98] parallelised
 connected-component labelling with the Split-Compute-Merge skeleton.
 The interesting part is the *merge*: components crossing the band
 boundary get different labels in different bands, so the merge walks
-each seam with a union-find, exactly like the second pass of the
-sequential two-pass algorithm.
+each seam with a union-find, exactly like the sequential labeller
+unites each horizontal run with the runs it touches on the row above.
 
 This example writes those three functions, runs the scm version on a
 simulated 4-processor ring, and cross-checks against the sequential
@@ -42,7 +42,7 @@ def make_table() -> FunctionTable:
         cost=lambda dom: 100.0 + 4.0 * dom.pixels.nrows * dom.pixels.ncols,
     )
     def label_band(domain):
-        """Two-pass CCL inside one band (local labels)."""
+        """Run-based CCL inside one band (local labels)."""
         labels, count = label(domain.pixels)
         return (domain.core, labels, count)
 

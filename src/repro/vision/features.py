@@ -9,13 +9,13 @@ flowing through the ``df`` skeleton in the case study.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .image import Image, Rect
-from .labelling import bounding_rect, label
-from .ops import otsu_threshold, threshold
+from .labelling import label_runs
+from .ops import otsu_threshold
 
 __all__ = ["Mark", "centroid", "extract_marks"]
 
@@ -83,15 +83,23 @@ def extract_marks(
     if window.nrows == 0 or window.ncols == 0:
         return []
     lvl = otsu_threshold(window) if level is None else level
-    binary = threshold(window, lvl)
-    labels, count = label(binary, connectivity)
-    marks: List[Mark] = []
-    for k in range(1, count + 1):
-        mask = labels == k
-        pixels = int(mask.sum())
-        if pixels < min_pixels:
-            continue
-        marks.append(
-            Mark(centroid(mask), bounding_rect(mask), pixels).translated(*origin)
-        )
-    return marks
+    rows, firsts, lasts, labels, _ = label_runs(window.pixels > lvl, connectivity)
+    # Per mark, run by run: pixel count, row and column sums, frame.  The
+    # sums are exact integers, so ``sum / count`` is bit-identical to the
+    # mean over the mark's pixels.
+    stats: Dict[int, List[int]] = {}
+    runs = zip(labels.tolist(), rows.tolist(), firsts.tolist(), lasts.tolist())
+    for k, r, lo, hi in runs:
+        n = hi - lo + 1
+        s = stats.setdefault(k, [0, 0, 0, r, r, lo, hi])
+        s[0] += n
+        s[1] += n * r
+        s[2] += n * (lo + hi) // 2
+        s[4], s[5], s[6] = r, min(s[5], lo), max(s[6], hi)
+    r0, c0 = origin
+    return [
+        Mark((row_sum / n + r0, col_sum / n + c0),
+             Rect(top + r0, left + c0, bottom - top + 1, right - left + 1), n)
+        for n, row_sum, col_sum, top, bottom, left, right in stats.values()
+        if n >= min_pixels
+    ]
