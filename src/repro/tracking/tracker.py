@@ -19,7 +19,8 @@ yields lateral offset; a constant-velocity filter on (x, z) predicts the
 next pose, which projects to the next windows of interest.  The rigidity
 criteria validate candidate mark triples against the known triangle
 geometry (bottom pair level and correctly spaced, top mark centred
-above).
+above); they are evaluated over all candidate triples at once, as numpy
+array expressions, not one triple at a time.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..vision.features import Mark
 from ..vision.image import Image, Rect
@@ -157,82 +160,74 @@ class VehicleObservation:
         return tuple(m.center for m in self.marks)
 
 
-def _triple_residual(
-    config: TrackerConfig, bl: Mark, br: Mark, top: Mark
-) -> Optional[Tuple[float, float, float]]:
-    """Validate a candidate triple; returns (x, z, residual) or None.
-
-    Rigidity criteria: the bottom pair must be level and spaced like the
-    known baseline at a plausible depth; the top mark must sit centred
-    above the pair at the height the depth implies.
-    """
-    camera, layout = config.camera, config.layout
-    spacing = br.col - bl.col
-    if spacing <= 0:
-        return None
-    z = camera.depth_from_baseline(layout.baseline, spacing)
-    if not (config.z_min <= z <= config.z_max):
-        return None
-    # Bottom pair must be level (tolerance scales with apparent size).
-    level_tol = config.row_tolerance * spacing
-    if abs(br.row - bl.row) > level_tol:
-        return None
-    # Top mark: centred above the pair, at the projected triangle height.
-    expected_rise = camera.focal * layout.top_height / z
-    mid_col = (bl.col + br.col) / 2.0
-    mid_row = (bl.row + br.row) / 2.0
-    d_col = abs(top.col - mid_col)
-    d_row = abs((mid_row - top.row) - expected_rise)
-    if d_col > config.spacing_tolerance * spacing:
-        return None
-    if d_row > config.spacing_tolerance * expected_rise + level_tol:
-        return None
-    x = camera.lateral_from_col(mid_col, z)
-    residual = (abs(br.row - bl.row) + d_col + d_row) / max(spacing, 1.0)
-    return (x, z, residual)
-
-
 def group_marks(
     config: TrackerConfig, marks: Sequence[Mark]
 ) -> List[VehicleObservation]:
     """Group detected marks into vehicles using the rigidity criteria.
 
-    Examines every (bottom-left, bottom-right, top) candidate triple,
-    keeps those passing :func:`_triple_residual`, then greedily selects
-    non-overlapping triples by ascending residual (best geometry first)
-    up to ``config.n_vehicles``.
+    A candidate triple is any (bottom-left ``i``, bottom-right ``j``,
+    top ``k``) with ``col[i] < col[j]`` and the top mark strictly above
+    both bottom marks.  All candidates are tested at once, as arrays:
+
+    * the pair's spacing gives the depth ``z = focal * baseline /
+      spacing``, which must lie in ``[z_min, z_max]``;
+    * the pair must be level: ``|row[j] - row[i]|`` at most the level
+      tolerance ``row_tolerance * spacing`` (it scales with apparent
+      size);
+    * the top mark must sit centred above the pair — column within
+      ``spacing_tolerance * spacing`` of the pair's midpoint — at the
+      projected triangle height ``focal * top_height / z``, within
+      ``spacing_tolerance`` of that height plus the level tolerance.
+
+    Survivors are ranked by the residual ``(|row[j] - row[i]| + d_col +
+    d_row) / max(spacing, 1)`` (a stable sort, so ties keep (i, j, k)
+    order); then non-overlapping triples — no mark object shared — are
+    picked greedily, best geometry first, up to ``config.n_vehicles``.
     """
-    candidates: List[Tuple[float, VehicleObservation]] = []
     n = len(marks)
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            bl, br = marks[i], marks[j]
-            if bl.col >= br.col:
-                continue
-            for k in range(n):
-                if k in (i, j):
-                    continue
-                top = marks[k]
-                if top.row >= min(bl.row, br.row):
-                    continue  # top mark must be above the pair
-                fit = _triple_residual(config, bl, br, top)
-                if fit is None:
-                    continue
-                x, z, residual = fit
-                candidates.append(
-                    (residual, VehicleObservation((bl, br, top), x, z, residual))
-                )
-    candidates.sort(key=lambda c: c[0])
+    if n < 3:
+        return []
+    camera, layout = config.camera, config.layout
+    rows, cols = np.array([m.center for m in marks], dtype=np.float64).T
+    # C order yields (i, j, k) lexicographically; the top test implies
+    # k is neither i nor j.
+    lower = np.minimum(rows[:, None], rows)
+    i, j, k = np.nonzero(
+        (cols[:, None] < cols)[:, :, None] & (rows < lower[:, :, None])
+    )
+    # Keep each expression's operation order: the tracker's output is
+    # pinned bit for bit to a one-triple-at-a-time reference
+    # (tests/tracking/test_grouping_exact.py).
+    spacing = cols[j] - cols[i]
+    z = camera.focal * layout.baseline / spacing
+    level_tol = config.row_tolerance * spacing
+    d_level = np.abs(rows[j] - rows[i])
+    expected_rise = camera.focal * layout.top_height / z
+    mid_col = (cols[i] + cols[j]) / 2.0
+    mid_row = (rows[i] + rows[j]) / 2.0
+    d_col = np.abs(cols[k] - mid_col)
+    d_row = np.abs((mid_row - rows[k]) - expected_rise)
+    (ok,) = np.nonzero(
+        (config.z_min <= z) & (z <= config.z_max)
+        & (d_level <= level_tol)
+        & (d_col <= config.spacing_tolerance * spacing)
+        & (d_row <= config.spacing_tolerance * expected_rise + level_tol)
+    )
+    i, j, k, z = i[ok], j[ok], k[ok], z[ok]
+    x = (mid_col[ok] - camera.cx) * z / camera.focal
+    residual = (d_level[ok] + d_col[ok] + d_row[ok]) / np.maximum(spacing[ok], 1.0)
+    order = np.argsort(residual, kind="stable")
+    ids = [id(m) for m in marks]
     chosen: List[VehicleObservation] = []
     used: set = set()
-    for _residual, obs in candidates:
-        ids = {id(m) for m in obs.marks}
-        if ids & used:
+    for a, b, c, xc, zc, rc in zip(
+        *(v[order].tolist() for v in (i, j, k, x, z, residual))
+    ):
+        triple = {ids[a], ids[b], ids[c]}
+        if triple & used:
             continue
-        chosen.append(obs)
-        used |= ids
+        chosen.append(VehicleObservation((marks[a], marks[b], marks[c]), xc, zc, rc))
+        used |= triple
         if len(chosen) >= config.n_vehicles:
             break
     # Report left-to-right for determinism.
@@ -250,13 +245,17 @@ def _dedupe_marks(marks: Sequence[Mark], tol: float = 3.0) -> List[Mark]:
     absorb inter-frame motion), so one reflector is often detected in
     several windows.  Marks whose centres fall within ``tol`` pixels are
     one physical mark; the detection with the most support (pixel count)
-    wins.
+    wins; among equal counts, the earlier one.
     """
-    kept: List[Mark] = []
-    for mark in sorted(marks, key=lambda m: -m.pixel_count):
-        if all(mark.distance_to(existing) > tol for existing in kept):
-            kept.append(mark)
-    return kept
+    if not marks:
+        return []
+    rows, cols = np.array([m.center for m in marks], dtype=np.float64).T
+    apart = (np.hypot(rows[:, None] - rows, cols[:, None] - cols) > tol).tolist()
+    kept: List[int] = []
+    for idx in sorted(range(len(marks)), key=lambda i: -marks[i].pixel_count):
+        if all(apart[idx][other] for other in kept):
+            kept.append(idx)
+    return [marks[idx] for idx in kept]
 
 
 def update_tracks(
@@ -298,9 +297,7 @@ def update_tracks(
             )
     new_tracks.sort(key=lambda t: t.x)
 
-    complete = len(observations) >= config.n_vehicles and all(
-        len(o.marks) == 3 for o in observations
-    )
+    complete = len(observations) >= config.n_vehicles
     next_mode = "track" if complete else "reinit"
     next_state = replace(
         state,
