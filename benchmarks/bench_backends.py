@@ -31,6 +31,7 @@ from repro.backends import get_backend
 from repro.pnt import expand_program
 from repro.shm import BatchPolicy, EdgeSpec, get_transport
 from repro.syndex import distribute, ring
+from repro.vision import Image
 
 WORKERS = 4
 #: Pure-Python arithmetic per work item — holds the GIL for its whole
@@ -198,11 +199,14 @@ def compare_io(extra_info=None):
 
 # -- E13: the intra-host transport data plane (ring vs queue) -----------------
 #
-# Two legs.  The *pump* measures raw packet throughput: one producer
+# Three legs.  The *pump* measures raw packet throughput: one producer
 # process streams PUMP_PACKETS df-style small payloads through a single
 # channel of each transport while the parent drains it — preallocated
 # slots and batched frames against a per-packet pickle/pipe cycle.  The
-# *farm* leg runs the same small-payload df program end-to-end under
+# *frame* leg streams FRAME_COUNT 256 KB ``Image`` frames the same way:
+# the tracker's one large crossing per frame, which takes the pipe's
+# mapped spill slots and the ring's overflow path (printed, not gated).
+# The *farm* leg runs the same small-payload df program end-to-end under
 # both transports; its dispatch protocol keeps one packet in flight per
 # worker, so batching cannot engage there.  The gated numbers are the
 # ring's *absolute* rates (benchmarks/baselines/shm.json): a ratio
@@ -215,6 +219,9 @@ PUMP_PACKETS = 20000
 PUMP_PAYLOAD = ("pkt", 1234, [1, 2, 3])
 PUMP_STOP = ("stop",)
 FARM_ITEMS = 1200
+#: A 512x512 gray frame, as the tracker's grabber sends it.
+FRAME = Image.zeros(512, 512)
+FRAME_COUNT = 2000
 
 
 def bump(x):
@@ -238,11 +245,11 @@ def farm_program(table, degree):
     return b.returns(r)
 
 
-def _pump(channel, ready, go):
+def _pump(channel, ready, go, payload, count):
     ready.set()
     go.wait()
-    for _ in range(PUMP_PACKETS):
-        channel.put(PUMP_PAYLOAD, timeout=60.0)
+    for _ in range(count):
+        channel.put(payload, timeout=60.0)
     channel.put(PUMP_STOP, timeout=60.0)
     # A ring may still hold the tail of the stream in its pending batch.
     while getattr(channel, "has_pending", False):
@@ -260,8 +267,8 @@ def _drain(channel):
         got += 1
 
 
-def measure_pump(kind):
-    """Seconds to stream PUMP_PACKETS through one ``kind`` channel."""
+def measure_pump(kind, payload=PUMP_PAYLOAD, count=PUMP_PACKETS):
+    """Seconds to stream ``count`` payloads through one ``kind`` channel."""
     ctx = multiprocessing.get_context()
     ready, go = ctx.Event(), ctx.Event()
     channel = get_transport(kind).channel_for(
@@ -270,7 +277,8 @@ def measure_pump(kind):
         options={"ring_slots": 64, "ring_slot_bytes": 16384,
                  "batch_policy": BatchPolicy()},
     )
-    producer = ctx.Process(target=_pump, args=(channel, ready, go))
+    producer = ctx.Process(
+        target=_pump, args=(channel, ready, go, payload, count))
     producer.start()
     try:
         if not ready.wait(30.0):
@@ -284,7 +292,7 @@ def measure_pump(kind):
         if producer.is_alive():  # pragma: no cover - wedged producer
             producer.terminate()
         channel.destroy()
-    assert got == PUMP_PACKETS, f"lost packets: {got}/{PUMP_PACKETS}"
+    assert got == count, f"lost packets: {got}/{count}"
     return elapsed
 
 
@@ -308,6 +316,8 @@ def compare_transport(extra_info=None):
     pump_speedup = (
         queue_pump_s / ring_pump_s if ring_pump_s > 0 else float("inf")
     )
+    frame_us = {kind: measure_pump(kind, FRAME, FRAME_COUNT) * 1e6
+                / FRAME_COUNT for kind in ("queue", "ring")}
     queue_farm_s, queue_result = measure_farm("queue")
     ring_farm_s, ring_result = measure_farm("ring")
     assert queue_result == ring_result, "transports disagree on the result"
@@ -322,6 +332,10 @@ def compare_transport(extra_info=None):
     print(f"  ring      {ring_pump_s * 1000:8.1f} ms   "
           f"({PUMP_PACKETS / ring_pump_s / 1000:6.1f} kpps, "
           f"{pump_speedup:.2f}x)")
+    print(f"E13 transport frame: {FRAME_COUNT} 256 KB Image frames, "
+          "one producer process")
+    for kind, us in frame_us.items():
+        print(f"  {kind:9} {us:8.1f} us/frame")
     print(f"E13 transport farm: {WORKERS}-worker df, "
           f"{FARM_ITEMS} one-int packets")
     print(f"  queue     {queue_farm_s * 1000:8.1f} ms")
@@ -333,6 +347,8 @@ def compare_transport(extra_info=None):
         extra_info["transport_speedup"] = round(pump_speedup, 2)
         extra_info["transport_ring_kpps"] = round(
             PUMP_PACKETS / ring_pump_s / 1000, 1)
+        extra_info["transport_frame_queue_us"] = round(frame_us["queue"], 1)
+        extra_info["transport_frame_ring_us"] = round(frame_us["ring"], 1)
         extra_info["transport_farm_queue_ms"] = round(queue_farm_s * 1000, 1)
         extra_info["transport_farm_ring_ms"] = round(ring_farm_s * 1000, 1)
         extra_info["transport_farm_speedup"] = round(farm_speedup, 2)

@@ -1,48 +1,45 @@
 """PipeChannel: a bounded SPSC channel that writes from the sending thread.
 
-The ``queue`` transport used to hand every edge a
-``multiprocessing.Queue``: ``put`` appends to a process-local deque, a
-*feeder thread* per queue pickles and writes it, and ``get_nowait``
-builds a fresh selector to ask whether the pipe is readable — four GIL
-hand-offs and a lock pair per packet for an edge that has exactly one
-producer thread and one consumer thread.  This channel keeps the two
-parts of that design that matter — an OS pipe carrying length-prefixed
-pickles, a semaphore bounding the packets in flight — and drops the
-rest: the sending thread writes the pipe itself, and the reading end is
-a plain file descriptor a selector can wait on (:meth:`fileno`), which
-is what lets the kernel's ALT block instead of sleep-polling.
+An OS pipe carries length-prefixed pickles and a semaphore bounds the
+messages in flight.  The sending thread writes the pipe itself (no
+feeder thread), and the read end is a plain descriptor a selector can
+wait on (:meth:`fileno`), which lets the kernel's ALT block.
 
-What the feeder thread used to hide is a write that does not fit: a
-pipe holds 64 KB, the read end of a SIGKILLed reader stays open in
-every sibling, and a blocking write to it parks the sender forever.
-Here nothing ever waits inside a write.  A message of at most
-``PIPE_BUF`` bytes goes through the pipe in one *atomic* non-blocking
-write — POSIX: all of it or ``EAGAIN``, never a part — and anything
-larger is *spilled*: the message goes into a file of its own under
-``/dev/shm`` (RAM-backed; the system's temporary directory elsewhere)
-and only a descriptor crosses the pipe.  The consumer reads the file
-and unlinks it.  So the only place a sender waits is the semaphore, with
-the caller's timeout, and its retry loop keeps observing the stop flag.
+Nothing ever waits inside a write: the read end of a SIGKILLed reader
+stays open in every sibling, and a blocking write to its full pipe
+would park the sender forever.  A message of at most ``PIPE_BUF`` bytes
+goes through the pipe in one *atomic* non-blocking write — POSIX: all
+of it or ``EAGAIN``, never a part.  Anything larger is *spilled* into a
+mapped *slot* under ``/dev/shm`` (the temporary directory elsewhere),
+and only its serial and length cross the pipe.  So a sender waits only
+on the semaphore, with the caller's timeout, seeing the stop flag.
 
-Large buffers inside a message — a frame, the pixels of an ``Image``,
-however deeply nested — never enter the pickle at all: protocol 5 hands
-them over *out of band*, the spill file is ``index | pickle | raw
-buffers`` written with one ``writev`` straight from the arrays' memory,
-and the consumer rebuilds the arrays over slices of the one
-``bytearray`` it read the file into.  A 256 KB frame therefore costs
-two copies, where the pickle alone used to make two more and the pipe
-four 64 KB round trips between two processes' GILs.  Spill files carry
-the channel's own prefix, so :meth:`destroy` — the parent, once every
-worker is gone — reclaims whatever a killed consumer never read.
+Spill serial ``s`` goes into slot ``s % maxsize``: one file per slot,
+opened and mapped once per process, grown (``posix_fallocate``, then a
+fresh mapping) when a message is longer than the mapping.  No lock
+guards a slot: ``put`` holds one of the ``maxsize`` semaphore units
+while it writes, and ``get`` returns its unit only after copying the
+message out, so when serial ``s`` is written at most ``maxsize - 1``
+messages are unread, serial ``s - maxsize`` is not among them, and its
+slot is free.  Pages are reserved before anything is written through
+the mapping, so a full ``/dev/shm`` is ``OSError(ENOSPC)``, not SIGBUS.
 
-Single-producer/single-consumer per channel is assumed, as for
-:class:`~repro.shm.channel.RingChannel`: one process-graph edge has one
-source thread and one destination thread.
+Buffers of a page or more inside a message — a frame, the pixels of an
+``Image``, at any nesting — travel *out of band* (pickle protocol 5):
+the slot holds ``index | pickle | raw buffers``, and the consumer
+copies it into one ``bytearray`` and rebuilds the arrays over its
+slices (writable, owned, never aliasing a reused slot).  Slot files
+carry the channel's prefix, so :meth:`destroy` — the parent, once every
+worker is gone — reclaims them, whatever a killed consumer left.
+
+Single-producer/single-consumer, as :class:`~repro.shm.channel.
+RingChannel`: a process-graph edge has one source and one sink thread.
 """
 
 from __future__ import annotations
 
 import glob
+import mmap
 import os
 import pickle
 import queue
@@ -51,20 +48,18 @@ import struct
 import tempfile
 import time
 import uuid
-from typing import Any, List, Optional
+from typing import Any, Dict, List, Optional
 
 __all__ = ["PipeChannel"]
 
 #: Frame header: body length, low bit of the flags byte = spilled.
 _HEADER = struct.Struct("<IB")
-#: Body of a spilled frame: the spill file's serial number.
-_SPILL = struct.Struct("<Q")
+#: Body of a spilled frame: the spill serial and the message's length.
+_SPILL = struct.Struct("<QQ")
 #: Largest pickle that still travels inside the pipe.
 _INLINE_MAX = select.PIPE_BUF - _HEADER.size
-#: Spill-file index: the part count, then one length per part.
+#: Slot index: the part count, then one length per part.
 _COUNT = struct.Struct("<I")
-#: Most buffers one ``writev`` takes (POSIX guarantees at least 16).
-_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 def _spill_directory() -> str:
@@ -94,58 +89,68 @@ class PipeChannel:
         # process that inherits or receives these ends sees it.
         os.set_blocking(self._reader.fileno(), False)
         os.set_blocking(self._writer.fileno(), False)
+        self._maxsize = maxsize
         self._slots = ctx.BoundedSemaphore(maxsize)
         self._spill_prefix = os.path.join(
             _spill_directory(), f"repro-pipe-{uuid.uuid4().hex}-")
         self._spilled = 0
+        #: This process's mapping of each slot it has touched.
+        self._mapped: Dict[int, mmap.mmap] = {}
         #: ``time.perf_counter()`` when the last ``put`` got its slot —
         #: where the back-pressure wait ends and the move begins.
         self.accepted_at = 0.0
 
     def __getstate__(self):
-        return (self._reader, self._writer, self._slots, self._spill_prefix)
+        return (self._reader, self._writer, self._maxsize, self._slots,
+                self._spill_prefix)
 
     def __setstate__(self, state):
-        (self._reader, self._writer, self._slots,
+        (self._reader, self._writer, self._maxsize, self._slots,
          self._spill_prefix) = state
         self._spilled = 0
+        self._mapped = {}
         self.accepted_at = 0.0
 
     def fileno(self) -> int:
         """The read end: readable exactly when ``get_nowait`` succeeds."""
         return self._reader.fileno()
 
+    def _slot(self, serial: int, size: int) -> mmap.mmap:
+        """Serial ``serial``'s slot, mapped at least ``size`` bytes long."""
+        slot = serial % self._maxsize
+        mapped = self._mapped.get(slot)
+        if mapped is None or len(mapped) < size:
+            fd = os.open(f"{self._spill_prefix}{slot}",
+                         os.O_CREAT | os.O_RDWR, 0o600)
+            try:
+                os.posix_fallocate(fd, 0, size)  # ENOSPC here, not SIGBUS
+                grown = mmap.mmap(fd, size)
+            finally:
+                os.close(fd)
+            if mapped is not None:
+                mapped.close()
+            self._mapped[slot] = mapped = grown
+        return mapped
+
     # -- producer --------------------------------------------------------------
 
-    def _spill_path(self, serial: int) -> str:
-        return f"{self._spill_prefix}{serial}"
-
     def _spill(self, parts: List[Any]) -> bytes:
-        """Park an oversized message in its own file; returns the frame."""
+        """Copy an oversized message into its slot; returns the frame."""
         serial = self._spilled
-        path = self._spill_path(serial)
         index = _COUNT.pack(len(parts)) + struct.pack(
             f"<{len(parts)}Q", *(len(part) for part in parts))
-        pending = [memoryview(index), *parts]
-        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
-        try:
-            while pending:  # a full /dev/shm raises ENOSPC, never truncates
-                written = os.writev(fd, pending[:_IOV_MAX])
-                while pending and written >= len(pending[0]):
-                    written -= len(pending.pop(0))
-                if written:
-                    pending[0] = pending[0][written:]
-        except BaseException:
-            os.unlink(path)
-            raise
-        finally:
-            os.close(fd)
+        total = len(index) + sum(len(part) for part in parts)
+        with memoryview(self._slot(serial, total)) as view:
+            offset = 0
+            for part in (index, *parts):
+                view[offset:offset + len(part)] = part
+                offset += len(part)
         self._spilled += 1
-        return _HEADER.pack(_SPILL.size, 1) + _SPILL.pack(serial)
+        return _HEADER.pack(_SPILL.size, 1) + _SPILL.pack(serial, total)
 
     def _frame(self, value: Any) -> bytes:
         """What crosses the pipe for ``value``: the pickle itself, or
-        the descriptor of the spill file now holding it."""
+        the descriptor of the slot now holding it."""
         large: List[memoryview] = []
 
         def in_band(buffer: pickle.PickleBuffer) -> bool:
@@ -184,9 +189,7 @@ class PipeChannel:
                 if _wait(fd, select.POLLOUT, deadline):
                     continue
                 self._slots.release()
-                if self._spilled != serial:
-                    self._spilled = serial
-                    os.unlink(self._spill_path(serial))
+                self._spilled = serial  # its slot is free again
                 raise queue.Full from None
 
     def put(self, value: Any, timeout: Optional[float] = None) -> None:
@@ -206,13 +209,9 @@ class PipeChannel:
     def _fetch(self, descriptor: bytes) -> List[memoryview]:
         """The parts of a spilled message: its pickle, then the buffers
         that travelled raw — slices of one writable ``bytearray``."""
-        path = self._spill_path(*_SPILL.unpack(descriptor))
-        try:
-            with open(path, "rb", buffering=0) as handle:
-                data = memoryview(bytearray(os.fstat(handle.fileno()).st_size))
-                handle.readinto(data)
-        finally:
-            os.unlink(path)
+        serial, total = _SPILL.unpack(descriptor)
+        with memoryview(self._slot(serial, total)) as view:
+            data = memoryview(bytearray(view[:total]))
         (count,) = _COUNT.unpack_from(data)
         parts, offset = [], _COUNT.size + 8 * count
         for size in struct.unpack_from(f"<{count}Q", data, _COUNT.size):
@@ -236,8 +235,7 @@ class PipeChannel:
         body, buffers = os.read(fd, size), ()
         if flags & 1:
             body, *buffers = self._fetch(body)
-        # Only now: an unread spill file always belongs to one of the
-        # last ``maxsize`` frames.
+        # Only now: the message's slot is copied out and free for reuse.
         self._slots.release()
         return pickle.loads(body, buffers=buffers)
 
@@ -251,10 +249,12 @@ class PipeChannel:
     # -- lifecycle -------------------------------------------------------------
 
     def destroy(self) -> None:
-        """Close both ends and reclaim unread spill files (creator-side,
-        once every process using the channel is gone)."""
+        """Close, unmap and remove the slots (creator-side, last)."""
         self._reader.close()
         self._writer.close()
+        for mapped in self._mapped.values():
+            mapped.close()
+        self._mapped.clear()
         for path in glob.glob(glob.escape(self._spill_prefix) + "*"):
             try:
                 os.unlink(path)

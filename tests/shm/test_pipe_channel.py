@@ -6,8 +6,11 @@ capacity), then the same contract under hypothesis against a list
 model, across ``fork`` and ``spawn``, and the one hazard the old
 ``multiprocessing.Queue`` feeder thread used to hide: large messages to
 a reader that has died must not park the sender beyond the stop flag.
-Arrays get a section of their own: buffers of a page or more travel out
-of band — raw, beside the pickle, in the spill file — at any nesting.
+Spilled messages go into reusable mapped slots: at most ``maxsize``
+files per channel, none for a message that fits the pipe, none at all
+after ``destroy``.  Arrays get a section of their own: buffers of a
+page or more travel out of band — raw, beside the pickle, in the slot —
+at any nesting.
 """
 
 import errno
@@ -136,8 +139,8 @@ class TestContract:
     ])
     def test_payloads_around_pipe_buf_and_the_pipe_capacity(self, size):
         """A message is whole the moment ``put`` returns, whatever its
-        size: up to PIPE_BUF inside the pipe, beyond it in a spill file
-        the consumer removes."""
+        size: up to PIPE_BUF inside the pipe and no file at all, beyond
+        it in a slot that stays for the next spilled message."""
         channel = make_channel()
         payload = os.urandom(size)
         spills = len(pickle.dumps(payload, pickle.HIGHEST_PROTOCOL)) \
@@ -146,11 +149,38 @@ class TestContract:
             channel.put_nowait(payload)
             assert len(spill_files(channel)) == (1 if spills else 0)
             assert channel.get_nowait() == payload
-            assert spill_files(channel) == []
+            assert len(spill_files(channel)) == (1 if spills else 0)
             channel.put_nowait("after")  # the stream is still framed
             assert channel.get_nowait() == "after"
         finally:
             channel.destroy()
+        assert spill_files(channel) == []
+
+    def test_a_live_channel_holds_at_most_maxsize_slot_files(self):
+        """Messages that fit the pipe — a farm's whole traffic — make
+        no file; spilled ones reuse ``maxsize`` slots however many
+        cross, full or drained."""
+        channel = make_channel(maxsize=3)
+        try:
+            for i in range(50):
+                channel.put_nowait(("small", i, b"\0" * 1000))
+                assert channel.get_nowait()[1] == i
+            assert spill_files(channel) == []
+            for round_ in range(5):
+                sent = [os.urandom(PIPE_CAPACITY + round_ * 1000 + i)
+                        for i in range(3)]
+                for payload in sent:
+                    channel.put_nowait(payload)
+                    assert len(spill_files(channel)) <= 3
+                assert [channel.get_nowait() for _ in sent] == sent
+            for i in range(20):  # one in flight: the serial walks the slots
+                payload = os.urandom(2 * PIPE_CAPACITY + i)
+                channel.put_nowait(payload)
+                assert channel.get_nowait() == payload
+            assert len(spill_files(channel)) == 3
+        finally:
+            channel.destroy()
+        assert spill_files(channel) == []
 
     def test_large_messages_never_wait_for_the_reader(self):
         """The bound counts messages, not bytes: ``maxsize`` messages
@@ -252,7 +282,9 @@ class TestAgainstAModel:
         try:
             for serial, (op, size) in enumerate(ops):
                 if op == "put":
-                    value = (serial, b"\xab" * size)
+                    # Distinct bytes per message: a slot reused across
+                    # wrap-around must hold only its current message.
+                    value = (serial, bytes([serial % 251]) * size)
                     if len(model) < maxsize:
                         channel.put_nowait(value)
                         model.append(value)
@@ -268,9 +300,10 @@ class TestAgainstAModel:
                 assert channel.get_nowait() == value
             with pytest.raises(queue.Empty):
                 channel.get_nowait()
-            assert spill_files(channel) == []
+            assert len(spill_files(channel)) <= maxsize
         finally:
             channel.destroy()
+        assert spill_files(channel) == []
 
 
 KB = 1024
@@ -300,57 +333,74 @@ class TestOutOfBandArrays:
     @pytest.mark.parametrize("nested", [False, True], ids=["bare", "nested"])
     @pytest.mark.parametrize("nbytes", ARRAY_BYTES)
     def test_round_trip(self, nbytes, nested):
-        channel = make_channel()
+        channel = make_channel(maxsize=1)
         sent = array_message(nbytes, nested)
         shm = set(os.listdir("/dev/shm"))
         try:
             channel.put_nowait(sent)
-            (spill,) = spill_files(channel)
+            (slot,) = spill_files(channel)
             # Raw beside the pickle, not a second copy inside it.
-            assert nbytes <= os.path.getsize(spill) < nbytes + 2 * KB
+            assert nbytes <= os.path.getsize(slot) < nbytes + 2 * KB
             got = channel.get_nowait()
             assert_same_message(got, sent)
-            assert set(os.listdir("/dev/shm")) == shm
             got_arr = got if not nested else got["frame"][1]
-            got_arr[0, 0] = -1  # the receiver owns what it got
-        finally:
-            channel.destroy()
-
-    def test_a_short_write_is_continued_not_truncated(self, monkeypatch):
-        channel = make_channel()
-        sent = array_message(256 * KB, nested=True)
-        real_writev = os.writev
-
-        def stingy(fd, buffers):
-            return real_writev(fd, [memoryview(buffers[0])[:5000]])
-
-        monkeypatch.setattr(os, "writev", stingy)
-        try:
-            channel.put_nowait(sent)
+            got_arr[0, 0] = -1  # the receiver owns what it got:
+            channel.put_nowait(sent)  # the slot's next message
             assert_same_message(channel.get_nowait(), sent)
+            assert got_arr[0, 0] == -1  # does not show through it
         finally:
             channel.destroy()
+        assert set(os.listdir("/dev/shm")) == shm
+
+    def test_a_slot_grows_and_still_serves_smaller_messages(self):
+        """One slot (``maxsize`` 1) takes 64 KB, then 1 MB — grown in
+        place — then 64 KB again, with nothing of the larger message
+        showing through the smaller one."""
+        channel = make_channel(maxsize=1)
+        try:
+            for nbytes in (64 * KB, 1024 * KB, 64 * KB):
+                sent = np.full(nbytes, nbytes // KB % 251, dtype=np.uint8)
+                channel.put_nowait(sent)
+                (slot,) = spill_files(channel)
+                assert os.path.getsize(slot) >= nbytes
+                got = channel.get_nowait()
+                assert got.shape == sent.shape
+                np.testing.assert_array_equal(got, sent)
+            assert os.path.getsize(slot) >= 1024 * KB  # never shrinks
+        finally:
+            channel.destroy()
+        assert spill_files(channel) == []
 
     def test_a_full_spill_directory_surfaces_and_leaves_nothing(
             self, monkeypatch):
+        """Pages are reserved before the mapping is written, so a full
+        ``/dev/shm`` is ``ENOSPC`` from ``put`` — for a new slot and for
+        one that must grow — never a SIGBUS; the semaphore unit comes
+        back and the channel carries the next message."""
         channel = make_channel(maxsize=1)
-        real_writev = os.writev
 
-        def full(fd, buffers):
-            real_writev(fd, [memoryview(buffers[0])[:100]])
+        def full(fd, offset, length):
             raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
+        small = array_message(64 * KB, nested=False)
         try:
-            with monkeypatch.context() as patched:
-                patched.setattr(os, "writev", full)
-                with pytest.raises(OSError) as caught:
-                    channel.put_nowait(array_message(64 * KB, nested=False))
-                assert caught.value.errno == errno.ENOSPC
-            assert spill_files(channel) == []
-            channel.put_nowait("the only slot was given back")
-            assert channel.get_nowait() == "the only slot was given back"
+            for warm in (False, True):
+                if warm:  # the slot exists and is mapped; it must grow
+                    channel.put_nowait(small)
+                    assert_same_message(channel.get_nowait(), small)
+                with monkeypatch.context() as patched:
+                    patched.setattr(os, "posix_fallocate", full)
+                    with pytest.raises(OSError) as caught:
+                        channel.put_nowait(
+                            array_message(256 * KB, nested=False))
+                    assert caught.value.errno == errno.ENOSPC
+                channel.put_nowait("the only slot was given back")
+                assert channel.get_nowait() == "the only slot was given back"
+            channel.put_nowait(small)
+            assert_same_message(channel.get_nowait(), small)
         finally:
             channel.destroy()
+        assert spill_files(channel) == []
 
 
 def _produce(channel, values):
@@ -362,6 +412,21 @@ def _consume_forever(channel, ready):
     ready.set()
     while True:
         channel.get(timeout=30.0)
+
+
+def _die_mid_frame(channel, fetched):
+    """Take one spilled frame out of its slot, then hang — holding the
+    mapping and the semaphore unit — until SIGKILLed."""
+    real_fetch = channel._fetch
+
+    def fetch_and_hang(descriptor):
+        parts = real_fetch(descriptor)
+        fetched.set()
+        time.sleep(60.0)
+        return parts
+
+    channel._fetch = fetch_and_hang
+    channel.get(timeout=30.0)
 
 
 class TestAcrossProcesses:
@@ -394,9 +459,10 @@ class TestAcrossProcesses:
                 assert_same_message(channel.get(timeout=30.0), sent)
             child.join(30.0)
             assert child.exitcode == 0
-            assert spill_files(channel) == []
+            assert 0 < len(spill_files(channel)) <= 4
         finally:
             channel.destroy()
+        assert spill_files(channel) == []
 
     def test_channel_only_pickles_while_spawning(self):
         channel = make_channel()
@@ -450,3 +516,28 @@ class TestAcrossProcesses:
             stop.set()
             channel.destroy()
         assert spill_files(channel) == []
+
+    @pytest.mark.parametrize("method", START_METHODS)
+    def test_a_consumer_killed_mid_frame_leaves_nothing(self, method):
+        ctx = multiprocessing.get_context(method)
+        channel = PipeChannel(ctx, 2)
+        fetched = ctx.Event()
+        consumer = ctx.Process(target=_die_mid_frame, args=(channel, fetched))
+        shm = set(os.listdir("/dev/shm"))
+        try:
+            consumer.start()
+            frame = array_message(256 * KB, nested=True)
+            channel.put(frame, timeout=30.0)
+            channel.put(frame, timeout=30.0)  # the second slot
+            assert fetched.wait(30.0)
+            os.kill(consumer.pid, signal.SIGKILL)
+            consumer.join(10.0)
+            assert consumer.exitcode == -signal.SIGKILL
+            assert len(spill_files(channel)) == 2
+        finally:
+            if consumer.is_alive():  # pragma: no cover - never fetched
+                consumer.kill()
+                consumer.join(10.0)
+            channel.destroy()
+        assert spill_files(channel) == []
+        assert set(os.listdir("/dev/shm")) == shm
