@@ -42,13 +42,9 @@ from ..syndex.distribute import Mapping
 from .base import BackendError, report_from_blackboard
 
 __all__ = [
-    "POLL_S", "RunPlan", "plan_run", "fused_routers", "host_run",
+    "RunPlan", "plan_run", "fused_routers", "host_run",
     "RunBarrier", "merge_run",
 ]
-
-#: Tick on which a hosted kernel's blocked primitives re-check the stop
-#: flag (and flush pending batches).
-POLL_S = 0.02
 
 
 @dataclass
@@ -247,7 +243,6 @@ def host_run(
         fused_threads=plan.fused_threads,
         stop=stop,
         queue_size=plan.queue_size,
-        poll_s=POLL_S,
         epoch=epoch,
         record_spans=plan.record_spans,
     )
@@ -269,10 +264,7 @@ def host_run(
         _threads, sinks = load_executive(plan.source)["build_executive"](
             kernel, plan.fns)
         local_sinks = [t for t in sinks if isinstance(t, threading.Thread)]
-        for thread in local_sinks:
-            while thread.is_alive() and not stop.is_set():
-                thread.join(0.1)
-        if local_sinks and not stop.is_set():
+        if local_sinks and base.wait_finished(local_sinks):
             on_sinks(sorted(
                 p for p in plan.sink_processors
                 if base.hosts is None or p in base.hosts))

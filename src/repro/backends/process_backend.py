@@ -23,6 +23,7 @@ import os
 import queue
 import time
 import traceback
+from multiprocessing.connection import wait
 from typing import Any, Dict, Optional, Tuple
 
 from ..core.functions import FunctionTable
@@ -73,31 +74,40 @@ def _worker_main(index: int, processor: str, results: Any, plan: RunPlan,
 
 
 def _feed(barrier: RunBarrier, results, deadline: float, workers) -> None:
-    """Feed the barrier the next control message — or, when none comes,
-    the workers that died without one.  Raises at the run's deadline."""
+    """Sleep until a control message or a worker's exit, and feed it to
+    the barrier: the message, or — for a worker that died without one —
+    its loss.  ``workers`` holds the workers whose exit is not fed yet;
+    raises at the run's deadline."""
     remaining = deadline - time.monotonic()
-    if remaining <= 0:
+    ready = remaining > 0 and wait(
+        [results._reader, *(w.sentinel for w in workers)], remaining)
+    if not ready:
         raise BackendError(
             "multiprocess run exceeded its timeout (deadlocked "
             "executive?); workers will be terminated"
         )
-    try:
-        tag, processor, body = results.get(timeout=min(0.2, remaining))
-    except queue.Empty:
-        for worker in workers:
-            if worker.exitcode not in (None, 0):
-                processor = worker.name[len("repro-"):]
-                barrier.lost(
-                    processor, processor,
-                    f"worker process died with exit code {worker.exitcode}",
-                )
+    if results._reader in ready:  # messages first: a worker's last words
+        try:
+            tag, processor, body = results.get_nowait()
+        except queue.Empty:  # pragma: no cover - half a message so far
+            return
+        if tag == "sinks":
+            barrier.sinks(body)
+        elif tag == "done":
+            barrier.done(processor, body)
+        else:
+            barrier.failed(processor, body)
         return
-    if tag == "sinks":
-        barrier.sinks(body)
-    elif tag == "done":
-        barrier.done(processor, body)
-    else:
-        barrier.failed(processor, body)
+    for worker in list(workers):
+        if worker.exitcode is None:
+            continue  # its sentinel is ready a moment before its status
+        workers.remove(worker)
+        if worker.exitcode != 0:
+            processor = worker.name[len("repro-"):]
+            barrier.lost(
+                processor, processor,
+                f"worker process died with exit code {worker.exitcode}",
+            )
 
 
 def run_multiprocess(
@@ -159,12 +169,13 @@ def run_multiprocess(
 
     deadline = time.monotonic() + timeout
     barrier = RunBarrier(plan, {p: (p,) for p in plan.participating})
+    running = list(workers)
     try:
         while not barrier.stopping:
-            _feed(barrier, results, deadline, workers)
+            _feed(barrier, results, deadline, running)
         stop_event.set()
         while not barrier.finished:
-            _feed(barrier, results, deadline, workers)
+            _feed(barrier, results, deadline, running)
     finally:
         stop_event.set()
         for worker in workers:

@@ -7,6 +7,7 @@ import threading
 import time
 from typing import Any, List, Optional, Tuple
 
+from ..codegen.kernel import Latch
 from ..core.functions import FunctionTable
 from ..core.ir import Program
 from ..machine.costs import T9000, CostModel
@@ -64,7 +65,7 @@ class ThreadBackend(Backend):
         )
         # The only host of the run raises its stop flag itself: when its
         # sinks are complete, or at the deadline.
-        stop = threading.Event()
+        stop = Latch()
         completed = threading.Event()
 
         def on_sinks(_processors: List[str]) -> None:
@@ -79,6 +80,7 @@ class ThreadBackend(Backend):
             payload = host_run(plan, stop=stop, on_sinks=on_sinks)
         finally:
             deadline.cancel()
+            stop.close()
         wall_us = (time.perf_counter() - start) * 1e6
         if not completed.is_set():
             raise BackendError(

@@ -17,13 +17,21 @@ objects.  Every other edge is a bounded in-process queue.  Porting the
 executive to a new interconnect therefore means writing one channel
 class, not a kernel:
 
-``put(value, timeout=)`` / ``put_nowait(value)``
+``put_nowait(value)``
     raise ``queue.Full`` with the value *not* enqueued;
-``get(timeout=)`` / ``get_nowait()``
+``get_nowait()``
     raise ``queue.Empty``;
-``fileno()`` (optional)
-    readable while ``get_nowait`` can make progress — lets ``alt_``
-    block on the channel instead of scanning it on a tick;
+``fileno()`` or ``bell``
+    how a receiver waits for data: a descriptor readable while
+    ``get_nowait`` can make progress, or a ``bell`` attribute the
+    kernel stores the waiting thread's doorbell in, which the channel
+    rings (when ``armed``) as a packet lands;
+``room_fileno()`` or ``room_bell``
+    the same for a sender parked on a full channel: readable while
+    ``put_nowait`` can make progress, or rung as room appears;
+``put(value, timeout=)``
+    only for a channel with neither kind of room signal (the ring
+    transport): the kernel retries it on a tick;
 ``accepted_at`` (optional)
     ``time.perf_counter()`` when the last ``put`` stopped waiting for
     room, so transfer spans time the move and not the back-pressure;
@@ -32,6 +40,16 @@ class, not a kernel:
     point of the thread that owns the batch;
 ``release()`` (optional)
     reclaim what an absent receiver never claimed, at shutdown.
+
+A blocked ``recv_``, ``send_`` or ``alt_`` sleeps in one ``poll`` over
+the calling thread's doorbell, the descriptors of the channels it waits
+on and the run's *stop*, with no timeout: it wakes on a packet, on room
+or on the stop, never on a clock.  So the stop must be a descriptor
+too — every stop object a kernel is handed has ``is_set`` / ``set`` /
+``wait`` and a ``fileno()`` that turns readable once it is set
+(:class:`Latch` in one interpreter, the ``processes`` backend's
+``StopFlag`` across them, a ``tcp`` worker's ``NetStopEvent``).  Only a channel that offers no descriptor
+and no doorbell (the ring transport) is waited on with a tick.
 
 Nothing else of a channel is looked at.  This module imports only the
 standard library, so ``repro emit`` ships it verbatim as
@@ -47,7 +65,8 @@ import select
 import threading
 import time
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple, Union,
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
+    Union,
 )
 
 __all__ = [
@@ -59,6 +78,7 @@ __all__ = [
     "grain",
     "Shutdown",
     "RemoteStub",
+    "Latch",
     "Kernel",
 ]
 
@@ -166,92 +186,218 @@ class RemoteStub:
 
 _RING = (1).to_bytes(8, "little")  # an eventfd write is one uint64
 
+#: How often a wait on a channel with nothing to poll (the ring
+#: transport) scans it again — and how long a thread holding a batch
+#: the ring could not take sleeps before it retries the flush.
+_RING_TICK_S = 0.0002
+#: How long a send blocks inside a ring channel's own ``put`` before it
+#: looks at the stop flag again.
+_RING_PUT_S = 0.02
 
-class _Doorbell:
-    """What a thread parked in ``alt_`` is woken through by local puts.
 
-    ``armed`` is raised by the waiter *before* it scans its queues and
-    lowered by whoever rings, so a sender pays the wake-up syscall only
-    while somebody may be about to sleep — and a packet that lands
-    between the waiter's scan and its ``poll`` still finds the bell
-    armed, which is what makes the wake-up impossible to lose.
+def _wakeup_fds() -> Tuple[int, int]:
+    """``(read end, write end)`` of a non-blocking wake-up descriptor:
+    one eventfd where the platform has it, else a pipe."""
+    if hasattr(os, "eventfd"):
+        fd = os.eventfd(0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
+        return fd, fd
+    rfd, wfd = os.pipe()  # pragma: no cover - platforms without eventfd
+    os.set_blocking(rfd, False)
+    os.set_blocking(wfd, False)
+    return rfd, wfd
+
+
+def _close_fds(rfd: int, wfd: int) -> None:
+    os.close(rfd)
+    if wfd != rfd:  # pragma: no cover - pipe fallback
+        os.close(wfd)
+
+
+class Latch:
+    """A run's stop in one interpreter: ``threading.Event``'s
+    ``is_set`` / ``set`` / ``wait``, plus a ``fileno()`` that is
+    readable once set — a descriptor written once and never read, so it
+    stays readable for every ``poll`` that includes it from then on.
+
+    ``close()`` (also on collection) gives the descriptor back; a
+    ``set()`` after it only flips the flag.
     """
 
-    __slots__ = ("armed", "_rfd", "_wfd")
+    __slots__ = ("_set", "_fds", "_lock")
+
+    def __init__(self) -> None:
+        self._set = False
+        self._lock = threading.Lock()
+        self._fds: Optional[Tuple[int, int]] = None
+        self._fds = _wakeup_fds()
+
+    def fileno(self) -> int:
+        fds = self._fds
+        if fds is None:
+            raise ValueError("the latch is closed")
+        return fds[0]
+
+    def is_set(self) -> bool:
+        return self._set
+
+    def set(self) -> None:
+        """Flag first, then the descriptor: whoever it wakes reads the
+        flag as set."""
+        with self._lock:  # never a write to a descriptor close() freed
+            was_set, self._set = self._set, True
+            if not was_set and self._fds is not None:
+                os.write(self._fds[1], _RING)
+
+    def wait(self, timeout: Optional[float] = None) -> bool:
+        """Block until set or ``timeout`` seconds; returns the flag.
+
+        ``select``, not ``poll``: a pacing wait has to end *on* its due
+        time, and ``poll`` rounds up to whole milliseconds."""
+        fds = self._fds
+        if self._set or fds is None:
+            return self._set
+        select.select([fds[0]], [], [],
+                      None if timeout is None else max(0.0, timeout))
+        return self._set
+
+    def close(self) -> None:
+        with self._lock:
+            fds, self._fds = self._fds, None
+        if fds is not None:
+            _close_fds(*fds)
+
+    __del__ = close
+
+
+class _Doorbell:
+    """What a parked thread is woken through by a channel that has no
+    descriptor of its own: one per thread, shared by all its waits.
+
+    ``armed`` is raised by the waiter *before* it tries its channels and
+    lowered by whoever rings, so a sender pays the wake-up syscall only
+    while somebody may be about to sleep — and a packet (or room) that
+    appears between the waiter's try and its ``poll`` still finds the
+    bell armed, which is what makes the wake-up impossible to lose.
+    """
+
+    __slots__ = ("armed", "_fds")
 
     def __init__(self) -> None:
         self.armed = False
-        if hasattr(os, "eventfd"):
-            self._rfd = self._wfd = os.eventfd(
-                0, os.EFD_NONBLOCK | os.EFD_CLOEXEC)
-        else:  # pragma: no cover - platforms without eventfd
-            self._rfd, self._wfd = os.pipe()
-            os.set_blocking(self._rfd, False)
-            os.set_blocking(self._wfd, False)
+        self._fds = _wakeup_fds()
 
     def fileno(self) -> int:
-        return self._rfd
+        return self._fds[0]
 
     def ring(self) -> None:
         self.armed = False
         try:
-            os.write(self._wfd, _RING)
+            os.write(self._fds[1], _RING)
         except BlockingIOError:  # pragma: no cover - already rung
             pass
 
     def clear(self) -> None:
         try:
-            os.read(self._rfd, 4096)
+            os.read(self._fds[0], 4096)
         except BlockingIOError:
             pass
 
-    def close(self) -> None:
-        os.close(self._rfd)
-        if self._wfd != self._rfd:  # pragma: no cover - pipe fallback
-            os.close(self._wfd)
+    def __del__(self) -> None:
+        # Never closed while referenced: a ringer holds the bell it is
+        # ringing, so the descriptor cannot be freed (or reused) under
+        # its write.
+        _close_fds(*self._fds)
 
 
 class _LocalChannel(queue.Queue):
-    """An in-process edge; rings the doorbell of a thread ALTing on it."""
+    """An in-process edge; rings the doorbell of the thread parked on
+    it: the consumer's (``bell``) as a packet lands, the producer's
+    (``room_bell``) as one leaves.  Rung once the queue's mutex is
+    released: a ring is a syscall, which lets go of the GIL, and the
+    mutex must not be held while another thread may take it."""
 
     bell: Optional[_Doorbell] = None
+    room_bell: Optional[_Doorbell] = None
 
-    def _put(self, item: Any) -> None:
-        self.queue.append(item)
+    def put(self, item: Any, block: bool = True,
+            timeout: Optional[float] = None) -> None:
+        super().put(item, block, timeout)
         bell = self.bell
         if bell is not None and bell.armed:
             bell.ring()
 
+    def get(self, block: bool = True,
+            timeout: Optional[float] = None) -> Any:
+        item = super().get(block, timeout)
+        bell = self.room_bell
+        if bell is not None and bell.armed:
+            bell.ring()
+        return item
+
+
+_MISS = object()  # what a non-blocking try that moved nothing returns
+
 
 class _Waiter:
-    """One thread's ALT over a fixed edge list: poller, doorbell, lookups."""
+    """One thread's wait on a fixed set of channels — to receive on any
+    of them, or to send on one (``channel``): the ``poll`` set over the
+    thread's doorbell, the stop and the channels' descriptors, and the
+    channels that ring the doorbell instead (while the thread is armed,
+    their ``slot`` attribute holds it)."""
 
-    __slots__ = ("edges", "local", "by_fd", "bell", "poller")
+    __slots__ = ("channel", "slot", "rung", "by_fd", "poller", "bell_fd")
 
-    def __init__(self, edges: Tuple[str, ...],
-                 channels: List[Any]) -> None:
-        self.edges = edges
-        self.local = [
-            (edge, channel) for edge, channel in zip(edges, channels)
-            if isinstance(channel, _LocalChannel)
-        ]
+    def __init__(self, entries: List[Tuple[str, Any]], sends: bool,
+                 bell: _Doorbell, stop_fd: int) -> None:
+        self.channel = entries[0][1] if sends else None
+        self.slot = "room_bell" if sends else "bell"
+        fileno = "room_fileno" if sends else "fileno"
+        self.rung = [(edge, channel) for edge, channel in entries
+                     if hasattr(channel, self.slot)]
         self.by_fd = {
-            channel.fileno(): (edge, channel)
-            for edge, channel in zip(edges, channels)
-            if not isinstance(channel, _LocalChannel)
+            getattr(channel, fileno)(): (edge, channel)
+            for edge, channel in entries if not hasattr(channel, self.slot)
         }
-        self.bell = _Doorbell()
+        self.bell_fd = bell.fileno()
         self.poller = select.poll()
-        self.poller.register(self.bell.fileno(), select.POLLIN)
-        for fd in self.by_fd:
+        for fd in (self.bell_fd, stop_fd, *self.by_fd):
             self.poller.register(fd, select.POLLIN)
-        for _edge, channel in self.local:
-            channel.bell = self.bell
 
-    def close(self) -> None:
-        for _edge, channel in self.local:
-            channel.bell = None
-        self.bell.close()
+    def arm(self, bell: _Doorbell) -> None:
+        bell.armed = True  # before the try: see _Doorbell
+        for _edge, channel in self.rung:
+            setattr(channel, self.slot, bell)
+
+    def attempt(self, ready: List[int], value: Any) -> Any:
+        """One non-blocking try: put ``value`` on the send channel, or
+        take ``(edge, value)`` from a channel that rings or whose
+        descriptor is in ``ready``; :data:`_MISS` if nothing moved."""
+        if self.channel is not None:
+            try:
+                self.channel.put_nowait(value)
+            except queue.Full:
+                return _MISS
+            return None
+        for edge, channel in self.rung:
+            try:
+                return edge, channel.get_nowait()
+            except queue.Empty:
+                continue
+        for fd in ready:
+            entry = self.by_fd.get(fd)
+            if entry is None:
+                continue
+            try:
+                return entry[0], entry[1].get_nowait()
+            except queue.Empty:
+                continue  # readiness without a whole packet
+        return _MISS
+
+    def disown(self, bell: _Doorbell) -> None:
+        """The thread is gone: no channel may ring its bell any more."""
+        for _edge, channel in self.rung:
+            if getattr(channel, self.slot) is bell:
+                setattr(channel, self.slot, None)
 
 
 class Kernel:
@@ -273,17 +419,18 @@ class Kernel:
     edge resolves to the channel of the edge it names and a fused
     thread is never started.
 
-    ``stop`` is the run's stop flag (``is_set`` / ``set`` / ``wait``),
-    shared with whoever else must be able to end the run.  With
-    ``record_spans`` every ``call_`` and every send on a remote edge
-    appends a ``(resource, owner, start_us, end_us)`` tuple — µs since
-    ``epoch`` — to :attr:`compute_spans` / :attr:`transfer_spans`.
+    ``stop`` is the run's stop (``is_set`` / ``set`` / ``wait`` /
+    ``fileno``), shared with whoever else must be able to end the run;
+    by default a fresh :class:`Latch`.  With ``record_spans`` every
+    ``call_`` and every send on a remote edge appends a ``(resource,
+    owner, start_us, end_us)`` tuple — µs since ``epoch`` — to
+    :attr:`compute_spans` / :attr:`transfer_spans`.
 
-    ``alt_`` — the Transputer ALT — *blocks*: channels with a file
-    descriptor are waited on with one ``poll`` per calling thread, and
-    in-process queues ring that thread's doorbell (an eventfd) when a
-    packet lands, so a farm master sleeps until a result exists.  Only
-    channels offering neither keep a bounded polling tick.
+    ``recv_`` (an ALT over one edge), ``send_`` on a full channel and
+    ``alt_`` — the Transputer ALT — share one wait loop (:meth:`_wait`):
+    try the non-blocking call, arm the thread's doorbell, ``poll`` the
+    doorbell, the channels' descriptors and the stop, try again.  A
+    parked thread costs nothing until one of its own events comes.
     """
 
     def __init__(
@@ -296,10 +443,13 @@ class Kernel:
         fused_threads: FrozenSet[str] = frozenset(),
         stop: Optional[Any] = None,
         queue_size: int = 4,
-        poll_s: float = 0.05,
         epoch: Optional[float] = None,
         record_spans: bool = False,
     ):
+        if stop is not None and not hasattr(stop, "fileno"):
+            raise TypeError(
+                "the kernel's stop must be pollable (a fileno() that is "
+                "readable once set), e.g. a Latch")
         if isinstance(hosts, str):
             hosts = (hosts,)
         self.hosts: Optional[FrozenSet[str]] = (
@@ -312,21 +462,26 @@ class Kernel:
         self._fused = fused_threads
         #: The remote channels that batch (see the back-stops below);
         #: none on the default transports, so the flush sweeps — one per
-        #: ``recv_``/``alt_`` — have nothing to walk.
+        #: blocking point — have nothing to walk.
         self._batching = [
             channel for channel in self._remote.values()
             if hasattr(channel, "try_flush")
         ]
         self._local: Dict[str, _LocalChannel] = {}
         self._lock = threading.Lock()
-        #: Per-thread ALT state (``waiter``), built on first use.
+        #: Per-thread wait state (``bell``, ``waiters``), built on first
+        #: use.
         self._tls = threading.local()
-        self.stop = threading.Event() if stop is None else stop
+        self.stop = Latch() if stop is None else stop
         self._queue_size = queue_size
-        self._poll_s = poll_s
         self._epoch = time.perf_counter() if epoch is None else epoch
         self._record_spans = record_spans
         self._threads: List[threading.Thread] = []
+        #: Spawned threads whose body has returned; the ones
+        #: :meth:`wait_finished` still waits for, and its latch.
+        self._finished: Set[threading.Thread] = set()
+        self._awaited: Set[threading.Thread] = set()
+        self._on_last: Optional[Latch] = None
         self.stop_token = Stop()
         #: Scratch space the generated code uses for final results.
         self.blackboard: Dict[str, Any] = {}
@@ -371,9 +526,8 @@ class Kernel:
                 # batching channel merely *accepted into its pending
                 # batch*; drain it now or the packet would be stranded.
                 self._drain_thread_pending()
-                waiter = getattr(self._tls, "waiter", None)
-                if waiter is not None:
-                    waiter.close()
+                self._close_thread_waits()
+                self._note_finished(thread)
 
         thread = threading.Thread(target=runner, name=name, daemon=True)
         self._threads.append(thread)
@@ -386,14 +540,17 @@ class Kernel:
         timed = self._record_spans and edge in self._remote
         if timed:
             start = time.perf_counter()
-        while True:
-            if self.stop.is_set():
-                raise Shutdown
-            try:
-                channel.put(value, timeout=self._poll_s)
-                break
-            except queue.Full:
-                self._flush_thread_pending()
+        if self.stop.is_set():
+            raise Shutdown
+        try:
+            channel.put_nowait(value)
+        except queue.Full:
+            self._flush_thread_pending()  # publish before waiting
+            waiter = self._waiter((edge,), sends=True)
+            if waiter is None:
+                self._put_tick(channel, value)
+            else:
+                self._wait(waiter, value)
         if timed:
             end = time.perf_counter()
             # The span times the move, not the back-pressure: a channel
@@ -406,19 +563,7 @@ class Kernel:
             ))
 
     def recv_(self, edge: str) -> Any:
-        channel = self.channel(edge)
-        # About to wait: whatever this thread still holds in pending
-        # batches (a router receives on one edge and sends on others)
-        # must go out *before* blocking — flushing only after the first
-        # timeout would hold every reply hostage for a full poll tick.
-        self._flush_thread_pending()
-        while True:
-            if self.stop.is_set():
-                raise Shutdown
-            try:
-                return channel.get(timeout=self._poll_s)
-            except queue.Empty:
-                self._flush_thread_pending()
+        return self._receive((edge,))[1]
 
     def try_recv_(self, edge: str) -> Any:
         """Non-blocking receive: raises ``queue.Empty`` when idle.
@@ -446,52 +591,88 @@ class Kernel:
 
     def alt_(self, edges: List[str]) -> Tuple[str, Any]:
         """Wait for a message on any of ``edges`` (the Transputer ALT)."""
-        self._flush_thread_pending()  # publish before waiting, as in recv_
+        return self._receive(edges)
+
+    # -- the one wait loop -----------------------------------------------------
+
+    def _receive(self, edges: Iterable[str]) -> Tuple[str, Any]:
+        """``recv_`` and ``alt_``: an ALT over ``edges``."""
+        # About to wait: whatever this thread still holds in pending
+        # batches (a router receives on one edge and sends on others)
+        # must go out *before* it blocks.
+        self._flush_thread_pending()
         waiter = self._waiter(edges)
         if waiter is None:
             return self._alt_tick(edges)
-        bell = waiter.bell
-        timeout_ms = self._poll_s * 1000.0
-        while True:
-            if self.stop.is_set():
-                raise Shutdown
-            bell.armed = True  # before the scan: see _Doorbell
-            for edge, channel in waiter.local:
-                try:
-                    value = channel.get_nowait()
-                except queue.Empty:
-                    continue
-                bell.armed = False
-                return edge, value
-            ready = waiter.poller.poll(timeout_ms)
-            bell.armed = False
-            for fd, _event in ready:
-                entry = waiter.by_fd.get(fd)
-                if entry is None:
-                    bell.clear()
-                    continue
-                try:
-                    return entry[0], entry[1].get_nowait()
-                except queue.Empty:
-                    continue  # readiness without a whole packet
-            if not ready:
-                self._flush_thread_pending()
+        return self._wait(waiter, None)
 
-    def _waiter(self, edges: List[str]) -> Optional[_Waiter]:
-        """This thread's blocking-ALT state for ``edges``, or None when
-        one of the channels can neither be polled nor ring a doorbell."""
-        key = tuple(edges)
-        waiter = getattr(self._tls, "waiter", None)
-        if waiter is not None and waiter.edges == key:
-            return waiter
-        channels = [self.channel(edge) for edge in edges]
-        if not all(isinstance(channel, _LocalChannel)
-                   or hasattr(channel, "fileno") for channel in channels):
-            return None
-        if waiter is not None:
-            waiter.close()
-        waiter = self._tls.waiter = _Waiter(key, channels)
+    def _wait(self, waiter: _Waiter, value: Any) -> Any:
+        """Move on ``waiter``'s channels (send ``value``, or receive),
+        sleeping in between until the doorbell rings, a descriptor turns
+        readable or the stop is raised — nothing else wakes it."""
+        bell = self._tls.bell
+        stop = self.stop
+        ready: List[int] = []
+        while True:
+            if stop.is_set():
+                raise Shutdown
+            waiter.arm(bell)
+            moved = waiter.attempt(ready, value)
+            if moved is not _MISS:
+                bell.armed = False
+                return moved
+            if self._batching and self._thread_pending():
+                # A batch the ring could not take: nothing can be polled
+                # for the room it needs, so retry on the ring's tick.
+                bell.armed = False
+                time.sleep(_RING_TICK_S)
+                self._flush_thread_pending()
+                ready = []
+                continue
+            ready = [fd for fd, _event in waiter.poller.poll()]
+            bell.armed = False
+            if waiter.bell_fd in ready:
+                bell.clear()
+
+    def _waiter(self, edges: Iterable[str], sends: bool = False
+                ) -> Optional[_Waiter]:
+        """This thread's wait state for receiving on ``edges`` (or
+        sending on the one edge), or None when a channel can be neither
+        polled nor rung."""
+        edges = tuple(edges)
+        tls = self._tls
+        waiters = getattr(tls, "waiters", None)
+        if waiters is None:
+            waiters = tls.waiters = {}
+            tls.bell = _Doorbell()
+        key = (sends, edges)
+        waiter = waiters.get(key)
+        if waiter is None:
+            entries = [(edge, self.channel(edge)) for edge in edges]
+            ways = ("room_bell", "room_fileno") if sends else (
+                "bell", "fileno")
+            if not all(any(hasattr(channel, way) for way in ways)
+                       for _edge, channel in entries):
+                return None
+            try:
+                stop_fd = self.stop.fileno()
+            except (OSError, ValueError):  # its run is over: gone, closed
+                if self.stop.is_set():
+                    raise Shutdown from None
+                raise
+            waiter = waiters[key] = _Waiter(entries, sends, tls.bell, stop_fd)
         return waiter
+
+    def _close_thread_waits(self) -> None:
+        """At thread exit: unhook the doorbell from every channel, so
+        the last ringer to let go of it closes it."""
+        tls = self._tls
+        waiters = getattr(tls, "waiters", None)
+        if waiters is None:
+            return
+        for waiter in waiters.values():
+            waiter.disown(tls.bell)
+        del tls.waiters, tls.bell
 
     def _alt_tick(self, edges: List[str]) -> Tuple[str, Any]:
         """ALT over channels with nothing to block on (the ring
@@ -506,7 +687,19 @@ class Kernel:
                 except queue.Empty:
                     continue
             self._flush_thread_pending()
-            time.sleep(0.0002)
+            time.sleep(_RING_TICK_S)
+
+    def _put_tick(self, channel: Any, value: Any) -> None:
+        """Send on a channel with no room signal (the ring transport):
+        its own blocking ``put``, re-checking the stop between tries."""
+        while True:
+            if self.stop.is_set():
+                raise Shutdown
+            try:
+                channel.put(value, timeout=_RING_PUT_S)
+                return
+            except queue.Full:
+                self._flush_thread_pending()
 
     def call_(self, func: Callable, *args: Any) -> Any:
         if not self._record_spans:
@@ -579,13 +772,41 @@ class Kernel:
             while channel.has_pending and not channel.try_flush():
                 if self.stop.is_set():
                     return
-                time.sleep(0.0002)
+                time.sleep(_RING_TICK_S)
 
     # -- host-side helpers -----------------------------------------------------
 
     def local_threads(self) -> List[threading.Thread]:
         """The executive threads actually started in this interpreter."""
         return list(self._threads)
+
+    def wait_finished(self, threads: Iterable[threading.Thread]) -> bool:
+        """Sleep until every one of ``threads`` (spawned here) has
+        finished its body, or the stop is raised; ``True`` when the
+        threads finished and the stop is still down."""
+        finished = Latch()
+        with self._lock:
+            self._awaited = set(threads) - self._finished
+            self._on_last = finished
+            if not self._awaited:
+                finished.set()
+        try:
+            poller = select.poll()
+            for fd in (finished.fileno(), self.stop.fileno()):
+                poller.register(fd, select.POLLIN)
+            poller.poll()
+            return not self.stop.is_set()
+        finally:
+            with self._lock:
+                self._on_last = None
+            finished.close()
+
+    def _note_finished(self, thread: threading.Thread) -> None:
+        with self._lock:
+            self._finished.add(thread)
+            self._awaited.discard(thread)
+            if not self._awaited and self._on_last is not None:
+                self._on_last.set()
 
     def release(self) -> None:
         """Shutdown hook: let every remote channel reclaim what its

@@ -246,6 +246,13 @@ class FarmSupervisor:
             return []
         return [ReleaseStop(port)]
 
+    def finish(self, now: float) -> None:
+        """The run is over, however it ended: a worker that lost a hedge
+        race and stayed silent is judged on the silence so far, as at
+        :meth:`stop` — which the dispatcher may never reach when the
+        run's sinks complete first."""
+        self._judge_suspects(now, at_stop=True)
+
     def result(self, arrival: int, seq: int, now: float) -> Optional[int]:
         """Worker ``arrival`` answered packet ``seq``: dedupe and settle.
 

@@ -241,11 +241,15 @@ class SupervisedKernel:
                 self._board.beat(slot)
 
     def shutdown(self) -> None:
-        """Stop and join the heartbeat thread (call before process exit)."""
+        """Stop and join the heartbeat thread (call before process exit),
+        and close the books of every hosted farm."""
         self._beat_stop.set()
         beater = self._beater
         if beater is not None:
             beater.join(1.0)
+        for hosted in self._hosted.values():
+            with hosted.lock:
+                hosted.core.finish(time.monotonic())
 
     # -- injection -------------------------------------------------------------
 

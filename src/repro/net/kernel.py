@@ -32,7 +32,7 @@ import threading
 import time
 from typing import Any, Dict, Iterable, Optional, Tuple
 
-from ..codegen.kernel import Shutdown, _LocalChannel
+from ..codegen.kernel import Latch, Shutdown, _LocalChannel
 from ..realtime.kernel import StreamBoard
 from . import codec
 from .protocol import ConnectionClosed, Frame, Link, pack_edge, pack_run
@@ -54,26 +54,30 @@ class NetStopEvent:
     coordinator broadcasts STOPRUN to every worker — the distributed
     equivalent of setting the shared multiprocessing event.
     ``set_local()`` is the receive side: STOPRUN raises the flag without
-    echoing a request back.
+    echoing a request back.  Either trips a local :class:`Latch`, whose
+    descriptor (:meth:`fileno`) every parked kernel thread polls.
     """
 
     def __init__(self, link: Link, run: int):
-        self._event = threading.Event()
+        self._latch = Latch()
         self._link = link
         self._run = run
         self._requested = False
 
     def is_set(self) -> bool:
-        return self._event.is_set()
+        return self._latch.is_set()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
-        return self._event.wait(timeout)
+        return self._latch.wait(timeout)
+
+    def fileno(self) -> int:
+        return self._latch.fileno()
 
     def set_local(self) -> None:
-        self._event.set()
+        self._latch.set()
 
     def set(self) -> None:
-        self._event.set()
+        self._latch.set()
         if self._requested:
             return
         self._requested = True
@@ -164,34 +168,36 @@ class NetStreamBoard(StreamBoard):
 
 
 class _NetOutChannel:
-    """Producer end of a network edge: credits + encoded DATA frames."""
+    """Producer end of a network edge: credits + encoded DATA frames.
 
-    __slots__ = ("_link", "_header", "_credits", "_cond", "accepted_at")
+    A sender that finds no credit parks in the kernel on ``room_bell``,
+    which :meth:`add_credit` rings."""
+
+    __slots__ = ("_link", "_header", "_credits", "_lock", "room_bell",
+                 "accepted_at")
 
     def __init__(self, link: Link, run_id: int, edge: str, credits: int):
         self._link = link
         self._header = pack_edge(run_id, edge)
         self._credits = credits
-        self._cond = threading.Condition()
+        self._lock = threading.Lock()
+        self.room_bell: Any = None
         #: ``time.perf_counter()`` when the last ``put`` got its credit —
         #: where the back-pressure wait ends and the move begins.
         self.accepted_at = 0.0
 
     def add_credit(self, n: int) -> None:
         """A CREDIT frame arrived for this edge."""
-        with self._cond:
+        with self._lock:
             self._credits += n
-            self._cond.notify_all()
+        bell = self.room_bell
+        if bell is not None and bell.armed:
+            bell.ring()
 
-    def put(self, value: Any, timeout: Optional[float] = None) -> None:
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while self._credits <= 0:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic())
-                if remaining is not None and remaining <= 0:
-                    raise queue.Full
-                self._cond.wait(remaining)
+    def put_nowait(self, value: Any) -> None:
+        with self._lock:
+            if self._credits <= 0:
+                raise queue.Full
             self._credits -= 1
         self.accepted_at = time.perf_counter()
         buffers = codec.encode(value)
@@ -202,9 +208,6 @@ class _NetOutChannel:
             # the executive thread quietly; the coordinator has already
             # seen the dead socket and is driving recovery or teardown.
             raise Shutdown
-
-    def put_nowait(self, value: Any) -> None:
-        self.put(value, 0.0)
 
 
 class _NetInChannel(_LocalChannel):

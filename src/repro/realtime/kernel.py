@@ -51,6 +51,12 @@ from .topology import StreamTopology
 
 __all__ = ["StreamBoard", "RealtimeKernel"]
 
+#: What the admission pump waits after a ``queue.Full`` before it tries
+#: again: a non-blocking put has no event to wait for, so this is the
+#: one timer left on the data path — and it runs only while the pump is
+#: stalled on a full queue.
+_RETRY_S = 0.02
+
 
 class _PipeBell:
     """``threading.Event``'s ``set`` / ``wait`` / ``clear`` over a pipe:
@@ -205,10 +211,6 @@ class RealtimeKernel:
         # report when one is underneath (without a fault plan, none).
         self._matcher = getattr(inner, "matcher", None)
         self._fault_report = getattr(inner, "fault_report", None)
-
-        #: What the pump waits after a ``queue.Full`` before it tries
-        #: again — the period on which the kernel's own blocked sends do.
-        self._retry_s = getattr(inner, "_poll_s", budget.deadline_ms / 1000.0)
 
         # -- admission state (guarded by _lock) --
         self._lock = threading.Lock()
@@ -443,7 +445,7 @@ class RealtimeKernel:
         core's next wake, else one ``deadline_ms`` — so an admission
         need not ring: no frame admitted meanwhile can be late before
         the sleeper is up.  Only a pump that met a full queue has no
-        event to wait for and retries on the kernel's poll period.
+        event to wait for and retries after ``_RETRY_S``.
         """
         with self._lock:
             now = self.now_us()
@@ -453,7 +455,7 @@ class RealtimeKernel:
             wake = self._core.next_wake(now)
         timeout = (self._budget.deadline_ms / 1000.0 if wake is None
                    else (wake - now) / 1e6)
-        return min(timeout, self._retry_s) if full else timeout
+        return min(timeout, _RETRY_S) if full else timeout
 
     def _pair_deliveries(self, now: float) -> None:
         """Report the board's new deliveries to the core, FIFO-paired

@@ -1,9 +1,19 @@
 """PipeChannel: a bounded SPSC channel that writes from the sending thread.
 
-An OS pipe carries length-prefixed pickles and a semaphore bounds the
-messages in flight.  The sending thread writes the pipe itself (no
-feeder thread), and the read end is a plain descriptor a selector can
-wait on (:meth:`fileno`), which lets the kernel's ALT block.
+An OS pipe carries length-prefixed pickles and a second pipe holds the
+*credits* that bound the messages in flight.  The sending thread writes
+the data pipe itself (no feeder thread), and both read ends are plain
+descriptors a ``poll`` can wait on: :meth:`fileno` is readable while a
+message waits, :meth:`room_fileno` while a credit does.  So a kernel
+thread parked on either side sleeps until the other side moves or the
+run's stop is raised — never on a timer.
+
+The credit pipe starts with ``maxsize`` bytes in it.  ``put`` reads one
+byte (a credit) before it writes; ``get`` writes one back.  Only the
+producer reads credits and only the consumer returns them, and both
+ends are non-blocking, so a credit is one syscall with no lock to
+poison: a producer whose reader was SIGKILLed finds no credit, parks on
+:meth:`room_fileno` beside the stop, and unwinds on the stop.
 
 Nothing ever waits inside a write: the read end of a SIGKILLed reader
 stays open in every sibling, and a blocking write to its full pipe
@@ -12,13 +22,16 @@ goes through the pipe in one *atomic* non-blocking write — POSIX: all
 of it or ``EAGAIN``, never a part.  Anything larger is *spilled* into a
 mapped *slot* under ``/dev/shm`` (the temporary directory elsewhere),
 and only its serial and length cross the pipe.  So a sender waits only
-on the semaphore, with the caller's timeout, seeing the stop flag.
+for a credit.  (With a ``maxsize`` above 16 the data pipe itself can
+fill first: the write is refused, and the producer then holds every
+credit it can see, so :meth:`room_fileno` turns readable with the next
+``get`` — the one that makes room in the pipe — instead of at once.)
 
 Spill serial ``s`` goes into slot ``s % maxsize``: one file per slot,
 opened and mapped once per process, grown (``posix_fallocate``, then a
 fresh mapping) when a message is longer than the mapping.  No lock
-guards a slot: ``put`` holds one of the ``maxsize`` semaphore units
-while it writes, and ``get`` returns its unit only after copying the
+guards a slot: ``put`` holds one of the ``maxsize`` credits while it
+writes, and ``get`` gives its credit back only after copying the
 message out, so when serial ``s`` is written at most ``maxsize - 1``
 messages are unread, serial ``s - maxsize`` is not among them, and its
 slot is free.  Pages are reserved before anything is written through
@@ -48,6 +61,7 @@ import struct
 import tempfile
 import time
 import uuid
+from multiprocessing.context import assert_spawning
 from typing import Any, Dict, List, Optional
 
 __all__ = ["PipeChannel"]
@@ -81,39 +95,56 @@ def _wait(fd: int, event: int, deadline: Optional[float]) -> bool:
 
 
 class PipeChannel:
-    """One intra-host edge over a pipe and a counting semaphore."""
+    """One intra-host edge over a data pipe and a credit pipe."""
 
     def __init__(self, ctx: Any, maxsize: int):
+        if not 1 <= maxsize <= select.PIPE_BUF:
+            raise ValueError(
+                f"maxsize must be 1..{select.PIPE_BUF}, got {maxsize}")
         self._reader, self._writer = ctx.Pipe(duplex=False)
+        self._credits, self._refund = ctx.Pipe(duplex=False)
         # O_NONBLOCK lives on the open file description, so every
         # process that inherits or receives these ends sees it.
-        os.set_blocking(self._reader.fileno(), False)
-        os.set_blocking(self._writer.fileno(), False)
+        for end in (self._reader, self._writer, self._credits,
+                    self._refund):
+            os.set_blocking(end.fileno(), False)
+        os.write(self._refund.fileno(), bytes(maxsize))
         self._maxsize = maxsize
-        self._slots = ctx.BoundedSemaphore(maxsize)
         self._spill_prefix = os.path.join(
             _spill_directory(), f"repro-pipe-{uuid.uuid4().hex}-")
+        self._reset_process_state()
+
+    def _reset_process_state(self) -> None:
         self._spilled = 0
+        #: Credits the producer took out of the pipe and holds (only
+        #: after the data pipe refused a write: see the module docstring).
+        self._held = 0
         #: This process's mapping of each slot it has touched.
         self._mapped: Dict[int, mmap.mmap] = {}
-        #: ``time.perf_counter()`` when the last ``put`` got its slot —
+        #: ``time.perf_counter()`` when the last ``put`` got its credit —
         #: where the back-pressure wait ends and the move begins.
         self.accepted_at = 0.0
 
     def __getstate__(self):
-        return (self._reader, self._writer, self._maxsize, self._slots,
-                self._spill_prefix)
+        # Descriptors cross by inheritance or with a spawned process's
+        # arguments; anywhere else a pickle would need a resource sharer.
+        assert_spawning(self)
+        return (self._reader, self._writer, self._credits, self._refund,
+                self._maxsize, self._spill_prefix)
 
     def __setstate__(self, state):
-        (self._reader, self._writer, self._maxsize, self._slots,
-         self._spill_prefix) = state
-        self._spilled = 0
-        self._mapped = {}
-        self.accepted_at = 0.0
+        (self._reader, self._writer, self._credits, self._refund,
+         self._maxsize, self._spill_prefix) = state
+        self._reset_process_state()
 
     def fileno(self) -> int:
         """The read end: readable exactly when ``get_nowait`` succeeds."""
         return self._reader.fileno()
+
+    def room_fileno(self) -> int:
+        """The credit pipe's read end: readable exactly when a ``put``
+        would get a credit (save the full-pipe case above)."""
+        return self._credits.fileno()
 
     def _slot(self, serial: int, size: int) -> mmap.mmap:
         """Serial ``serial``'s slot, mapped at least ``size`` bytes long."""
@@ -165,18 +196,38 @@ class PipeChannel:
             return self._spill([memoryview(body), *large])
         return _HEADER.pack(len(body), 0) + body
 
+    def _take_credit(self, deadline: Optional[float]) -> bool:
+        if self._held:
+            self._held -= 1
+            return True
+        fd = self._credits.fileno()
+        while True:
+            try:
+                os.read(fd, 1)
+                return True
+            except BlockingIOError:
+                if not _wait(fd, select.POLLIN, deadline):
+                    return False
+
+    def _hold_credits(self) -> None:
+        """The data pipe is full: hold the credit in hand and every one
+        left in the pipe, until a ``get`` makes room (and refunds)."""
+        self._held += 1
+        try:
+            self._held += len(os.read(self._credits.fileno(),
+                                      self._maxsize))
+        except BlockingIOError:
+            pass
+
     def _put(self, value: Any, deadline: Optional[float]) -> None:
-        if deadline is None:
-            self._slots.acquire()
-        elif not self._slots.acquire(
-                True, max(0.0, deadline - time.monotonic())):
+        if not self._take_credit(deadline):
             raise queue.Full
         self.accepted_at = time.perf_counter()
         serial = self._spilled
         try:
             frame = self._frame(value)
-        except BaseException:
-            self._slots.release()  # unpicklable value, full /dev/shm
+        except BaseException:  # unpicklable value, full /dev/shm
+            os.write(self._refund.fileno(), b"\0")
             raise
         fd = self._writer.fileno()
         while True:
@@ -188,7 +239,7 @@ class PipeChannel:
                 # ``queue_size`` above 16): wait for the reader.
                 if _wait(fd, select.POLLOUT, deadline):
                     continue
-                self._slots.release()
+                self._hold_credits()
                 self._spilled = serial  # its slot is free again
                 raise queue.Full from None
 
@@ -236,7 +287,7 @@ class PipeChannel:
         if flags & 1:
             body, *buffers = self._fetch(body)
         # Only now: the message's slot is copied out and free for reuse.
-        self._slots.release()
+        os.write(self._refund.fileno(), b"\0")
         return pickle.loads(body, buffers=buffers)
 
     def get(self, timeout: Optional[float] = None) -> Any:
@@ -250,8 +301,9 @@ class PipeChannel:
 
     def destroy(self) -> None:
         """Close, unmap and remove the slots (creator-side, last)."""
-        self._reader.close()
-        self._writer.close()
+        for end in (self._reader, self._writer, self._credits,
+                    self._refund):
+            end.close()
         for mapped in self._mapped.values():
             mapped.close()
         self._mapped.clear()

@@ -11,17 +11,22 @@ import dataclasses
 import gc
 import os
 import queue
+import signal
 import threading
 
 import pytest
 
 from repro.backends import BackendError, get_backend
 from repro.backends.hosting import RunBarrier, host_run, merge_run, plan_run
+from repro.codegen.kernel import Latch
+from repro.core import FunctionTable, ProgramBuilder
 from repro.faults import FaultPlan, FaultPolicy, FaultSpec
-from repro.faults.demo import make_demo
+from repro.faults.demo import add, make_demo
 from repro.net import ClusterHarness, ConnectionClosed, Frame
+from repro.pnt import expand_program
 from repro.realtime import LatencyBudget
 from repro.realtime.soak import frame_value, make_soak
+from repro.syndex import distribute, ring
 
 POLICY = FaultPolicy(
     packet_timeout_s=0.3, heartbeat_timeout_s=0.15,
@@ -123,6 +128,33 @@ class TestRunBarrier:
         assert len(barrier.payloads()) == len(HOSTS)
 
 
+def square_unless_seven(x):
+    """``square``, except that the worker process given 7 dies on the
+    spot, without a word (module-level: spawn pickles it by name)."""
+    if x == 7:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x * x
+
+
+def test_a_sigkilled_worker_fails_an_unsupervised_processes_run():
+    """The parent sleeps on the control channel and on every worker's
+    sentinel at once, so a worker that dies without a word is a lost
+    host — an error without supervision — long before the timeout."""
+    table = FunctionTable()
+    table.register("square", ins=["int"], outs=["int"], cost=50.0)(
+        square_unless_seven)
+    table.register("add", ins=["int", "int"], outs=["int"], cost=10.0,
+                   properties=["commutative", "associative"])(add)
+    builder = ProgramBuilder("killed_df", table)
+    (xs,) = builder.params("xs")
+    program = builder.returns(builder.df(
+        3, comp="square", acc="add", z=builder.const(0), xs=xs))
+    mapping = distribute(expand_program(program, table), ring(4))
+    with pytest.raises(BackendError, match="died with exit code -9"):
+        get_backend("processes").run(
+            mapping, table, args=(list(range(10)),), timeout=120.0)
+
+
 def test_tcp_losing_the_sink_owner_between_sinks_and_done_is_an_error(cluster):
     """The coordinator's STOPRUN to the sink owner — sent once every sink
     has reported — kills its socket instead: the worker is lost exactly
@@ -173,7 +205,7 @@ class TestHostRunContract:
         )
         plan = dataclasses.replace(plan, source=plan.source + source_suffix)
         channel = CountingChannel(maxsize=plan.queue_size)
-        stop = threading.Event()
+        stop = Latch()
         reported = []
 
         def on_sinks(processors):

@@ -11,9 +11,12 @@ shared-memory transport; batches, has nothing to block on) and ``tcp``
 with two pump threads standing in for the link readers of the two
 workers and the coordinator between them).
 
-Facts that need a descriptor or a doorbell to hold — a parked ALT costs
-no CPU, wakes well inside the old 200 µs tick — are asserted where the
-channel is waitable (all but ``ring``, which keeps the bounded tick).
+Facts that need a descriptor or a doorbell to hold — a parked
+``recv_``, ``send_`` or ``alt_`` costs no CPU, an ALT wakes well inside
+the old 200 µs tick — are asserted where the channel is waitable (all
+but ``ring``, which keeps the bounded tick).  No kernel wait has a
+timer any more, so a parked thread that comes back at all was woken by
+its own event: the packet, the room, or the stop.
 """
 
 import importlib
@@ -30,7 +33,7 @@ import pytest
 
 from repro.codegen import KERNEL_PRIMITIVES, AsyncioKernel
 from repro.codegen import kernel as kernel_module
-from repro.codegen.kernel import Kernel, RemoteStub, Shutdown
+from repro.codegen.kernel import Kernel, Latch, RemoteStub, Shutdown
 from repro.codegen.targets.standalone_target import kernel_module_source
 from repro.net import ConnectionClosed, Link, encode, net_channels
 from repro.net.protocol import split_edge, split_run
@@ -76,8 +79,9 @@ def make_wire():
     cleanups = []
 
     def make(kind, **kernel_kw):
-        stop = threading.Event()
-        kw = dict(stop=stop, poll_s=0.02, queue_size=CAPACITY)
+        stop = Latch()
+        cleanups.append(stop.set)  # unwinds whatever a test left parked
+        kw = dict(stop=stop, queue_size=CAPACITY)
         kw.update(kernel_kw)
         if kind == "local":
             kernel = Kernel(**kw)
@@ -169,6 +173,31 @@ class Parked:
     def join(self):
         assert joined(self.thread)
         return self.outcome
+
+
+def blocking_call(wire, primitive):
+    """A call that parks in ``primitive`` on ``wire`` until the stop:
+    nobody sends, and nobody drains what ``send_`` fills."""
+    if primitive == "send_":
+        def call():
+            while True:  # parks once the edge is full
+                wire.tx.send_(EDGE, "filler")
+    elif primitive == "recv_":
+        def call():
+            return wire.rx.recv_(EDGE)
+    else:
+        def call():
+            return wire.rx.alt_(["idle", EDGE])
+    return call
+
+
+def process_cpu_over_a_second():
+    """Process CPU seconds burnt in one second of this thread sleeping
+    (after a moment for a just-started thread to reach its wait)."""
+    time.sleep(0.05)
+    cpu = time.process_time()
+    time.sleep(1.0)
+    return time.process_time() - cpu
 
 
 def median_wake_latency(alt, arrive, rounds=41, batches=3):
@@ -263,9 +292,7 @@ class TestEveryEdgeKind:
         assert wire.rx.alt_(["idle", EDGE]) == ("idle", "local beside it")
 
     def test_a_parked_alt_is_woken_by_the_packet(self, make_wire, kind):
-        # poll_s is far beyond the join timeout where the channel can
-        # wake the waiter: coming back on the tick fails the test.
-        wire = make_wire(kind, poll_s=30.0 if kind in WAITABLE else 0.02)
+        wire = make_wire(kind)
         parked = Parked(lambda: wire.rx.alt_(["idle", EDGE]))
         time.sleep(0.05)
         send_from_an_executive_thread(wire.tx, EDGE, "late")
@@ -285,33 +312,24 @@ class TestEveryEdgeKind:
     @pytest.mark.parametrize("primitive", ["recv_", "alt_", "send_"])
     def test_stop_unblocks_within_a_poll_tick(
             self, make_wire, kind, primitive):
+        """Raising the stop unwinds a parked primitive.  No wait has a
+        timer to come back on, so completing before the join timeout
+        is the proof that the stop's own event did the waking."""
         wire = make_wire(kind)
-        if primitive == "send_":
-            def call():
-                while True:  # nobody drains: parks once the edge is full
-                    wire.tx.send_(EDGE, "filler")
-        elif primitive == "recv_":
-            def call():
-                return wire.rx.recv_(EDGE)
-        else:
-            def call():
-                return wire.rx.alt_(["idle", EDGE])
-        parked = Parked(call)
+        parked = Parked(blocking_call(wire, primitive))
         time.sleep(0.1)
         assert parked.thread.is_alive()
-        raised = time.perf_counter()
         wire.stop.set()
         assert parked.join() == "shutdown"
-        assert parked.returned_at - raised < 0.2  # ten ticks of slack
 
     def test_no_wake_up_is_lost_under_concurrent_senders(
             self, make_wire, kind):
         """9 000 packets over three edges into one ALT, more senders
         than cores, a shortened switch interval, and — where the edge
-        can wake the waiter — a ``poll_s`` so long that a single lost
-        wake-up (a packet landing between the waiter's scan and its
-        poll without ringing) blows the time bound on its own."""
-        wire = make_wire(kind, poll_s=60.0 if kind in WAITABLE else 0.02)
+        can wake the waiter — no timer at all: a single lost wake-up (a
+        packet or a free slot appearing between a waiter's try and its
+        poll without ringing) parks a thread for good."""
+        wire = make_wire(kind)
         edges, rounds = ["l0", "l1", EDGE], 3000
         got = []
 
@@ -349,12 +367,21 @@ class TestEveryEdgeKind:
 class TestWaitableEdges:
     def test_a_parked_alt_burns_no_cpu(self, make_wire, kind):
         """The sleep-polling ALT woke every 200 µs to scan each edge."""
-        wire = make_wire(kind, poll_s=0.1)
+        wire = make_wire(kind)
         parked = Parked(lambda: wire.rx.alt_([EDGE, "l0", "l1"]))
-        time.sleep(0.5)
+        assert process_cpu_over_a_second() < 0.01
         wire.rx.send_("l0", "done")
-        parked.join()
-        assert parked.cpu_s < 0.01
+        assert parked.join() == ("l0", "done")
+
+    @pytest.mark.parametrize("primitive", ["recv_", "send_"])
+    def test_a_parked_recv_or_send_burns_no_cpu(
+            self, make_wire, kind, primitive):
+        """They woke every 20 ms to look at the stop flag."""
+        wire = make_wire(kind)
+        parked = Parked(blocking_call(wire, primitive))
+        assert process_cpu_over_a_second() < 0.01
+        wire.stop.set()
+        assert parked.join() == "shutdown"
 
     def test_wake_latency_is_well_under_the_old_tick(self, make_wire, kind):
         if kind == "tcp":
@@ -364,7 +391,7 @@ class TestWaitableEdges:
             assert isinstance(make_wire(kind).rx.channel(EDGE),
                               kernel_module._LocalChannel)
             return
-        wire = make_wire(kind, poll_s=30.0)
+        wire = make_wire(kind)
         assert median_wake_latency(
             lambda: wire.rx.alt_([EDGE, "l0"]), wire.arrive) < 120e-6
 

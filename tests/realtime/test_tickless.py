@@ -24,6 +24,7 @@ from repro.net import ClusterHarness
 from repro.net.kernel import NetStreamBoard
 from repro.realtime import LatencyBudget
 from repro.realtime.async_kernel import AsyncRealtimeKernel
+from repro.realtime import kernel as realtime_kernel
 from repro.realtime.kernel import RealtimeKernel, StreamBoard
 from repro.realtime.soak import frame_value, make_soak
 from repro.realtime.topology import StreamTopology
@@ -53,7 +54,6 @@ class FakeKernel:
     """What the threaded wrapper touches of a kernel."""
 
     hosts = None
-    _poll_s = 0.001
 
     def __init__(self):
         self.stop = threading.Event()
@@ -264,7 +264,9 @@ def test_a_frame_never_delivered_is_flagged_once_by_the_timer(make_kernel):
     assert kernel._core.ledger.frames[0].status == "in-flight"
 
 
-def test_the_sleep_is_derived_from_the_earliest_open_deadline():
+def test_the_sleep_is_derived_from_the_earliest_open_deadline(monkeypatch):
+    # A retry shorter than the open deadline below, so that it shows.
+    monkeypatch.setattr(realtime_kernel, "_RETRY_S", 0.001)
     inner = FakeKernel()
     kernel = RealtimeKernel(inner, TOPOLOGY, LatencyBudget(
         deadline_ms=40.0, policy="block", max_in_flight=1, queue_depth=4),
@@ -280,7 +282,7 @@ def test_the_sleep_is_derived_from_the_earliest_open_deadline():
     assert kernel._watch_tick() == pytest.approx(0.001999)  # a flagged: b's
     kernel.recv_("e9")
     inner.refusals = 1
-    assert kernel._watch_tick() == inner._poll_s  # a full queue: retry
+    assert kernel._watch_tick() == 0.001  # a full queue: retry
     inner.clock_us = 50_000.0
     assert kernel._watch_tick() == 0.040          # all flagged: idle again
     assert events(kernel, "deadline-miss") == [0, 1]

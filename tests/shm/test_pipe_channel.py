@@ -30,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen.kernel import Kernel, Shutdown
+from repro.codegen.kernel import Kernel, Latch, Shutdown
 from repro.shm import get_transport
 from repro.shm.pipe import _INLINE_MAX, PipeChannel
 from repro.shm.registry import EdgeSpec
@@ -45,6 +45,20 @@ PIPE_CAPACITY = 65536
 #: Pickle framing of a ``bytes`` payload (protocol header, length, STOP).
 PICKLE_OVERHEAD = len(pickle.dumps(b"\0" * 1000, pickle.HIGHEST_PROTOCOL)) \
     - 1000
+
+
+def pipe_entries():
+    return {name for name in os.listdir("/dev/shm")
+            if name.startswith("repro-pipe-")}
+
+
+@pytest.fixture(autouse=True)
+def dev_shm_is_as_it_was():
+    """No test leaves a channel's file in ``/dev/shm``."""
+    before = pipe_entries()
+    yield
+    gc.collect()
+    assert pipe_entries() == before
 
 
 def make_channel(maxsize=4, method=None):
@@ -239,9 +253,6 @@ class TestContract:
             channel.destroy()
 
     def test_destroy_leaves_no_fd_and_no_shm_entry(self):
-        # A spawn-context semaphore starts multiprocessing's resource
-        # tracker, which keeps a pipe for the life of this interpreter.
-        make_channel(method=START_METHODS[-1]).destroy()
         gc.collect()
         fds, shm = open_fds(), set(os.listdir("/dev/shm"))
         for method in START_METHODS:
@@ -255,6 +266,81 @@ class TestContract:
         gc.collect()
         assert open_fds() == fds
         assert set(os.listdir("/dev/shm")) == shm
+
+
+class TestCredits:
+    """Credits replace a semaphore: ``maxsize`` bytes in a pipe, one
+    taken per ``put`` and given back by the ``get`` that copied the
+    message out — so a parked sender can ``poll`` for room."""
+
+    def test_put_nowait_is_refused_until_a_get(self):
+        channel = make_channel(maxsize=3)
+        try:
+            for i in range(3):
+                channel.put_nowait(i)
+            for _ in range(3):
+                with pytest.raises(queue.Full):
+                    channel.put_nowait("refused")
+            assert channel.get_nowait() == 0
+            channel.put_nowait(3)
+            with pytest.raises(queue.Full):
+                channel.put_nowait("refused")
+            assert [channel.get_nowait() for _ in range(3)] == [1, 2, 3]
+        finally:
+            channel.destroy()
+
+    def test_the_credit_descriptor_is_readable_exactly_when_a_put_would_get_one(
+            self):
+        channel = make_channel(maxsize=2)
+        poller = select.poll()
+        poller.register(channel.room_fileno(), select.POLLIN)
+
+        def room():
+            return bool(poller.poll(0))
+
+        try:
+            assert room()
+            channel.put_nowait("small")
+            assert room()
+            channel.put_nowait(os.urandom(3 * PIPE_CAPACITY))  # spilled
+            assert not room()
+            assert channel.get_nowait() == "small"
+            assert room()
+            channel.put_nowait("again")
+            assert not room()
+            for _ in range(2):
+                channel.get_nowait()
+            assert room()
+        finally:
+            channel.destroy()
+
+    def test_a_full_data_pipe_holds_the_credits_until_a_get(self):
+        """Above 16 slots the pipe can fill first: the refused producer
+        holds what credits it sees, so the descriptor stays quiet —
+        no parked sender spins — until a get makes room."""
+        channel = make_channel(maxsize=64)
+        payload = os.urandom(_INLINE_MAX - PICKLE_OVERHEAD)
+        poller = select.poll()
+        poller.register(channel.room_fileno(), select.POLLIN)
+        accepted = 0
+        try:
+            with pytest.raises(queue.Full):
+                for _ in range(64):
+                    channel.put_nowait(payload)
+                    accepted += 1
+            assert poller.poll(0) == []
+            assert channel.get_nowait() == payload
+            assert poller.poll(0)
+            channel.put_nowait(payload)
+            for _ in range(accepted):
+                assert channel.get_nowait() == payload
+        finally:
+            channel.destroy()
+
+    def test_maxsize_is_what_the_credit_pipe_can_hold(self):
+        for maxsize in (0, select.PIPE_BUF + 1):
+            with pytest.raises(ValueError):
+                make_channel(maxsize=maxsize)
 
 
 class TestAgainstAModel:
@@ -375,8 +461,8 @@ class TestOutOfBandArrays:
             self, monkeypatch):
         """Pages are reserved before the mapping is written, so a full
         ``/dev/shm`` is ``ENOSPC`` from ``put`` — for a new slot and for
-        one that must grow — never a SIGBUS; the semaphore unit comes
-        back and the channel carries the next message."""
+        one that must grow — never a SIGBUS; the credit comes back and
+        the channel carries the next message."""
         channel = make_channel(maxsize=1)
 
         def full(fd, offset, length):
@@ -416,7 +502,7 @@ def _consume_forever(channel, ready):
 
 def _die_mid_frame(channel, fetched):
     """Take one spilled frame out of its slot, then hang — holding the
-    mapping and the semaphore unit — until SIGKILLed."""
+    mapping and the credit — until SIGKILLed."""
     real_fetch = channel._fetch
 
     def fetch_and_hang(descriptor):
@@ -475,17 +561,16 @@ class TestAcrossProcesses:
     @pytest.mark.parametrize("method", START_METHODS)
     def test_sigkilled_reader_then_stop_unwinds_the_sender(self, method):
         """What the feeder thread used to hide: the reader dies while
-        arrays larger than the pipe are streaming at it.  The sender
-        must keep seeing the stop flag and unwind within a poll tick,
-        and the unread spill files go with the channel."""
+        arrays larger than the pipe are streaming at it.  The sender,
+        parked on credits that will never come back, must unwind on the
+        stop — nothing else can wake it — and the unread spill files go
+        with the channel."""
         ctx = multiprocessing.get_context(method)
         channel = PipeChannel(ctx, 4)
         ready = ctx.Event()
         reader = ctx.Process(target=_consume_forever, args=(channel, ready))
-        stop = threading.Event()
-        poll_s = 0.02
-        kernel = Kernel(
-            hosts="P0", remote={"e0": channel}, stop=stop, poll_s=poll_s)
+        stop = Latch()
+        kernel = Kernel(hosts="P0", remote={"e0": channel}, stop=stop)
         unwound = []
 
         def sender():
@@ -494,7 +579,7 @@ class TestAcrossProcesses:
                 while True:
                     kernel.send_("e0", big)
             except Shutdown:
-                unwound.append(time.monotonic())
+                unwound.append(True)
 
         thread = threading.Thread(target=sender, daemon=True)
         try:
@@ -507,11 +592,9 @@ class TestAcrossProcesses:
             time.sleep(0.2)  # the sender is now out of slots
             assert thread.is_alive() and not unwound
             assert spill_files(channel)
-            raised = time.monotonic()
             stop.set()
             thread.join(5.0)
-            assert not thread.is_alive()
-            assert unwound[0] - raised < 10 * poll_s
+            assert not thread.is_alive() and unwound == [True]
         finally:
             stop.set()
             channel.destroy()
