@@ -79,6 +79,7 @@ def _feed(barrier: RunBarrier, results, deadline: float, workers) -> None:
     its loss.  ``workers`` holds the workers whose exit is not fed yet;
     raises at the run's deadline."""
     remaining = deadline - time.monotonic()
+    # The queue's read end is what can be waited on beside sentinels.
     ready = remaining > 0 and wait(
         [results._reader, *(w.sentinel for w in workers)], remaining)
     if not ready:

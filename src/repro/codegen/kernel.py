@@ -345,7 +345,7 @@ class _Waiter:
     channels that ring the doorbell instead (while the thread is armed,
     their ``slot`` attribute holds it)."""
 
-    __slots__ = ("channel", "slot", "rung", "by_fd", "poller", "bell_fd")
+    __slots__ = ("channel", "slot", "rung", "by_fd", "bell", "poller")
 
     def __init__(self, entries: List[Tuple[str, Any]], sends: bool,
                  bell: _Doorbell, stop_fd: int) -> None:
@@ -358,15 +358,15 @@ class _Waiter:
             getattr(channel, fileno)(): (edge, channel)
             for edge, channel in entries if not hasattr(channel, self.slot)
         }
-        self.bell_fd = bell.fileno()
+        self.bell = bell
         self.poller = select.poll()
-        for fd in (self.bell_fd, stop_fd, *self.by_fd):
+        for fd in (bell.fileno(), stop_fd, *self.by_fd):
             self.poller.register(fd, select.POLLIN)
 
-    def arm(self, bell: _Doorbell) -> None:
-        bell.armed = True  # before the try: see _Doorbell
+    def arm(self) -> None:
+        self.bell.armed = True  # before the try: see _Doorbell
         for _edge, channel in self.rung:
-            setattr(channel, self.slot, bell)
+            setattr(channel, self.slot, self.bell)
 
     def attempt(self, ready: List[int], value: Any) -> Any:
         """One non-blocking try: put ``value`` on the send channel, or
@@ -393,10 +393,10 @@ class _Waiter:
                 continue  # readiness without a whole packet
         return _MISS
 
-    def disown(self, bell: _Doorbell) -> None:
+    def disown(self) -> None:
         """The thread is gone: no channel may ring its bell any more."""
         for _edge, channel in self.rung:
-            if getattr(channel, self.slot) is bell:
+            if getattr(channel, self.slot) is self.bell:
                 setattr(channel, self.slot, None)
 
 
@@ -610,13 +610,13 @@ class Kernel:
         """Move on ``waiter``'s channels (send ``value``, or receive),
         sleeping in between until the doorbell rings, a descriptor turns
         readable or the stop is raised — nothing else wakes it."""
-        bell = self._tls.bell
+        bell = waiter.bell
         stop = self.stop
         ready: List[int] = []
         while True:
             if stop.is_set():
                 raise Shutdown
-            waiter.arm(bell)
+            waiter.arm()
             moved = waiter.attempt(ready, value)
             if moved is not _MISS:
                 bell.armed = False
@@ -631,7 +631,7 @@ class Kernel:
                 continue
             ready = [fd for fd, _event in waiter.poller.poll()]
             bell.armed = False
-            if waiter.bell_fd in ready:
+            if bell.fileno() in ready:
                 bell.clear()
 
     def _waiter(self, edges: Iterable[str], sends: bool = False
@@ -671,7 +671,7 @@ class Kernel:
         if waiters is None:
             return
         for waiter in waiters.values():
-            waiter.disown(tls.bell)
+            waiter.disown()
         del tls.waiters, tls.bell
 
     def _alt_tick(self, edges: List[str]) -> Tuple[str, Any]:
