@@ -269,6 +269,9 @@ def host_run(
                 p for p in plan.sink_processors
                 if base.hosts is None or p in base.hosts))
         stop.wait()
+        # A StopFlag raised in another process calls nobody back here:
+        # wake the threads asleep on in-process queues.
+        base.wake_local()
         for thread in base.local_threads():
             thread.join(0.5)
     except Exception:

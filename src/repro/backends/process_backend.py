@@ -20,11 +20,10 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue
 import time
 import traceback
 from multiprocessing.connection import wait
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..core.functions import FunctionTable
 from ..core.ir import Program
@@ -57,40 +56,47 @@ def default_start_method() -> str:
 
 def _worker_main(index: int, processor: str, results: Any, plan: RunPlan,
                  hosting: Dict[str, Any]) -> None:
-    """Entry point of one worker process (module-level: spawn-safe)."""
+    """Entry point of one worker process (module-level: spawn-safe).
+    ``results`` is the write end of the worker's own control pipe."""
     try:
         # One mapped processor, one core — before any thread exists, so
         # every executive thread inherits the mask.
         pin_to_cpu(index)
         payload = host_run(
             plan, hosts=processor,
-            on_sinks=lambda sinks: results.put(("sinks", processor, sinks)),
+            on_sinks=lambda sinks: results.send(("sinks", processor, sinks)),
             **hosting,
         )
-        results.put(("done", processor, payload))
+        results.send(("done", processor, payload))
     except Exception:
         hosting["stop"].set()
-        results.put(("error", processor, traceback.format_exc()))
+        results.send(("error", processor, traceback.format_exc()))
 
 
-def _feed(barrier: RunBarrier, results, deadline: float, workers) -> None:
+def _feed(barrier: RunBarrier, readers: List[Any], deadline: float,
+          workers: List[Any]) -> None:
     """Sleep until a control message or a worker's exit, and feed it to
     the barrier: the message, or — for a worker that died without one —
-    its loss.  ``workers`` holds the workers whose exit is not fed yet;
-    raises at the run's deadline."""
+    its loss.  ``readers`` holds the control pipes not at their end yet,
+    ``workers`` the workers whose exit is not fed yet; raises at the
+    run's deadline."""
     remaining = deadline - time.monotonic()
-    # The queue's read end is what can be waited on beside sentinels.
     ready = remaining > 0 and wait(
-        [results._reader, *(w.sentinel for w in workers)], remaining)
+        [*readers, *(w.sentinel for w in workers)], remaining)
     if not ready:
         raise BackendError(
             "multiprocess run exceeded its timeout (deadlocked "
             "executive?); workers will be terminated"
         )
-    if results._reader in ready:  # messages first: a worker's last words
+    for reader in readers:
+        if reader not in ready:
+            continue
+        # Messages first: a worker's last words come before its exit.
         try:
-            tag, processor, body = results.get_nowait()
-        except queue.Empty:  # pragma: no cover - half a message so far
+            tag, processor, body = reader.recv()
+        except EOFError:  # its worker is gone; the sentinel says how
+            readers.remove(reader)
+            reader.close()
             return
         if tag == "sinks":
             barrier.sinks(body)
@@ -140,10 +146,13 @@ def run_multiprocess(
     # inside the Event's semaphore would poison it and wedge the
     # parent's own set() — the chaos suite kills workers exactly there.
     stop_event = StopFlag()
-    # Each worker posts at most two control messages ("sinks" + "done" or
-    # "error"); bound the queue so a runaway producer cannot grow memory
-    # without limit against a stalled parent.
-    results = ctx.Queue(maxsize=2 * len(plan.participating) + 4)
+    # One control pipe per worker, for its at most two messages ("sinks"
+    # + "done" or "error"): a pipe with one writer needs no lock, so a
+    # worker killed mid-message poisons nothing (the parent reads the
+    # short message as the pipe's end), and its read end is what
+    # ``_feed`` waits on beside the workers' sentinels.
+    pipes = [ctx.Pipe(duplex=False) for _ in plan.participating]
+    readers = [reader for reader, _writer in pipes]
     # The shared boards: lock-free, single-writer slots, aligned 8-byte
     # stores (heartbeats; released / delivered frame counters, and the
     # doorbell a delivery rings).
@@ -162,10 +171,11 @@ def run_multiprocess(
     for index, proc_id in enumerate(plan.participating):
         worker = ctx.Process(
             target=_worker_main,
-            args=(index, proc_id, results, plan, hosting),
+            args=(index, proc_id, pipes[index][1], plan, hosting),
             name=f"repro-{proc_id}", daemon=True,
         )
         worker.start()
+        pipes[index][1].close()  # the worker's now: EOF once it is gone
         workers.append(worker)
 
     deadline = time.monotonic() + timeout
@@ -173,11 +183,13 @@ def run_multiprocess(
     running = list(workers)
     try:
         while not barrier.stopping:
-            _feed(barrier, results, deadline, running)
+            _feed(barrier, readers, deadline, running)
         stop_event.set()
         while not barrier.finished:
-            _feed(barrier, results, deadline, running)
+            _feed(barrier, readers, deadline, running)
     finally:
+        for reader in readers:
+            reader.close()
         stop_event.set()
         for worker in workers:
             worker.join(2.0)

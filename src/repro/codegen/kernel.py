@@ -41,15 +41,19 @@ class, not a kernel:
 ``release()`` (optional)
     reclaim what an absent receiver never claimed, at shutdown.
 
-A blocked ``recv_``, ``send_`` or ``alt_`` sleeps in one ``poll`` over
-the calling thread's doorbell, the descriptors of the channels it waits
-on and the run's *stop*, with no timeout: it wakes on a packet, on room
-or on the stop, never on a clock.  So the stop must be a descriptor
-too — every stop object a kernel is handed has ``is_set`` / ``set`` /
-``wait`` and a ``fileno()`` that turns readable once it is set
+A blocked ``recv_``, ``send_`` or ``alt_`` has no timeout: it wakes on
+a packet, on room or on the run's *stop*, never on a clock.  On one
+in-process queue it sleeps on the queue's own conditions (a hand-over
+costs a lock release, not a syscall); on anything else, in one ``poll``
+over the calling thread's doorbell, the channels' descriptors and the
+stop.  So every stop object a kernel is handed has ``is_set`` / ``set``
+/ ``wait`` and a ``fileno()`` that turns readable once it is set
 (:class:`Latch` in one interpreter, the ``processes`` backend's
-``StopFlag`` across them, a ``tcp`` worker's ``NetStopEvent``).  Only a channel that offers no descriptor
-and no doorbell (the ring transport) is waited on with a tick.
+``StopFlag`` across them, a ``tcp`` worker's ``NetStopEvent``), and
+whoever sees it set wakes the queue sleepers (:meth:`Kernel.wake_local`):
+a :class:`Latch` as it is set, the host thread for a stop raised in
+another process.  Only a channel that offers no descriptor and no
+doorbell (the ring transport) is waited on with a tick.
 
 Nothing else of a channel is looked at.  This module imports only the
 standard library, so ``repro emit`` ships it verbatim as
@@ -65,8 +69,8 @@ import select
 import threading
 import time
 from typing import (
-    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Set, Tuple,
-    Union,
+    Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence,
+    Set, Tuple, Union,
 )
 
 __all__ = [
@@ -190,9 +194,9 @@ _RING = (1).to_bytes(8, "little")  # an eventfd write is one uint64
 #: transport) scans it again — and how long a thread holding a batch
 #: the ring could not take sleeps before it retries the flush.
 _RING_TICK_S = 0.0002
-#: How long a send blocks inside a ring channel's own ``put`` before it
-#: looks at the stop flag again.
-_RING_PUT_S = 0.02
+#: How long a send or a receive blocks inside a ring channel's own
+#: ``put`` / ``get`` before it looks at the stop again.
+_RING_WAIT_S = 0.02
 
 
 def _wakeup_fds() -> Tuple[int, int]:
@@ -219,15 +223,19 @@ class Latch:
     readable once set — a descriptor written once and never read, so it
     stays readable for every ``poll`` that includes it from then on.
 
-    ``close()`` (also on collection) gives the descriptor back; a
-    ``set()`` after it only flips the flag.
+    ``on_set(callback)`` has ``set()`` call ``callback()`` too — how a
+    kernel wakes the threads asleep on its in-process queues, which no
+    descriptor reaches.  ``close()`` (also on collection) gives the
+    descriptor back; a ``set()`` after it only flips the flag (and
+    calls the callbacks).
     """
 
-    __slots__ = ("_set", "_fds", "_lock")
+    __slots__ = ("_set", "_fds", "_lock", "_callbacks")
 
     def __init__(self) -> None:
         self._set = False
         self._lock = threading.Lock()
+        self._callbacks: List[Callable[[], None]] = []
         self._fds: Optional[Tuple[int, int]] = None
         self._fds = _wakeup_fds()
 
@@ -240,13 +248,26 @@ class Latch:
     def is_set(self) -> bool:
         return self._set
 
+    def on_set(self, callback: Callable[[], None]) -> None:
+        """Call ``callback()`` once set: at ``set()``, or now if it is."""
+        with self._lock:
+            if not self._set:
+                self._callbacks.append(callback)
+                return
+        callback()
+
     def set(self) -> None:
-        """Flag first, then the descriptor: whoever it wakes reads the
-        flag as set."""
+        """Flag first, then the descriptor and the callbacks: whoever
+        they wake reads the flag as set."""
         with self._lock:  # never a write to a descriptor close() freed
-            was_set, self._set = self._set, True
-            if not was_set and self._fds is not None:
+            if self._set:
+                return
+            self._set = True
+            if self._fds is not None:
                 os.write(self._fds[1], _RING)
+            callbacks, self._callbacks = self._callbacks, []
+        for callback in callbacks:
+            callback()
 
     def wait(self, timeout: Optional[float] = None) -> bool:
         """Block until set or ``timeout`` seconds; returns the flag.
@@ -310,32 +331,91 @@ class _Doorbell:
 
 
 class _LocalChannel(queue.Queue):
-    """An in-process edge; rings the doorbell of the thread parked on
-    it: the consumer's (``bell``) as a packet lands, the producer's
-    (``room_bell``) as one leaves.  Rung once the queue's mutex is
-    released: a ring is a syscall, which lets go of the GIL, and the
-    mutex must not be held while another thread may take it."""
+    """An in-process edge.
+
+    A thread that waits on it alone — ``recv_`` on it, or ``send_``
+    while it is full — sleeps on the queue's own conditions: handing a
+    packet over costs a lock release, not a syscall that lets go of the
+    GIL.  A stop reaches such a sleeper through :meth:`wake`.  A thread
+    ALTing over it with other edges stores its doorbell in ``bell``,
+    which :meth:`put` rings (when armed) once the mutex is released."""
 
     bell: Optional[_Doorbell] = None
-    room_bell: Optional[_Doorbell] = None
 
     def put(self, item: Any, block: bool = True,
             timeout: Optional[float] = None) -> None:
         super().put(item, block, timeout)
+        self._ring()
+
+    def _ring(self) -> None:
         bell = self.bell
         if bell is not None and bell.armed:
             bell.ring()
 
-    def get(self, block: bool = True,
-            timeout: Optional[float] = None) -> Any:
-        item = super().get(block, timeout)
-        bell = self.room_bell
-        if bell is not None and bell.armed:
-            bell.ring()
+    # ``take`` / ``give``: ``get`` / ``put`` that block with no timeout
+    # until they move or ``stop`` is raised (then Shutdown).  The stop is
+    # read under the mutex :meth:`wake` takes, so a wake cannot fall in
+    # between the read and the wait.
+
+    def take(self, stop: Any) -> Any:
+        with self.not_empty:
+            while not self._qsize():
+                if stop.is_set():
+                    raise Shutdown
+                self.not_empty.wait()
+            item = self._get()
+            self.not_full.notify()
         return item
+
+    def give(self, item: Any, stop: Any) -> None:
+        with self.not_full:
+            while 0 < self.maxsize <= self._qsize():
+                if stop.is_set():
+                    raise Shutdown
+                self.not_full.wait()
+            self._put(item)
+            self.unfinished_tasks += 1
+            self.not_empty.notify()
+        self._ring()
+
+    def wake(self) -> None:
+        """The stop is raised: every sleeper re-reads it."""
+        with self.mutex:
+            self.not_empty.notify_all()
+            self.not_full.notify_all()
 
 
 _MISS = object()  # what a non-blocking try that moved nothing returns
+
+
+class _QueueWaiter:
+    """One thread's wait on one in-process queue (see
+    :class:`_LocalChannel`): to receive from it or to send ``value``."""
+
+    __slots__ = ("edge", "channel", "sends")
+
+    def __init__(self, edge: str, channel: _LocalChannel,
+                 sends: bool) -> None:
+        self.edge, self.channel, self.sends = edge, channel, sends
+
+    def move(self, value: Any, stop: Any = None) -> Any:
+        """Send ``value`` (returns None) or receive ``(edge, value)``;
+        with a ``stop``, block until it moves, else :data:`_MISS` if it
+        cannot move at once."""
+        channel = self.channel
+        if stop is not None:
+            if self.sends:
+                return channel.give(value, stop)
+            return self.edge, channel.take(stop)
+        try:
+            if self.sends:
+                return channel.put_nowait(value)
+            return self.edge, channel.get_nowait()
+        except (queue.Full, queue.Empty):
+            return _MISS
+
+    def disown(self) -> None:
+        pass
 
 
 class _Waiter:
@@ -345,7 +425,8 @@ class _Waiter:
     channels that ring the doorbell instead (while the thread is armed,
     their ``slot`` attribute holds it)."""
 
-    __slots__ = ("channel", "slot", "rung", "by_fd", "bell", "poller")
+    __slots__ = ("channel", "slot", "rung", "by_fd", "bell", "poller",
+                 "ready")
 
     def __init__(self, entries: List[Tuple[str, Any]], sends: bool,
                  bell: _Doorbell, stop_fd: int) -> None:
@@ -362,16 +443,30 @@ class _Waiter:
         self.poller = select.poll()
         for fd in (bell.fileno(), stop_fd, *self.by_fd):
             self.poller.register(fd, select.POLLIN)
+        #: The descriptors the last ``poll`` found readable.
+        self.ready: List[int] = []
 
-    def arm(self) -> None:
-        self.bell.armed = True  # before the try: see _Doorbell
-        for _edge, channel in self.rung:
-            setattr(channel, self.slot, self.bell)
-
-    def attempt(self, ready: List[int], value: Any) -> Any:
+    def move(self, value: Any, stop: Any = None) -> Any:
         """One non-blocking try: put ``value`` on the send channel, or
         take ``(edge, value)`` from a channel that rings or whose
-        descriptor is in ``ready``; :data:`_MISS` if nothing moved."""
+        descriptor is readable.  If nothing moved (:data:`_MISS`) and
+        there is a ``stop``, sleep in ``poll`` with no timeout until the
+        doorbell, a channel or the stop (whose descriptor is in the set)
+        wakes it; the next try moves."""
+        bell = self.bell
+        if stop is not None:
+            bell.armed = True  # before the try: see _Doorbell
+            for _edge, channel in self.rung:
+                setattr(channel, self.slot, bell)
+        moved = self._attempt(value, stop is None)
+        if moved is _MISS and stop is not None:
+            self.ready = [fd for fd, _event in self.poller.poll()]
+            if bell.fileno() in self.ready:
+                bell.clear()
+        bell.armed = False
+        return moved
+
+    def _attempt(self, value: Any, every_fd: bool) -> Any:
         if self.channel is not None:
             try:
                 self.channel.put_nowait(value)
@@ -383,7 +478,8 @@ class _Waiter:
                 return edge, channel.get_nowait()
             except queue.Empty:
                 continue
-        for fd in ready:
+        ready, self.ready = self.ready, []
+        for fd in self.by_fd if every_fd else ready:
             entry = self.by_fd.get(fd)
             if entry is None:
                 continue
@@ -426,11 +522,14 @@ class Kernel:
     owner, start_us, end_us)`` tuple — µs since ``epoch`` — to
     :attr:`compute_spans` / :attr:`transfer_spans`.
 
-    ``recv_`` (an ALT over one edge), ``send_`` on a full channel and
-    ``alt_`` — the Transputer ALT — share one wait loop (:meth:`_wait`):
-    try the non-blocking call, arm the thread's doorbell, ``poll`` the
-    doorbell, the channels' descriptors and the stop, try again.  A
-    parked thread costs nothing until one of its own events comes.
+    ``recv_`` (an ALT over one edge), ``send_`` and ``alt_`` — the
+    Transputer ALT — share one wait loop (:meth:`_wait`) over the
+    thread's waiter for the edges: one in-process queue is a blocking
+    ``get`` / ``put`` on its own conditions (:class:`_QueueWaiter`);
+    other channels are tried, then the thread arms its doorbell and
+    sleeps in one ``poll`` over it, their descriptors and the stop
+    (:class:`_Waiter`).
+    A parked thread costs nothing until one of its own events comes.
     """
 
     def __init__(
@@ -473,6 +572,9 @@ class Kernel:
         #: use.
         self._tls = threading.local()
         self.stop = Latch() if stop is None else stop
+        on_set = getattr(self.stop, "on_set", None)
+        if on_set is not None:
+            on_set(self.wake_local)
         self._queue_size = queue_size
         self._epoch = time.perf_counter() if epoch is None else epoch
         self._record_spans = record_spans
@@ -540,17 +642,11 @@ class Kernel:
         timed = self._record_spans and edge in self._remote
         if timed:
             start = time.perf_counter()
-        if self.stop.is_set():
-            raise Shutdown
-        try:
-            channel.put_nowait(value)
-        except queue.Full:
-            self._flush_thread_pending()  # publish before waiting
-            waiter = self._waiter((edge,), sends=True)
-            if waiter is None:
-                self._put_tick(channel, value)
-            else:
-                self._wait(waiter, value)
+        waiter = self._waiter((edge,), sends=True)
+        if waiter is None:
+            self._ring_wait(channel.put, value)
+        else:
+            self._wait(waiter, value)
         if timed:
             end = time.perf_counter()
             # The span times the move, not the back-pressure: a channel
@@ -595,60 +691,60 @@ class Kernel:
 
     # -- the one wait loop -----------------------------------------------------
 
-    def _receive(self, edges: Iterable[str]) -> Tuple[str, Any]:
+    def _receive(self, edges: Sequence[str]) -> Tuple[str, Any]:
         """``recv_`` and ``alt_``: an ALT over ``edges``."""
         # About to wait: whatever this thread still holds in pending
         # batches (a router receives on one edge and sends on others)
         # must go out *before* it blocks.
         self._flush_thread_pending()
         waiter = self._waiter(edges)
-        if waiter is None:
-            return self._alt_tick(edges)
-        return self._wait(waiter, None)
+        if waiter is not None:
+            return self._wait(waiter, None)
+        if len(edges) == 1:
+            return edges[0], self._ring_wait(self.channel(edges[0]).get)
+        return self._alt_tick(edges)
 
-    def _wait(self, waiter: _Waiter, value: Any) -> Any:
+    def _wait(self, waiter: Any, value: Any) -> Any:
         """Move on ``waiter``'s channels (send ``value``, or receive),
-        sleeping in between until the doorbell rings, a descriptor turns
-        readable or the stop is raised — nothing else wakes it."""
-        bell = waiter.bell
+        sleeping until a packet or room appears or the stop is raised —
+        nothing else wakes it."""
         stop = self.stop
-        ready: List[int] = []
         while True:
             if stop.is_set():
                 raise Shutdown
-            waiter.arm()
-            moved = waiter.attempt(ready, value)
-            if moved is not _MISS:
-                bell.armed = False
-                return moved
-            if self._batching and self._thread_pending():
-                # A batch the ring could not take: nothing can be polled
-                # for the room it needs, so retry on the ring's tick.
-                bell.armed = False
-                time.sleep(_RING_TICK_S)
-                self._flush_thread_pending()
-                ready = []
+            if not (self._batching and self._thread_pending()):
+                moved = waiter.move(value, stop)
+                if moved is not _MISS:
+                    return moved
                 continue
-            ready = [fd for fd, _event in waiter.poller.poll()]
-            bell.armed = False
-            if bell.fileno() in ready:
-                bell.clear()
+            # This thread holds a batch: it must not sleep until the
+            # batch is out, and nothing can be polled for the room the
+            # ring needs, so retry on the ring's tick.
+            moved = waiter.move(value)
+            if moved is not _MISS:
+                return moved
+            self._flush_thread_pending()
+            if self._thread_pending():
+                time.sleep(_RING_TICK_S)
 
-    def _waiter(self, edges: Iterable[str], sends: bool = False
-                ) -> Optional[_Waiter]:
+    def _waiter(self, edges: Iterable[str], sends: bool = False) -> Any:
         """This thread's wait state for receiving on ``edges`` (or
-        sending on the one edge), or None when a channel can be neither
-        polled nor rung."""
+        sending on the one edge): a :class:`_QueueWaiter` for one
+        in-process queue, a :class:`_Waiter` for channels that can be
+        polled or rung, None when one of them can be neither."""
         edges = tuple(edges)
         tls = self._tls
         waiters = getattr(tls, "waiters", None)
         if waiters is None:
             waiters = tls.waiters = {}
-            tls.bell = _Doorbell()
         key = (sends, edges)
         waiter = waiters.get(key)
-        if waiter is None:
-            entries = [(edge, self.channel(edge)) for edge in edges]
+        if waiter is not None:
+            return waiter
+        entries = [(edge, self.channel(edge)) for edge in edges]
+        if len(entries) == 1 and isinstance(entries[0][1], _LocalChannel):
+            waiter = _QueueWaiter(*entries[0], sends)
+        else:
             ways = ("room_bell", "room_fileno") if sends else (
                 "bell", "fileno")
             if not all(any(hasattr(channel, way) for way in ways)
@@ -660,21 +756,37 @@ class Kernel:
                 if self.stop.is_set():
                     raise Shutdown from None
                 raise
-            waiter = waiters[key] = _Waiter(entries, sends, tls.bell, stop_fd)
+            bell = getattr(tls, "bell", None)
+            if bell is None:
+                bell = tls.bell = _Doorbell()
+            waiter = _Waiter(entries, sends, bell, stop_fd)
+        waiters[key] = waiter
         return waiter
 
     def _close_thread_waits(self) -> None:
         """At thread exit: unhook the doorbell from every channel, so
         the last ringer to let go of it closes it."""
         tls = self._tls
-        waiters = getattr(tls, "waiters", None)
-        if waiters is None:
-            return
-        for waiter in waiters.values():
+        for waiter in getattr(tls, "waiters", {}).values():
             waiter.disown()
-        del tls.waiters, tls.bell
+        tls.__dict__.clear()
 
-    def _alt_tick(self, edges: List[str]) -> Tuple[str, Any]:
+    def wake_local(self) -> None:
+        """The stop is raised: wake every thread asleep on an in-process
+        queue's conditions (which no descriptor reaches) to read it.
+
+        A :class:`Latch` stop (also inside a ``NetStopEvent``) calls
+        this itself as it is set; for a ``StopFlag`` raised in another
+        process the host thread, already asleep on the stop's
+        descriptor, calls it (:func:`repro.backends.hosting.host_run`)."""
+        with self._lock:
+            channels = list(self._local.values())
+        channels += [channel for channel in self._remote.values()
+                     if isinstance(channel, _LocalChannel)]
+        for channel in channels:
+            channel.wake()
+
+    def _alt_tick(self, edges: Iterable[str]) -> Tuple[str, Any]:
         """ALT over channels with nothing to block on (the ring
         transport): scan them all on a bounded tick."""
         channels = [(edge, self.channel(edge)) for edge in edges]
@@ -689,16 +801,16 @@ class Kernel:
             self._flush_thread_pending()
             time.sleep(_RING_TICK_S)
 
-    def _put_tick(self, channel: Any, value: Any) -> None:
-        """Send on a channel with no room signal (the ring transport):
-        its own blocking ``put``, re-checking the stop between tries."""
+    def _ring_wait(self, move: Callable[..., Any], *value: Any) -> Any:
+        """Send or receive on a channel with nothing to poll (the ring
+        transport): its own blocking ``put`` / ``get``, re-checking the
+        stop between tries."""
         while True:
             if self.stop.is_set():
                 raise Shutdown
             try:
-                channel.put(value, timeout=_RING_PUT_S)
-                return
-            except queue.Full:
+                return move(*value, timeout=_RING_WAIT_S)
+            except (queue.Full, queue.Empty):
                 self._flush_thread_pending()
 
     def call_(self, func: Callable, *args: Any) -> Any:

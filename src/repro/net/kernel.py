@@ -30,7 +30,7 @@ import queue
 import struct
 import threading
 import time
-from typing import Any, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..codegen.kernel import Latch, Shutdown, _LocalChannel
 from ..realtime.kernel import StreamBoard
@@ -55,7 +55,8 @@ class NetStopEvent:
     equivalent of setting the shared multiprocessing event.
     ``set_local()`` is the receive side: STOPRUN raises the flag without
     echoing a request back.  Either trips a local :class:`Latch`, whose
-    descriptor (:meth:`fileno`) every parked kernel thread polls.
+    descriptor (:meth:`fileno`) every parked kernel thread polls and
+    whose callbacks (:meth:`on_set`) wake the ones on in-process queues.
     """
 
     def __init__(self, link: Link, run: int):
@@ -72,6 +73,9 @@ class NetStopEvent:
 
     def fileno(self) -> int:
         return self._latch.fileno()
+
+    def on_set(self, callback: Callable[[], None]) -> None:
+        self._latch.on_set(callback)
 
     def set_local(self) -> None:
         self._latch.set()
@@ -227,7 +231,14 @@ class _NetInChannel(_LocalChannel):
     push = _LocalChannel.put_nowait
 
     def get(self, block: bool = True, timeout: Optional[float] = None) -> Any:
-        value = codec.decode(super().get(block, timeout))
+        return self._granted(super().get(block, timeout))
+
+    def take(self, stop: Any) -> Any:
+        return self._granted(super().take(stop))
+
+    def _granted(self, raw: Any) -> Any:
+        """Decode a dequeued value and grant its credit back."""
+        value = codec.decode(raw)
         try:
             self._link.send(Frame.CREDIT, self._header, _U32.pack(1))
         except ConnectionClosed:

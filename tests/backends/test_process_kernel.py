@@ -17,6 +17,7 @@ import pytest
 
 from repro.codegen.kernel import Kernel, Latch, Shutdown
 from repro.shm import RingChannel
+from repro.shm.flag import StopFlag
 from repro.shm.pipe import PipeChannel
 
 from tests.codegen.test_kernel_contract import Parked, median_wake_latency
@@ -130,6 +131,25 @@ class TestKernelPrimitives:
         with pytest.raises(Shutdown):
             kernel.send_("e0", 2)
         timer.cancel()
+
+    def test_a_stop_raised_elsewhere_reaches_local_senders_via_wake_local(
+            self):
+        """A StopFlag has no callback to run in this process: a sender
+        asleep on a full in-process queue's condition sleeps through its
+        set() until somebody here calls wake_local (host_run does)."""
+        flag = StopFlag()
+        try:
+            kernel = make_kernel(stop=flag, queue_size=1)
+            kernel.send_("e0", "fills the queue")
+            parked = Parked(lambda: kernel.send_("e0", "parks"))
+            time.sleep(0.05)
+            flag.set()
+            time.sleep(0.1)
+            assert parked.thread.is_alive()
+            kernel.wake_local()
+            assert parked.join() == "shutdown"
+        finally:
+            flag.unlink()
 
     def test_call_records_wall_clock_spans(self):
         kernel = make_kernel(record_spans=True)

@@ -413,6 +413,29 @@ def test_a_ring_edge_keeps_the_bounded_tick(make_wire):
     assert make_wire("ring").rx._waiter([EDGE, "l0"]) is None
 
 
+def test_a_ring_recv_blocks_in_the_rings_own_get(make_wire, monkeypatch):
+    """One ring edge has nothing to poll: ``recv_`` waits in the ring's
+    own ``get`` (as ``send_`` does in its ``put``), never in the
+    multi-edge ALT's 200 µs scan."""
+    wire = make_wire("ring")
+    channel = wire.rx.channel(EDGE)
+    timeouts = []
+    real_get = channel.get
+
+    def get(timeout=None):
+        timeouts.append(timeout)
+        return real_get(timeout=timeout)
+
+    monkeypatch.setattr(channel, "get", get)
+    monkeypatch.setattr(wire.rx, "_alt_tick", lambda edges: pytest.fail(
+        "a one-edge receive scanned on the ALT's tick"))
+    parked = Parked(lambda: wire.rx.recv_(EDGE))
+    time.sleep(0.05)
+    send_from_an_executive_thread(wire.tx, EDGE, "late")
+    assert parked.join() == "late"
+    assert set(timeouts) == {kernel_module._RING_WAIT_S}
+
+
 # -- spans --------------------------------------------------------------------
 
 
