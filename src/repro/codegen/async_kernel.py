@@ -145,16 +145,6 @@ class AsyncioKernel:
             except asyncio.TimeoutError:
                 continue
 
-    def try_recv_(self, edge: str) -> Any:
-        """Non-blocking receive; raises ``queue.Empty`` when idle (the
-        same exception the thread kernel's supervisor polling expects)."""
-        if self.stop.is_set():
-            raise Shutdown
-        try:
-            return self.channel(edge).get_nowait()
-        except asyncio.QueueEmpty:
-            raise queue.Empty from None
-
     def try_send_(self, edge: str, value: Any) -> None:
         """Non-blocking send; raises ``queue.Full`` with the value not
         enqueued (the exception the thread kernel's callers expect)."""

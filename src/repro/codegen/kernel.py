@@ -42,7 +42,8 @@ class, not a kernel:
     reclaim what an absent receiver never claimed, at shutdown.
 
 A blocked ``recv_``, ``send_`` or ``alt_`` has no timeout: it wakes on
-a packet, on room or on the run's *stop*, never on a clock.  On one
+a packet, on room or on the run's *stop*, never on a clock — unless
+``alt_`` is handed one (the fault supervisor's collector).  On one
 in-process queue it sleeps on the queue's own conditions (a hand-over
 costs a lock release, not a syscall); on anything else, in one ``poll``
 over the calling thread's doorbell, the channels' descriptors and the
@@ -63,6 +64,7 @@ standard library, so ``repro emit`` ships it verbatim as
 from __future__ import annotations
 
 import inspect
+import math
 import os
 import queue
 import select
@@ -91,10 +93,6 @@ KERNEL_PRIMITIVES: Dict[str, Tuple[str, str]] = {
     "spawn_": ("(name, body) -> thread", "create and start an executive thread"),
     "send_": ("(edge, value) -> unit", "blocking send on a logical channel"),
     "recv_": ("(edge) -> value", "blocking receive on a logical channel"),
-    "try_recv_": (
-        "(edge) -> value | raises queue.Empty",
-        "non-blocking receive (supervisor polling; not used by generated code)",
-    ),
     "try_send_": (
         "(edge, value) -> unit | raises queue.Full",
         "non-blocking send (supervisor re-dispatch, realtime admission pump; "
@@ -102,7 +100,8 @@ KERNEL_PRIMITIVES: Dict[str, Tuple[str, str]] = {
     ),
     "call_": ("(func, *args) -> value", "run a user sequential function"),
     "stop_": ("(edge) -> unit", "propagate end-of-stream on a channel"),
-    "alt_": ("(edges) -> (edge, value)", "wait on several channels (ALT)"),
+    "alt_": ("(edges, timeout=None) -> (edge, value)",
+             "wait on several channels (ALT); queue.Empty after timeout s"),
     "grain_": (
         "(remaining, degree) -> int",
         "how many of a farm's remaining items the next packet carries: "
@@ -330,6 +329,9 @@ class _Doorbell:
         _close_fds(*self._fds)
 
 
+_MISS = object()  # what a try (or a timed wait) that moved nothing returns
+
+
 class _LocalChannel(queue.Queue):
     """An in-process edge.
 
@@ -352,17 +354,18 @@ class _LocalChannel(queue.Queue):
         if bell is not None and bell.armed:
             bell.ring()
 
-    # ``take`` / ``give``: ``get`` / ``put`` that block with no timeout
-    # until they move or ``stop`` is raised (then Shutdown).  The stop is
-    # read under the mutex :meth:`wake` takes, so a wake cannot fall in
-    # between the read and the wait.
+    # ``take`` / ``give``: ``get`` / ``put`` that block until they move
+    # (a ``take`` at most ``timeout``, then :data:`_MISS`) or ``stop`` is
+    # raised (then Shutdown).  The stop is read under the mutex
+    # :meth:`wake` takes, so a wake cannot fall in between.
 
-    def take(self, stop: Any) -> Any:
+    def take(self, stop: Any, timeout: Optional[float] = None) -> Any:
         with self.not_empty:
             while not self._qsize():
                 if stop.is_set():
                     raise Shutdown
-                self.not_empty.wait()
+                if not self.not_empty.wait(timeout):
+                    return _MISS
             item = self._get()
             self.not_full.notify()
         return item
@@ -385,9 +388,6 @@ class _LocalChannel(queue.Queue):
             self.not_full.notify_all()
 
 
-_MISS = object()  # what a non-blocking try that moved nothing returns
-
-
 class _QueueWaiter:
     """One thread's wait on one in-process queue (see
     :class:`_LocalChannel`): to receive from it or to send ``value``."""
@@ -398,15 +398,17 @@ class _QueueWaiter:
                  sends: bool) -> None:
         self.edge, self.channel, self.sends = edge, channel, sends
 
-    def move(self, value: Any, stop: Any = None) -> Any:
+    def move(self, value: Any, stop: Any = None,
+             timeout: Optional[float] = None) -> Any:
         """Send ``value`` (returns None) or receive ``(edge, value)``;
-        with a ``stop``, block until it moves, else :data:`_MISS` if it
-        cannot move at once."""
+        with a ``stop``, block until it moves (or a receive's
+        ``timeout`` passes), else :data:`_MISS` if it cannot move."""
         channel = self.channel
         if stop is not None:
             if self.sends:
                 return channel.give(value, stop)
-            return self.edge, channel.take(stop)
+            item = channel.take(stop, timeout)
+            return _MISS if item is _MISS else (self.edge, item)
         try:
             if self.sends:
                 return channel.put_nowait(value)
@@ -446,13 +448,14 @@ class _Waiter:
         #: The descriptors the last ``poll`` found readable.
         self.ready: List[int] = []
 
-    def move(self, value: Any, stop: Any = None) -> Any:
+    def move(self, value: Any, stop: Any = None,
+             timeout: Optional[float] = None) -> Any:
         """One non-blocking try: put ``value`` on the send channel, or
         take ``(edge, value)`` from a channel that rings or whose
         descriptor is readable.  If nothing moved (:data:`_MISS`) and
-        there is a ``stop``, sleep in ``poll`` with no timeout until the
-        doorbell, a channel or the stop (whose descriptor is in the set)
-        wakes it; the next try moves."""
+        there is a ``stop``, sleep in ``poll`` (at most ``timeout``
+        seconds, rounded up to whole ms) until the doorbell, a channel
+        or the stop (whose descriptor is in the set) wakes it."""
         bell = self.bell
         if stop is not None:
             bell.armed = True  # before the try: see _Doorbell
@@ -460,7 +463,8 @@ class _Waiter:
                 setattr(channel, self.slot, bell)
         moved = self._attempt(value, stop is None)
         if moved is _MISS and stop is not None:
-            self.ready = [fd for fd, _event in self.poller.poll()]
+            self.ready = [fd for fd, _event in self.poller.poll(
+                None if timeout is None else math.ceil(timeout * 1e3))]
             if bell.fileno() in self.ready:
                 bell.clear()
         bell.armed = False
@@ -661,18 +665,6 @@ class Kernel:
     def recv_(self, edge: str) -> Any:
         return self._receive((edge,))[1]
 
-    def try_recv_(self, edge: str) -> Any:
-        """Non-blocking receive: raises ``queue.Empty`` when idle.
-
-        Not used by generated executives; the fault supervisor polls
-        with it so one thread can watch several channels *and* run
-        timeout scans between polls.
-        """
-        if self.stop.is_set():
-            raise Shutdown
-        self._flush_thread_pending()
-        return self.channel(edge).get_nowait()
-
     def try_send_(self, edge: str, value: Any) -> None:
         """Non-blocking send: raises ``queue.Full``, value not enqueued.
 
@@ -685,47 +677,59 @@ class Kernel:
     def stop_(self, edge: str) -> None:
         self.send_(edge, self.stop_token)
 
-    def alt_(self, edges: List[str]) -> Tuple[str, Any]:
-        """Wait for a message on any of ``edges`` (the Transputer ALT)."""
-        return self._receive(edges)
+    def alt_(self, edges: List[str],
+             timeout: Optional[float] = None) -> Tuple[str, Any]:
+        """Wait for a message on any of ``edges`` (the Transputer ALT);
+        given a ``timeout`` (seconds), raise ``queue.Empty`` once it has
+        passed with nothing received — ``0`` is one non-blocking try."""
+        return self._receive(edges, timeout)
 
     # -- the one wait loop -----------------------------------------------------
 
-    def _receive(self, edges: Sequence[str]) -> Tuple[str, Any]:
+    def _receive(self, edges: Sequence[str],
+                 timeout: Optional[float] = None) -> Tuple[str, Any]:
         """``recv_`` and ``alt_``: an ALT over ``edges``."""
         # About to wait: whatever this thread still holds in pending
         # batches (a router receives on one edge and sends on others)
         # must go out *before* it blocks.
         self._flush_thread_pending()
+        deadline = None if timeout is None else time.monotonic() + timeout
         waiter = self._waiter(edges)
         if waiter is not None:
-            return self._wait(waiter, None)
-        if len(edges) == 1:
+            return self._wait(waiter, None, deadline)
+        if len(edges) == 1 and deadline is None:
             return edges[0], self._ring_wait(self.channel(edges[0]).get)
-        return self._alt_tick(edges)
+        return self._alt_tick(edges, deadline)
 
-    def _wait(self, waiter: Any, value: Any) -> Any:
+    def _wait(self, waiter: Any, value: Any,
+              deadline: Optional[float] = None) -> Any:
         """Move on ``waiter``'s channels (send ``value``, or receive),
         sleeping until a packet or room appears or the stop is raised —
-        nothing else wakes it."""
+        nothing else wakes it — or until a receive's ``deadline``
+        (``time.monotonic()``) passes: then ``queue.Empty``."""
         stop = self.stop
+        left = None
         while True:
             if stop.is_set():
                 raise Shutdown
+            if deadline is not None:
+                left = max(0.0, deadline - time.monotonic())
             if not (self._batching and self._thread_pending()):
-                moved = waiter.move(value, stop)
-                if moved is not _MISS:
-                    return moved
-                continue
-            # This thread holds a batch: it must not sleep until the
-            # batch is out, and nothing can be polled for the room the
-            # ring needs, so retry on the ring's tick.
-            moved = waiter.move(value)
+                moved = waiter.move(value, stop, left)
+            else:
+                # This thread holds a batch: it must not sleep until the
+                # batch is out, and nothing can be polled for the room
+                # the ring needs, so retry on the ring's tick.
+                moved = waiter.move(value)
+                if moved is _MISS:
+                    self._flush_thread_pending()
+                    if self._thread_pending():
+                        time.sleep(_RING_TICK_S if left is None
+                                   else min(_RING_TICK_S, left))
             if moved is not _MISS:
                 return moved
-            self._flush_thread_pending()
-            if self._thread_pending():
-                time.sleep(_RING_TICK_S)
+            if left == 0.0:
+                raise queue.Empty
 
     def _waiter(self, edges: Iterable[str], sends: bool = False) -> Any:
         """This thread's wait state for receiving on ``edges`` (or
@@ -786,10 +790,12 @@ class Kernel:
         for channel in channels:
             channel.wake()
 
-    def _alt_tick(self, edges: Iterable[str]) -> Tuple[str, Any]:
+    def _alt_tick(self, edges: Iterable[str],
+                  deadline: Optional[float] = None) -> Tuple[str, Any]:
         """ALT over channels with nothing to block on (the ring
-        transport): scan them all on a bounded tick."""
+        transport): scan them all on a bounded tick, until a deadline."""
         channels = [(edge, self.channel(edge)) for edge in edges]
+        tick = _RING_TICK_S
         while True:
             if self.stop.is_set():
                 raise Shutdown
@@ -798,8 +804,12 @@ class Kernel:
                     return edge, channel.get_nowait()
                 except queue.Empty:
                     continue
+            if deadline is not None:
+                tick = min(_RING_TICK_S, deadline - time.monotonic())
+                if tick <= 0:
+                    raise queue.Empty
             self._flush_thread_pending()
-            time.sleep(_RING_TICK_S)
+            time.sleep(tick)
 
     def _ring_wait(self, move: Callable[..., Any], *value: Any) -> Any:
         """Send or receive on a channel with nothing to poll (the ring

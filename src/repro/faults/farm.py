@@ -42,6 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..codegen.kernel import Chunk
 from ..health import HEALTHY, LIMPING, FarmHealth, HedgeClock
 from .policy import FaultPolicy
 from .report import FaultRecord, FaultReport
@@ -81,12 +82,13 @@ class _InFlight:
     """One dispatched, not-yet-answered packet."""
 
     __slots__ = ("seq", "value", "origin_slot", "assigned", "sent_at",
-                 "attempts", "redispatch_record", "sends", "hedges")
+                 "attempts", "redispatch_record", "sends", "hedges", "items")
 
-    def __init__(self, seq: int, value: Any, origin_slot: int,
+    def __init__(self, seq: int, value: Any, items: int, origin_slot: int,
                  assigned: int, sent_at: float):
         self.seq = seq
         self.value = value
+        self.items = items  # farm items the packet carries (a Chunk: n)
         self.origin_slot = origin_slot  # the port the collector expects
         self.assigned = assigned  # worker index currently holding it
         self.sent_at = sent_at
@@ -112,11 +114,12 @@ class _Suspect:
     crash/stall deadlines (or the run ends first).
     """
 
-    __slots__ = ("seq", "since", "win_latency_us", "rescued_by")
+    __slots__ = ("seq", "items", "since", "win_latency_us", "rescued_by")
 
-    def __init__(self, seq: int, since: float, win_latency_us: float,
-                 rescued_by: int):
+    def __init__(self, seq: int, items: int, since: float,
+                 win_latency_us: float, rescued_by: int):
         self.seq = seq
+        self.items = items
         self.since = since  # when the worker started sitting on the packet
         self.win_latency_us = win_latency_us
         self.rescued_by = rescued_by
@@ -143,6 +146,9 @@ class _Breaker:
 
 #: Settled send maps remembered for late-answer service-time attribution.
 _RECENT_SENDS = 512
+MAX_REDISPATCH = 3  # re-dispatches of a packet before the run gives up
+MAX_HEDGES_PER_PACKET = 1  # speculative duplicates of a packet
+SAMPLE_INTERVAL_S = 0.25  # seconds between ``health`` report samples
 
 
 class FarmSupervisor:
@@ -164,10 +170,10 @@ class FarmSupervisor:
         #: Seqs that ever received a speculative duplicate (labels the
         #: loser's late arrival as hedge waste rather than a mystery).
         self.hedged: set = set()
-        #: seq -> send map of settled packets (bounded), so a late
-        #: answer still updates the answering worker's score — that is
-        #: how a limping worker's trickle earns its recovery.
-        self.recent_sends: Dict[int, Dict[int, float]] = {}
+        #: seq -> (send map, items) of settled packets (bounded), so a
+        #: late answer still updates the answering worker's score — that
+        #: is how a limping worker's trickle earns its recovery.
+        self.recent_sends: Dict[int, Tuple[Dict[int, float], int]] = {}
         #: worker index -> outstanding hedge-race loss (see _Suspect).
         self.suspects: Dict[int, _Suspect] = {}
         self.quarantined: set = set()
@@ -199,7 +205,10 @@ class FarmSupervisor:
     # -- events ----------------------------------------------------------------
 
     def dispatch(self, port: int, value: Any, now: float) -> List[Decision]:
-        """The dispatcher addresses ``value`` to ``port``."""
+        """The dispatcher addresses ``value`` to ``port``.  A ``Chunk`` of
+        ``n`` items is timed per item — deadlines times ``n``, service
+        time over ``n`` — and re-sent whole."""
+        items = len(value) if isinstance(value, Chunk) else 1
         seq = self.next_seq
         self.next_seq += 1
         assigned = port
@@ -231,7 +240,8 @@ class FarmSupervisor:
             )
             if demoted is not None:
                 assigned = demoted
-        self.inflight[seq] = _InFlight(seq, value, port, assigned, now)
+        self.inflight[seq] = _InFlight(seq, value, items, port, assigned,
+                                       now)
         return [Send(assigned, seq, value, "dispatch")]
 
     def stop(self, port: int, now: float) -> List[Decision]:
@@ -270,17 +280,18 @@ class FarmSupervisor:
         self.suspects.pop(arrival, None)
         rec = self.inflight.pop(seq, None)
         if rec is None:
-            self._observe(arrival, self.recent_sends.get(seq), now)
+            self._observe(arrival, *self.recent_sends.get(seq, (None, 1)),
+                          now)
             wasted = seq in self.hedged
             self._add("duplicate", "hedge-waste" if wasted else "late-result",
                       self.farm.sid, now, seq=seq)
             if wasted:
                 self.hedge.wasted += 1
             return None
-        self._observe(arrival, rec.sends, now)
+        self._observe(arrival, rec.sends, rec.items, now)
         if self._rp.enabled:
             self._note_completion()
-        self.recent_sends[seq] = rec.sends
+        self.recent_sends[seq] = (rec.sends, rec.items)
         while len(self.recent_sends) > _RECENT_SENDS:
             self.recent_sends.pop(next(iter(self.recent_sends)))
         if rec.hedges > 0 and arrival != rec.assigned:
@@ -291,7 +302,7 @@ class FarmSupervisor:
             since = self._held_since(rec.assigned, rec.sent_at)
             if rec.assigned not in self.quarantined and since is not None:
                 self.suspects[rec.assigned] = _Suspect(
-                    seq, since, win_latency_us, arrival)
+                    seq, rec.items, since, win_latency_us, arrival)
         if rec.redispatch_record is not None:
             rec.redispatch_record.latency_us = (
                 self._us(now) - rec.redispatch_record.time_us
@@ -308,14 +319,15 @@ class FarmSupervisor:
         self._dirty = False
         out: List[Decision] = []
         for seq, rec in list(self.inflight.items()):
-            kind = self._verdict(rec.assigned, rec.sent_at, rec.attempts, now)
+            kind = self._verdict(rec.assigned, rec.sent_at, rec.attempts,
+                                 rec.items, now)
             if kind is None:
                 self._maybe_flag_stuck(rec, now)
                 self._maybe_hedge(rec, now, out)
                 continue
             convicted = self.farm.workers[rec.assigned]
             self._quarantine(rec.assigned, kind, seq, now)
-            target = (None if rec.attempts >= self.policy.max_redispatch
+            target = (None if rec.attempts >= MAX_REDISPATCH
                       else self._pick_survivor(seq))
             if target is None:
                 out.append(self._abandon(seq, now))
@@ -341,12 +353,13 @@ class FarmSupervisor:
         dues: List[float] = []
         for rec in self.inflight.values():
             dues.extend(self._verdict_dues(rec.assigned, rec.sent_at,
-                                           rec.attempts))
+                                           rec.attempts, rec.items))
             dues.append(self._stuck_due(rec, now))
             if self._hedge_target(rec) is not None:
                 dues.append(self._hedge_due(rec))
         for index, susp in self.suspects.items():
-            dues.extend(self._verdict_dues(index, susp.since, 0))
+            dues.extend(self._verdict_dues(index, susp.since, 0,
+                                           susp.items))
         if self.inflight and not self.stopping:
             dues.extend(b.next_probe_at for b in self.breakers.values()
                         if b.probes < self.policy.max_probes)
@@ -407,10 +420,11 @@ class FarmSupervisor:
         first = self._first_beat.get(index)
         return None if first is None else max(sent_at, first)
 
-    def _verdict_dues(self, index: int, since: float,
-                      attempts: int) -> Tuple[float, float]:
-        """(crash due, stall due) of one packet held since ``since``."""
-        deadline = self.policy.deadline_s(attempts)
+    def _verdict_dues(self, index: int, since: float, attempts: int,
+                      items: int) -> Tuple[float, float]:
+        """(crash due, stall due) of one packet of ``items`` held since
+        ``since``."""
+        deadline = self.policy.deadline_s(attempts) * items
         last = self._last_beat.get(index)
         crash = (math.inf if last is None else
                  max(since + deadline,
@@ -418,9 +432,9 @@ class FarmSupervisor:
         # Alive-but-silent, or a lost message.
         return crash, since + deadline * self.policy.stall_factor
 
-    def _verdict(self, index: int, since: float, attempts: int,
+    def _verdict(self, index: int, since: float, attempts: int, items: int,
                  now: float) -> Optional[str]:
-        crash, stall = self._verdict_dues(index, since, attempts)
+        crash, stall = self._verdict_dues(index, since, attempts, items)
         if now > crash:
             return "crash"
         if now > stall:
@@ -439,8 +453,9 @@ class FarmSupervisor:
     # -- the rules -------------------------------------------------------------
 
     def _observe(self, arrival: int, sends: Optional[Dict[int, float]],
-                 now: float) -> None:
-        """Feed one answer's service time into the health machinery.
+                 items: int, now: float) -> None:
+        """Feed one answer's service time, per item of the packet, into
+        the health machinery.
 
         Attribution needs to know when the packet was sent *to the
         answering worker* — a re-dispatched or hedged packet has one
@@ -451,7 +466,7 @@ class FarmSupervisor:
         sent_at = sends.get(arrival)
         if sent_at is None:
             return
-        service = now - sent_at
+        service = (now - sent_at) / items
         event = self.health.observe(arrival, service, now)
         if self.health.state(arrival) != LIMPING:
             # Only healthy answers calibrate the hedge threshold: letting
@@ -495,7 +510,7 @@ class FarmSupervisor:
         if (health.last_done_at is not None
                 and health.last_done_at >= rec.sent_at):
             return math.inf  # it finished something since: slow, not stuck
-        due = since + self._hp.stuck_after_s
+        due = since + self._hp.stuck_after_s * rec.items
         if self._stale(rec.assigned, max(now, due)):
             return math.inf  # dead, not limping: the crash path owns this
         return due
@@ -518,9 +533,9 @@ class FarmSupervisor:
         threshold = self.hedge.threshold_s()
         since = self._held_since(rec.assigned, rec.sent_at)
         if (self.stopping or threshold is None or since is None
-                or rec.hedges >= self._hp.max_hedges_per_packet):
+                or rec.hedges >= MAX_HEDGES_PER_PACKET):
             return math.inf
-        return since + threshold
+        return since + threshold * rec.items
 
     def _hedge_target(self, rec: _InFlight) -> Optional[int]:
         """A healthy worker that has not seen ``rec`` yet, if any."""
@@ -563,7 +578,7 @@ class FarmSupervisor:
             if at_stop:
                 kind = "crash" if self._stale(index, now) else "stall"
             else:
-                kind = self._verdict(index, susp.since, 0, now)
+                kind = self._verdict(index, susp.since, 0, susp.items, now)
                 if kind is None:
                     continue
             self.suspects.pop(index)
@@ -591,7 +606,7 @@ class FarmSupervisor:
                 note=f"score {score * 1e3:.1f} ms vs farm median "
                      f"{median * 1e3:.1f} ms")
         if (self._last_sample_at is not None
-                and now - self._last_sample_at < self._hp.sample_interval_s):
+                and now - self._last_sample_at < SAMPLE_INTERVAL_S):
             return
         self._last_sample_at = now
         for health in self.health.workers:
@@ -692,7 +707,7 @@ class FarmSupervisor:
         for seq, rec in sorted(self.inflight.items()):
             if rec.assigned != index:
                 continue
-            if rec.attempts >= self.policy.max_redispatch:
+            if rec.attempts >= MAX_REDISPATCH:
                 continue  # let the timeout path pass final judgement
             target = self._pick_survivor(seq)
             if target is None or target == index:

@@ -29,17 +29,12 @@ class FaultPolicy:
     #: supervisor suspects the worker (first attempt; grows by
     #: ``backoff`` per re-dispatch).
     packet_timeout_s: float = 0.5
-    #: Seconds between heartbeat writes from each worker OS process.
-    heartbeat_interval_s: float = 0.02
     #: Heartbeat staleness that marks an OS process dead.
     heartbeat_timeout_s: float = 0.2
     #: A worker whose heartbeat is *fresh* but whose packet is overdue is
     #: merely slow: its deadline stretches up to ``stall_factor`` times
     #: before it is declared stalled and quarantined anyway.
     stall_factor: float = 4.0
-    #: Re-dispatch budget per packet before it is abandoned (and the
-    #: run aborts rather than silently losing data).
-    max_redispatch: int = 3
     #: Multiplier applied to the packet timeout on each re-dispatch.
     backoff: float = 1.5
     #: Seconds after quarantine before the circuit breaker sends the
@@ -51,10 +46,6 @@ class FaultPolicy:
     probe_backoff: float = 2.0
     #: Failed probes before quarantine becomes permanent.
     max_probes: int = 3
-    #: Supervision scans a queued re-dispatch may stay unsendable before
-    #: it is dropped from the pending list and the packet times out
-    #: again through the normal path (bounds the `queue.Full` retry).
-    max_flush_attempts: int = 400
     #: Gray-failure defense knobs (limplock detection, health-weighted
     #: dispatch, hedged re-dispatch).  ``None`` means the defaults of
     #: :class:`~repro.health.policy.HealthPolicy`; pass one with

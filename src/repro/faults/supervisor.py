@@ -13,8 +13,9 @@ things without touching a single line of generated executive code:
   :class:`~repro.faults.topology.FaultTopology`) dispatched work is
   wrapped in sequence-numbered envelopes, workers heartbeat a shared
   health board, and the collector side (the ``df``/``tf`` master's
-  ``alt_``, the ``scm`` merge's ``recv_``) scans between polls — so the
-  farm degrades gracefully instead of hanging.  What a scan *decides*
+  ``alt_``, the ``scm`` merge's ``recv_``) waits in the base kernel's
+  own ``alt_``, timed to wake when the next scan is due — so the farm
+  degrades gracefully instead of hanging.  What a scan *decides*
   (who is dead or limping, which packet moves where, when a Stop may
   go) is not here: this kernel is one driver of the clock-free policy
   core, :class:`~repro.faults.farm.FarmSupervisor`, to which it reports
@@ -52,6 +53,12 @@ __all__ = [
     "HealthBoard",
     "SupervisedKernel",
 ]
+
+
+#: Seconds between heartbeat writes, and the longest a collector waits
+#: between looks at its farm: a beat, a re-send that met a full queue
+#: and an ``scm`` split's dispatch (another thread) ring no collector.
+HEARTBEAT_INTERVAL_S = 0.02
 
 
 class WorkerCrash(Exception):
@@ -136,8 +143,8 @@ class _Hosted:
         #: Results that arrived for a port the collector is not currently
         #: waiting on (scm out-of-order recovery).
         self.stash: Dict[int, Any] = {}
-        #: (edge, envelope, flush_attempts) sends waiting for queue space.
-        self.pending_sends: List[Tuple[str, Any, int]] = []
+        #: (edge, envelope) sends waiting for queue space.
+        self.pending_sends: List[Tuple[str, Any]] = []
 
 
 class SupervisedKernel:
@@ -210,10 +217,6 @@ class SupervisedKernel:
     def __getattr__(self, name: str) -> Any:
         return getattr(self._base, name)
 
-    def _check_stop(self) -> None:
-        if self._base.stop.is_set():
-            raise Shutdown
-
     def _identity(self) -> Tuple[Optional[str], Optional[str]]:
         """(process id, processor) of the calling executive thread."""
         name = threading.current_thread().name
@@ -234,7 +237,7 @@ class SupervisedKernel:
                 self._beater.start()
 
     def _beat_loop(self) -> None:
-        while not self._beat_stop.wait(self._policy.heartbeat_interval_s):
+        while not self._beat_stop.wait(HEARTBEAT_INTERVAL_S):
             with self._beat_lock:
                 live = [(s, t) for s, t in self._beating if t.is_alive()]
             for slot, _thread in live:
@@ -294,7 +297,7 @@ class SupervisedKernel:
                     self.now_us(),
                     processor=proc, note=f"{spec.delay_us:.0f} us",
                 )
-                time.sleep(spec.delay_us / 1e6)
+                self._pause(spec.delay_us / 1e6)
         if any(s.kind == "stall" for s in specs):
             self.fault_report.add(
                 "injected", "stall", pid or "?", self.now_us(),
@@ -348,7 +351,12 @@ class SupervisedKernel:
         finally:
             stretch = (time.monotonic() - start) * (factor - 1.0)
             if stretch > 0:
-                time.sleep(stretch)
+                self._pause(stretch)
+
+    def _pause(self, seconds: float) -> None:
+        """An injected delay, cut short by the run's stop."""
+        if self._base.stop.wait(seconds):
+            raise Shutdown
 
     def send_(self, edge: str, value: Any) -> None:
         entry = self._dispatch.get(edge)
@@ -374,7 +382,7 @@ class SupervisedKernel:
                          else hosted.core.dispatch(worker.index, value, now))
             if stopping and decisions and hosted.pending_sends:
                 # Behind the re-sends still waiting for queue space.
-                hosted.pending_sends.append((edge, value, 0))
+                hosted.pending_sends.append((edge, value))
                 return None
         if not decisions:
             return None  # a Stop withheld until nothing is in flight
@@ -429,15 +437,6 @@ class SupervisedKernel:
     def stop_(self, edge: str) -> None:
         self.send_(edge, self._base.stop_token)
 
-    def grain_(self, remaining: int, degree: int) -> int:
-        """A supervised farm dispatches item by item: the packet is the
-        unit of re-dispatch, of hedging, of the ``HedgeClock`` percentile
-        and of the limp score's service time, and ``FaultPlan``
-        occurrences count firings — a chunk of 8 beside a chunk of 1
-        would read as an 8x limping worker.  Timing chunks per item
-        belongs to the clock-free ``FarmSupervisor`` (ROADMAP item 2)."""
-        return 1
-
     def alt_(self, edges: List[str]) -> Tuple[str, Any]:
         farm = self._topology.farm_of_collect_edges(edges)
         if farm is not None and farm.sid in self._hosted:
@@ -450,81 +449,78 @@ class SupervisedKernel:
                      edges: List[str]) -> Tuple[str, Any]:
         """df/tf master collect: any port, physical arrival edge."""
         while True:
-            self._check_stop()
-            for edge in edges:
-                try:
-                    raw = self._base.try_recv_(edge)
-                except queue.Empty:
-                    continue
-                if isinstance(raw, Result):
-                    if self._accept(hosted, edge, raw) is None:
-                        continue  # a duplicate: first result won
-                    return edge, raw.value
-                return edge, raw  # Stop or unenveloped value
-            self._supervise(hosted)
-            time.sleep(0.0005)
+            got = self._arrival(hosted, edges)
+            if got is not None and got[1] is not None:
+                return got[0], got[2]
 
     def _recv_collect(self, hosted: _Hosted, slot: int) -> Any:
         """scm merge collect: port-ordered, stash reorders origins."""
-        while True:
-            self._check_stop()
-            if slot in hosted.stash:
-                return hosted.stash.pop(slot)
+        edges = [w.collect_edge for w in hosted.farm.workers]
+        while slot not in hosted.stash:
+            got = self._arrival(hosted, edges)
+            if got is None:
+                with hosted.lock:  # a dead worker forwards no Stop
+                    if hosted.core.retired(slot):
+                        return self._base.stop_token
+            elif got[1] is not None:
+                hosted.stash[got[1]] = got[2]
+        return hosted.stash.pop(slot)
+
+    def _arrival(self, hosted: _Hosted,
+                 edges: List[str]) -> Optional[Tuple[str, Optional[int], Any]]:
+        """``(edge, origin port, value)`` of what the base kernel's ALT
+        brings within :meth:`_wait_s` (the origin None for a duplicate:
+        first result won), or None if nothing came."""
+        try:
+            edge, raw = self._base.alt_(edges, self._wait_s(hosted))
+        except queue.Empty:
+            return None
+        port = self._collect[edge][1].index
+        if not isinstance(raw, Result):
+            # A physical Stop (or plain value) can only come from the
+            # worker that owns the edge, so it is that port's.
+            return edge, port, raw
+        with hosted.lock:
+            return edge, hosted.core.result(
+                port, raw.seq, time.monotonic()), raw.value
+
+    def _wait_s(self, hosted: _Hosted) -> float:
+        """Report the heartbeats and scan if anything is due, then say
+        how long the collector may wait: until the core's next wake, and
+        never longer than one :data:`HEARTBEAT_INTERVAL_S`."""
+        with hosted.lock:
+            core = hosted.core
             for w in hosted.farm.workers:
-                try:
-                    raw = self._base.try_recv_(w.collect_edge)
-                except queue.Empty:
-                    continue
-                # A physical Stop (or plain value) can only come from the
-                # worker that owns the edge, so it is that port's.
-                origin, value = w.index, raw
-                if isinstance(raw, Result):
-                    origin, value = self._accept(
-                        hosted, w.collect_edge, raw), raw.value
-                    if origin is None:
-                        continue
-                if origin == slot:
-                    return value
-                hosted.stash[origin] = value
-            with hosted.lock:
-                # A dead worker forwards no Stop; fake it once it owes
-                # nothing.
-                if hosted.core.retired(slot):
-                    return self._base.stop_token
-            self._supervise(hosted)
-            time.sleep(0.0005)
-
-    def _accept(self, hosted: _Hosted, edge: str,
-                result: Result) -> Optional[int]:
-        """The origin port of an answer that came in on ``edge``, or
-        None for a duplicate."""
-        with hosted.lock:
-            return hosted.core.result(self._collect[edge][1].index,
-                                      result.seq, time.monotonic())
-
-    def _supervise(self, hosted: _Hosted) -> None:
-        """One scan: flush queued sends, report the heartbeats, let the
-        core decide what is due, queue what it decided."""
-        workers = hosted.farm.workers
-        with hosted.lock:
-            self._flush_sends(hosted)
-            for w in workers:
                 beat = self._board.last(w.slot)
                 if beat > 0.0:  # 0.0: not started yet
-                    hosted.core.beat(w.index, beat)
-            decisions = hosted.core.tick(time.monotonic())
-            for decision in decisions:
-                if isinstance(decision, Abandon):
-                    self._abandon()
-                if isinstance(decision, Send):
-                    hosted.pending_sends.append(
-                        (workers[decision.worker].dispatch_edge,
-                         Packet(decision.seq, decision.value), 0))
-                else:  # ReleaseStop
-                    hosted.pending_sends.append(
-                        (workers[decision.port].dispatch_edge,
-                         self._base.stop_token, 0))
-            self._flush_sends(hosted)
+                    core.beat(w.index, beat)
+            now = time.monotonic()
+            wake = core.next_wake(now)
+            if hosted.pending_sends or (wake is not None and wake <= now):
+                self._supervise(hosted, now)
+                wake = core.next_wake(now)
+        if wake is None:
+            return HEARTBEAT_INTERVAL_S
+        return min(HEARTBEAT_INTERVAL_S, wake - now)
+
+    def _supervise(self, hosted: _Hosted, now: float) -> None:
+        """One scan, with ``hosted.lock`` held: flush queued sends, let
+        the core decide what is due at ``now``, queue what it
+        decided."""
+        workers = hosted.farm.workers
+        self._flush_sends(hosted)
+        for decision in hosted.core.tick(now):
+            if isinstance(decision, Abandon):
+                self._abandon()
+            if isinstance(decision, Send):
+                hosted.pending_sends.append(
+                    (workers[decision.worker].dispatch_edge,
+                     Packet(decision.seq, decision.value)))
+            else:  # ReleaseStop
+                hosted.pending_sends.append(
+                    (workers[decision.port].dispatch_edge,
+                     self._base.stop_token))
+        self._flush_sends(hosted)
 
     def _abandon(self) -> None:
         self._base.stop.set()
@@ -534,28 +530,25 @@ class SupervisedKernel:
         """Re-dispatches use non-blocking puts so supervision never wedges.
 
         Called with ``hosted.lock`` held (the dispatcher queues a Stop
-        here too, behind the packets).  Each entry carries a flush-attempt counter: a *packet* whose
-        target queue stays full for ``max_flush_attempts`` scans is
-        dropped with an ``overflow`` record — its in-flight entry stays,
-        so the normal timeout path re-dispatches it elsewhere (a worker
-        whose queue never drains is overloaded and earns its quarantine).
-        Stop tokens are never dropped: workers consume their queues on
-        the way out, so a held-back Stop always becomes sendable.
+        here too, behind the packets).  A queued *packet* lives only
+        while it is in flight, then goes with an ``overflow`` record (the
+        core's timeouts cover a queue that never drains).  Stop tokens
+        are never dropped: workers consume their queues on the way out,
+        so a held-back Stop always becomes sendable.
         """
-        remaining: List[Tuple[str, Any, int]] = []
-        for edge, envelope, attempts in hosted.pending_sends:
+        remaining: List[Tuple[str, Any]] = []
+        for edge, envelope in hosted.pending_sends:
+            if (isinstance(envelope, Packet)
+                    and envelope.seq not in hosted.core.inflight):
+                self.fault_report.add(
+                    "overflow", "queue-full", edge, self.now_us(),
+                    seq=envelope.seq,
+                    note=f"re-dispatch of packet #{envelope.seq} dropped: "
+                         f"it settled while the queue stayed full",
+                )
+                continue
             try:
                 self._base.try_send_(edge, envelope)
             except queue.Full:
-                attempts += 1
-                if (isinstance(envelope, Packet)
-                        and attempts >= self._policy.max_flush_attempts):
-                    self.fault_report.add(
-                        "overflow", "queue-full", edge, self.now_us(),
-                        seq=envelope.seq, attempts=attempts,
-                        note=f"re-dispatch of packet #{envelope.seq} "
-                             f"dropped after {attempts} full-queue scans",
-                    )
-                    continue
-                remaining.append((edge, envelope, attempts))
+                remaining.append((edge, envelope))
         hosted.pending_sends = remaining

@@ -31,6 +31,7 @@ class HedgeClock:
         self.policy = policy or HealthPolicy()
         self._window: Deque[float] = deque(maxlen=self.policy.hedge_window)
         self._seen = 0
+        self._pct: Optional[float] = None  # the percentile, until a record
         #: Hedges issued / won by the duplicate / wasted (late loser).
         self.issued = 0
         self.won = 0
@@ -46,14 +47,16 @@ class HedgeClock:
         if service_s >= 0.0:
             self._window.append(service_s)
             self._seen += 1
+            self._pct = None
 
     def percentile(self) -> Optional[float]:
         """Nearest-rank ``hedge_percentile`` of the window, or None."""
-        if not self._window:
-            return None
-        ordered = sorted(self._window)
-        rank = math.ceil(self.policy.hedge_percentile / 100.0 * len(ordered))
-        return ordered[max(0, min(rank - 1, len(ordered) - 1))]
+        if self._pct is None and self._window:
+            ordered = sorted(self._window)
+            rank = math.ceil(
+                self.policy.hedge_percentile / 100.0 * len(ordered))
+            self._pct = ordered[max(0, min(rank - 1, len(ordered) - 1))]
+        return self._pct
 
     def threshold_s(self) -> Optional[float]:
         """Current hedge threshold (seconds); None while warming up."""

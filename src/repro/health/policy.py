@@ -66,13 +66,8 @@ class HealthPolicy:
     #: Absolute floor (seconds) under which a packet is never hedged,
     #: whatever the percentile says.
     hedge_floor_s: float = 0.01
-    #: Speculative duplicates allowed per packet.
-    max_hedges_per_packet: int = 1
     #: Completed service times remembered by the hedge clock.
     hedge_window: int = 128
-    #: Seconds between per-worker health samples recorded into the
-    #: fault report (the ``health:*`` trace counters).
-    sample_interval_s: float = 0.25
 
     def __post_init__(self):
         if not 0.0 < self.ewma_alpha <= 1.0:

@@ -32,7 +32,7 @@ import threading
 import time
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
-from ..codegen.kernel import Latch, Shutdown, _LocalChannel
+from ..codegen.kernel import _MISS, Latch, Shutdown, _LocalChannel
 from ..realtime.kernel import StreamBoard
 from . import codec
 from .protocol import ConnectionClosed, Frame, Link, pack_edge, pack_run
@@ -233,8 +233,9 @@ class _NetInChannel(_LocalChannel):
     def get(self, block: bool = True, timeout: Optional[float] = None) -> Any:
         return self._granted(super().get(block, timeout))
 
-    def take(self, stop: Any) -> Any:
-        return self._granted(super().take(stop))
+    def take(self, stop: Any, timeout: Optional[float] = None) -> Any:
+        raw = super().take(stop, timeout)
+        return raw if raw is _MISS else self._granted(raw)
 
     def _granted(self, raw: Any) -> Any:
         """Decode a dequeued value and grant its credit back."""

@@ -151,7 +151,7 @@ class TestKernelSide:
     def test_wrapper_kernels_reach_the_same_channel_by_either_name(self):
         kernel = make_kernel(edge_aliases={"e5": "e4"}, queue_size=1)
         kernel.channel("e5").put_nowait("re-dispatch")
-        assert kernel.try_recv_("e4") == "re-dispatch"
+        assert kernel.alt_(["e4"], 0) == ("e4", "re-dispatch")
 
 
 class SpyKernel(hosting.Kernel):

@@ -6,8 +6,8 @@ so a 64-item list at degree 4 is 27 round trips instead of 64, and a
 list shorter than ``4 * degree`` is the paper's one-item-per-packet
 farm, packet for packet.  Pinned here: the rule (property), the message
 counts (a recording kernel), the results on every substrate and wire
-(against sequential emulation), grain 1 under supervision, and the
-``repro emit`` round trip.
+(against sequential emulation), the same chunks under supervision and
+chaos, and the ``repro emit`` round trip.
 
 Every sequential function is a module-level ``def`` so the tables
 survive the ``spawn`` start method and the tcp workers' re-import.
@@ -350,7 +350,7 @@ def test_every_size_equals_sequential_emulation(
     assert report.outputs == expected
 
 
-# -- (d) supervised farms keep grain 1 ----------------------------------------
+# -- (d) supervised farms chunk like every other farm -------------------------
 
 POLICY = FaultPolicy(
     packet_timeout_s=0.3, heartbeat_timeout_s=0.15,
@@ -372,22 +372,20 @@ def chunks_built(monkeypatch):
 
 
 class TestSupervisedGrain:
-    def test_the_supervised_kernel_answers_one(self):
+    """The supervisor times a chunk per item (``FarmSupervisor``), so it
+    leaves the grain rule alone."""
+
+    def test_both_wrappers_answer_the_kernel_grain(self):
         _prog, _table, mapping = make_soak(nproc=4, frames=1, pieces=64)
         topology = FaultTopology.from_mapping(mapping)
         supervised = SupervisedKernel(Kernel(), topology)
         try:
-            for remaining in (1, 16, 64, 1000):
-                assert supervised.grain_(remaining, 4) == 1
-            # The realtime wrapper forwards to whatever it wraps.
-            stream = StreamTopology.from_mapping(mapping)
-            budget = LatencyBudget(deadline_ms=1_000.0)
             over_supervised = RealtimeKernel(
-                supervised, stream, budget, start_watchdog=False)
-            over_plain = RealtimeKernel(
-                Kernel(), stream, budget, start_watchdog=False)
-            assert over_supervised.grain_(64, 4) == 1
-            assert over_plain.grain_(64, 4) == 8
+                supervised, StreamTopology.from_mapping(mapping),
+                LatencyBudget(deadline_ms=1_000.0), start_watchdog=False)
+            for kernel in (supervised, over_supervised):
+                assert kernel.grain_(64, 4) == 8
+                assert kernel.grain_(9, 4) == 1
         finally:
             supervised.shutdown()
 
@@ -400,7 +398,7 @@ class TestSupervisedGrain:
         assert chunks_built
 
     @pytest.mark.parametrize("chaos", ["crash", "limplock"])
-    def test_chaos_on_64_items_conserves_and_redispatches_per_item(
+    def test_chaos_on_64_items_conserves_and_redispatches_chunks_whole(
             self, chaos, chunks_built):
         frames, pieces = 3, 64
         prog, table, mapping = make_soak(
@@ -417,25 +415,12 @@ class TestSupervisedGrain:
         assert report.outputs == [
             (k, frame_value(k, pieces)) for k in range(frames)]
         assert len(report.faults.injected) == 1
-        # Per item: no chunk was ever built, and every item owes exactly
-        # one worker span (a crashed firing records none; its
-        # re-dispatch records the one the packet is owed).  The only
-        # other firings are of a second copy of a packet whose first copy
-        # still runs: a hedge or a probe, and under limplock a
-        # re-dispatch off the limping worker.  Every discarded late
-        # answer is one of them; a losing copy still running when the
-        # run ends records its span but is never heard.  With no hedge
-        # or probe, the crash arm's count is exact.
-        assert chunks_built == []
+        assert chunks_built
+        # Every item is computed at least once; a re-dispatched,
+        # hedged or probed chunk recomputes its items whole.
         worker_spans = [s for s in report.trace.compute
                         if "_worker" in s.owner]
-        faults = report.faults
-        items = frames * pieces
-        copies = faults.hedges + len(faults.by_category("probe"))
-        if chaos == "limplock":
-            copies += faults.redispatches
-        assert items + faults.duplicates <= len(worker_spans) <= (
-            items + copies)
+        assert len(worker_spans) >= frames * pieces
         if chaos == "crash":
             assert report.faults.redispatches >= 1
 

@@ -15,8 +15,9 @@ Facts that need a descriptor or a doorbell to hold — a parked
 ``recv_``, ``send_`` or ``alt_`` costs no CPU, an ALT wakes well inside
 the old 200 µs tick — are asserted where the channel is waitable (all
 but ``ring``, which keeps the bounded tick).  No kernel wait has a
-timer any more, so a parked thread that comes back at all was woken by
-its own event: the packet, the room, or the stop.
+timer unless an ``alt_`` is handed a timeout, so a parked thread that
+comes back at all was woken by its own event: the packet, the room, or
+the stop.
 """
 
 import importlib
@@ -256,16 +257,57 @@ class TestEveryEdgeKind:
         assert wire.rx.is_stop(token) and not wire.rx.is_stop(42)
 
     def test_try_recv_is_empty_until_a_packet_lands(self, make_wire, kind):
+        """The non-blocking receive: an ALT with a zero timeout."""
         wire = make_wire(kind)
         with pytest.raises(queue.Empty):
-            wire.rx.try_recv_(EDGE)
+            wire.rx.alt_([EDGE], 0)
         wire.tx.try_send_(EDGE, "now")
         deadline = time.monotonic() + 5.0
         while True:  # a tcp packet is still on its way for a moment
             try:
-                assert wire.rx.try_recv_(EDGE) == "now"
+                assert wire.rx.alt_([EDGE], 0) == (EDGE, "now")
                 break
             except queue.Empty:
+                assert time.monotonic() < deadline
+                time.sleep(0.001)
+
+    # One edge alone and beside a local one: every wait path a receive
+    # takes (a queue's condition, a poll, a ring's own get, a ring tick).
+
+    @pytest.mark.parametrize("edges", [[EDGE], ["idle", EDGE]])
+    def test_a_timed_alt_is_empty_no_earlier_than_its_timeout(
+            self, make_wire, kind, edges):
+        wire = make_wire(kind)
+        began = time.monotonic()
+        with pytest.raises(queue.Empty):
+            wire.rx.alt_(edges, 0.05)
+        assert time.monotonic() - began >= 0.05
+
+    @pytest.mark.parametrize("edges", [[EDGE], ["idle", EDGE]])
+    def test_a_timed_alt_returns_a_packet_that_lands_in_time(
+            self, make_wire, kind, edges):
+        wire = make_wire(kind)
+        parked = Parked(lambda: wire.rx.alt_(edges, 30.0))
+        time.sleep(0.05)
+        send_from_an_executive_thread(wire.tx, EDGE, "in time")
+        assert parked.join() == (EDGE, "in time")
+
+    @pytest.mark.parametrize("edges", [[EDGE], ["idle", EDGE]])
+    def test_a_zero_timeout_alt_is_one_try(self, make_wire, kind, edges):
+        """``timeout=0`` never waits: it takes what has landed, or
+        raises at once."""
+        wire = make_wire(kind)
+        began = time.monotonic()
+        with pytest.raises(queue.Empty):
+            wire.rx.alt_(edges, 0)
+        assert time.monotonic() - began < 0.5
+        wire.arrive()
+        deadline = time.monotonic() + 5.0
+        while True:
+            try:
+                assert wire.rx.alt_(edges, 0) == (EDGE, 0)
+                break
+            except queue.Empty:  # a tcp packet is still being pushed
                 assert time.monotonic() < deadline
                 time.sleep(0.001)
 
@@ -282,7 +324,7 @@ class TestEveryEdgeKind:
         assert [wire.rx.recv_(EDGE) for _ in range(accepted)] == list(
             range(accepted))
         with pytest.raises(queue.Empty):
-            wire.rx.try_recv_(EDGE)
+            wire.rx.alt_([EDGE], 0)
 
     def test_alt_names_the_edge_that_delivered(self, make_wire, kind):
         wire = make_wire(kind)
@@ -613,7 +655,7 @@ class TestPrimitiveSet:
             kernel.try_send_("e0", 1)
             with pytest.raises(queue.Full):
                 kernel.try_send_("e0", 2)
-            assert kernel.try_recv_("e0") == 1
+            assert await kernel.recv_("e0") == 1
 
         asyncio.run(probe())
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from repro.codegen import load_executive, run_generated
-from repro.codegen.async_kernel import AsyncioKernel, run_generated_asyncio
+from repro.codegen.async_kernel import run_generated_asyncio
 from repro.codegen.pygen import (
     MODULE_CACHE_SIZE,
     executive_module_name,
@@ -114,19 +114,6 @@ class TestAsyncioTarget:
                 mapping, built.table,
                 max_iterations=built.max_iterations, args=None,
             )
-
-    def test_asyncio_kernel_try_recv_raises_queue_empty(self):
-        """The supervisor polls with ``queue.Empty``; the asyncio kernel
-        must speak the same exception dialect."""
-        import asyncio
-        import queue
-
-        async def probe():
-            kernel = AsyncioKernel()
-            with pytest.raises(queue.Empty):
-                kernel.try_recv_("e0")
-
-        asyncio.run(probe())
 
 
 class TestAsyncNativeFunctions:

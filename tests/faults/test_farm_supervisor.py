@@ -5,7 +5,8 @@ supervised farm decides, on the kernels and in the simulator alike.
 These tests drive it the way a driver does — events in, decisions out —
 over random interleavings of dispatch / answer / silence / late answer /
 beat-stops / tick / stop on a 2-6-worker farm, with no thread, no sleep
-and no clock but the script's own ``now``.
+and no clock but the script's own ``now``.  A packet may be a ``Chunk``
+of items, which the core times per item.
 """
 
 import random
@@ -14,8 +15,11 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.codegen.kernel import Chunk
 from repro.faults import FaultPolicy, FaultReport
-from repro.faults.farm import Abandon, FarmSupervisor, ReleaseStop, Send
+from repro.faults.farm import (
+    MAX_REDISPATCH, Abandon, FarmSupervisor, ReleaseStop, Send,
+)
 from repro.faults.topology import Farm, FarmWorker
 from repro.health import HealthPolicy
 from repro.sched.remap import RemapPolicy
@@ -89,7 +93,7 @@ class Driver:
                     assert d.seq not in moved  # once per conviction
                     moved.add(d.seq)
                     self.moves[d.seq] += 1
-                    assert self.moves[d.seq] <= self.policy.max_redispatch
+                    assert self.moves[d.seq] <= MAX_REDISPATCH
                 self.queues[d.worker].append(d.seq)
 
     # -- script steps ---------------------------------------------------------
@@ -97,13 +101,16 @@ class Driver:
     def event(self):
         self.quiet_since = None
 
-    def dispatch(self, port):
+    def dispatch(self, port, items=1):
         if self.core.stopping or self.abandoned:
             return
         self.event()
         core = self.core
         shunned = core.quarantined | core.migrated | set(core.suspects)
-        (d,) = core.dispatch(port, f"v{core.next_seq}", self.now)
+        value = f"v{core.next_seq}"
+        if items > 1:
+            value = Chunk([value] * items)
+        (d,) = core.dispatch(port, value, self.now)
         if isinstance(d, Abandon):
             self.abandoned = True
             return
@@ -187,6 +194,10 @@ STEP = st.one_of(
     st.tuples(st.just("revive"), st.integers(1, 5)),
     st.tuples(st.just("beat-stops"), st.integers(1, 5)),
 )
+#: The same steps, where a dispatch may carry a chunk of 2-8 items.
+CHUNK_STEP = st.one_of(
+    STEP, st.tuples(st.just("chunk"), st.tuples(st.integers(0, 5),
+                                                st.integers(2, 8))))
 
 
 def play(n, steps, policy=SNAPPY):
@@ -198,6 +209,8 @@ def play(n, steps, policy=SNAPPY):
         worker = arg % n if isinstance(arg, int) else arg
         if name == "dispatch":
             farm.dispatch(worker)
+        elif name == "chunk":
+            farm.dispatch(arg[0] % n, items=arg[1])
         elif name == "answer":
             farm.answer(worker)
         elif name == "advance":
@@ -255,6 +268,12 @@ def test_seeded_scripts_reach_every_rule():
         assert seen[reached], f"no script reached {reached!r}"
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 6), steps=st.lists(CHUNK_STEP, max_size=120))
+def test_every_chunk_is_accepted_once_or_the_run_abandons(n, steps):
+    play(n, steps)
+
+
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(2, 6), steps=st.lists(STEP, max_size=120))
 def test_health_layer_off_changes_no_invariant(n, steps):
@@ -287,6 +306,50 @@ def test_a_worker_near_the_median_is_never_touched(n, unit, services):
         (d,) = core.dispatch(port, "x", now)
         assert d == Send(port, d.seq, "x", "dispatch")  # never rerouted
         due.append((now + services.pop(), port, d.seq))
+
+    for port in range(n):
+        dispatch(port)
+    while due:
+        due.sort()
+        now, worker, seq = due.pop(0)
+        for w in range(n):
+            core.beat(w, now)
+        assert core.tick(now) == []
+        assert core.result(worker, seq, now) == worker
+        assert core.tick(now) == []
+        if len(services) > n:
+            dispatch(worker)
+    touched = [r for r in core.report.records if r.category != "health"]
+    assert touched == []
+    assert not core.quarantined and not core.migrated and not core.suspects
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    n=st.integers(2, 6),
+    items=st.integers(2, 8),
+    unit=st.sampled_from([0.001, 0.01, 0.05]),
+    services=st.lists(st.floats(1.0, 1.99), min_size=20, max_size=150),
+)
+def test_a_worker_serving_chunks_at_its_peers_pace_is_never_touched(
+        n, items, unit, services):
+    """Worker 0 is fed chunks of ``items`` and serves each in
+    ``[items * unit, 2 * items * unit)``, its peers singles in
+    ``[unit, 2 unit)``: per item, one pace.  Timed per item, the chunk
+    server is never flagged, demoted, hedged around, migrated or
+    convicted — timed per packet it would read ``items`` times slower."""
+    core = FarmSupervisor(make_farm(n), FaultPolicy(remap=RemapPolicy()),
+                          FaultReport())
+    services = [s * unit for s in services]
+    now = 50.0
+    due = []  # (finish instant, worker, seq), one packet per port
+
+    def dispatch(port):
+        value = Chunk(["x"] * items) if port == 0 else "x"
+        (d,) = core.dispatch(port, value, now)
+        assert d == Send(port, d.seq, value, "dispatch")  # never rerouted
+        size = items if port == 0 else 1
+        due.append((now + size * services.pop(), port, d.seq))
 
     for port in range(n):
         dispatch(port)

@@ -472,9 +472,11 @@ class TestSuspectsGetNoNewWork:
 
 
 class TestFlushSendsOverflow:
-    """Regression: the queue.Full fallback must stay bounded (a packet
-    whose target queue never drains is dropped with an ``overflow``
-    record instead of being retried forever)."""
+    """Regression: the queue.Full fallback must stay bounded.  A queued
+    re-send lives only while its packet is in flight: once the packet
+    settles it is dropped with an ``overflow`` record instead of being
+    retried forever (until then the core's timeouts cover a queue that
+    never drains)."""
 
     def fill_queue(self, kernel, edge):
         channel = kernel._base.channel(edge)
@@ -484,39 +486,42 @@ class TestFlushSendsOverflow:
             except Exception:
                 return
 
-    def test_packet_dropped_after_bounded_attempts(self):
-        kernel, state = make_supervised(max_flush_attempts=3)
-        edge = state.farm.workers[0].dispatch_edge
+    def test_packet_dropped_once_it_settles(self):
+        kernel, state = make_supervised()
+        core = state.core
+        (sent,) = core.dispatch(0, "v", T0)
+        edge = state.farm.workers[1].dispatch_edge
         self.fill_queue(kernel, edge)
-        state.pending_sends.append((edge, Packet(5, "v"), 0))
-        for scan in range(2):
+        state.pending_sends.append((edge, Packet(sent.seq, "v")))
+        for _ in range(10):  # in flight: kept, however long it waits
             kernel._flush_sends(state)
-            ((kept_edge, kept, attempts),) = state.pending_sends
-            assert (kept_edge, kept.seq, attempts) == (edge, 5, scan + 1)
-        kernel._flush_sends(state)  # third full scan: give up
+            ((kept_edge, kept),) = state.pending_sends
+            assert (kept_edge, kept.seq) == (edge, sent.seq)
+        assert core.result(0, sent.seq, T0 + 0.01) == 0  # the original
+        kernel._flush_sends(state)
         assert state.pending_sends == []
         (record,) = [r for r in kernel.fault_report.records
                      if r.category == "overflow"]
-        assert record.seq == 5
-        assert record.attempts == 3
+        assert record.seq == sent.seq
         assert record.target == edge
 
     def test_stop_tokens_are_never_dropped(self):
-        kernel, state = make_supervised(max_flush_attempts=2)
+        kernel, state = make_supervised()
         edge = state.farm.workers[0].dispatch_edge
         self.fill_queue(kernel, edge)
         stop = kernel._base.stop_token
-        state.pending_sends.append((edge, stop, 0))
+        state.pending_sends.append((edge, stop))
         for _ in range(10):
             kernel._flush_sends(state)
         (entry,) = state.pending_sends
         assert entry[0] == edge and entry[1] is stop
 
     def test_flush_delivers_once_space_frees(self):
-        kernel, state = make_supervised(max_flush_attempts=3)
+        kernel, state = make_supervised()
+        (sent,) = state.core.dispatch(1, "v", T0)
         edge = state.farm.workers[1].dispatch_edge
         self.fill_queue(kernel, edge)
-        state.pending_sends.append((edge, Packet(2, "v"), 0))
+        state.pending_sends.append((edge, Packet(sent.seq, "v")))
         kernel._flush_sends(state)
         assert state.pending_sends  # still waiting
         kernel._base.channel(edge).get_nowait()  # worker drains one
