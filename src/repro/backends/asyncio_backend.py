@@ -13,12 +13,11 @@ The run is planned and merged by the driver every kernel-hosted backend
 shares (:mod:`repro.backends.hosting`); only the hosting is this
 backend's own, because its wrapper is ``await``-coloured: realtime
 admission composes through
-:class:`~repro.realtime.async_kernel.AsyncRealtimeKernel` (the watchdog
-is a loop task).  Fault supervision does not: the supervisor's
-heartbeat thread and synchronous primitive hooks assume a thread
-kernel, so a fault plan is rejected rather than half-honoured (the
-capability matrix and the conformance oracle both read
-``supports_faults``).
+:class:`~repro.backends.policy_kernel.AsyncPolicyKernel` (its service
+is a loop task).  Fault supervision does not: its heartbeats and
+synchronous primitive hooks assume a thread kernel, so a fault plan is
+rejected rather than half-honoured (the capability matrix and the
+conformance oracle both read ``supports_faults``).
 """
 
 from __future__ import annotations
@@ -36,10 +35,10 @@ from ..core.ir import Program
 from ..machine.costs import T9000, CostModel
 from ..machine.executive import RunReport
 from ..machine.trace import Trace
-from ..realtime.async_kernel import AsyncRealtimeKernel
 from ..syndex.distribute import Mapping
 from .base import BACKENDS, Backend, BackendError
 from .hosting import merge_run, plan_run
+from .policy_kernel import AsyncPolicyKernel
 
 __all__ = ["AsyncioBackend"]
 
@@ -101,10 +100,9 @@ class AsyncioBackend(Backend):
             kernel: Any = AsyncioKernel(trace=trace, placement=plan.placement)
             realtime = None
             if plan.budget is not None:
-                kernel = realtime = AsyncRealtimeKernel(
+                kernel = realtime = AsyncPolicyKernel(
                     kernel, plan.stream_topology, plan.budget
                 )
-                kernel.start()
             kernel.blackboard.update(plan.seed)
             try:
                 _tasks, sinks = await load_executive(

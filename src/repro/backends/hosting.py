@@ -30,16 +30,15 @@ from ..codegen.pygen import (
 from ..core.functions import FunctionTable
 from ..faults.policy import FaultPolicy
 from ..faults.report import FaultReport
-from ..faults.supervisor import SupervisedKernel
 from ..faults.topology import FaultTopology
 from ..machine.executive import RunReport
 from ..machine.trace import Span, Trace
 from ..pnt.graph import ProcessKind
-from ..realtime.kernel import RealtimeKernel
 from ..realtime.ledger import assemble_report
 from ..realtime.topology import StreamTopology
 from ..syndex.distribute import Mapping
 from .base import BackendError, report_from_blackboard
+from .policy_kernel import PolicyKernel
 
 __all__ = [
     "RunPlan", "plan_run", "fused_routers", "host_run",
@@ -228,12 +227,14 @@ def host_run(
     the run was stopped first; the host then waits for ``stop``, which
     whoever gathers every host's ``on_sinks`` raises.
 
-    Returns the host's payload.  An exception raises the stop flag and
-    propagates; either way the service threads (heartbeat, realtime
-    watchdog) are stopped — a process must not exit with a daemon thread
-    inside a shared semaphore, nor a beat straggle into the next run —
-    and the remote channels reclaim what no receiver claimed (a ring's
-    overflow segments would otherwise stay in ``/dev/shm``).
+    A supervised or budgeted run puts one
+    :class:`~repro.backends.policy_kernel.PolicyKernel` on the base
+    kernel.  Returns the host's payload.  An exception raises the stop
+    flag and propagates; either way the wrapper's service thread is
+    stopped — a process must not exit with a daemon thread inside a
+    shared semaphore, nor a beat straggle into the next run — and the
+    remote channels reclaim what no receiver claimed (a ring's overflow
+    segments would otherwise stay in ``/dev/shm``).
     """
     base = Kernel(
         hosts=hosts,
@@ -248,19 +249,15 @@ def host_run(
     )
     stop = base.stop
     kernel: Any = base
-    supervised = realtime = None
     try:
-        if plan.supervised:
-            kernel = supervised = SupervisedKernel(
-                kernel, plan.fault_topology, plan=plan.fault_plan,
-                policy=plan.fault_policy, board=health_board,
+        if plan.supervised or plan.budget is not None:
+            kernel = PolicyKernel(
+                base, faults=plan.fault_topology, plan=plan.fault_plan,
+                policy=plan.fault_policy, health_board=health_board,
+                stream=plan.stream_topology, budget=plan.budget,
+                stream_board=stream_board,
             )
-        if plan.budget is not None:
-            kernel = realtime = RealtimeKernel(
-                kernel, plan.stream_topology, plan.budget,
-                board=stream_board,
-            )
-        kernel.blackboard.update(plan.seed)
+        base.blackboard.update(plan.seed)
         _threads, sinks = load_executive(plan.source)["build_executive"](
             kernel, plan.fns)
         local_sinks = [t for t in sinks if isinstance(t, threading.Thread)]
@@ -286,9 +283,8 @@ def host_run(
         "compute": base.compute_spans,
         "transfer": base.transfer_spans,
         "faults": (
-            [] if supervised is None
-            else supervised.fault_report.to_payload()),
-        "realtime": None if realtime is None else realtime.payload(),
+            [] if kernel is base else kernel.fault_report.to_payload()),
+        "realtime": None if plan.budget is None else kernel.payload(),
     }
 
 

@@ -30,7 +30,7 @@ from ..core.ir import Program
 from ..faults.supervisor import HealthBoard
 from ..machine.costs import T9000, CostModel
 from ..machine.executive import RunReport
-from ..realtime.kernel import StreamBoard
+from ..realtime.board import StreamBoard
 from ..shm.batch import BatchPolicy
 from ..shm.flag import StopFlag
 from ..shm.registry import TRANSPORTS, EdgeSpec, build_channels

@@ -28,7 +28,7 @@ from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from ..syndex.distribute import Mapping
-from .kernel import Shutdown, Stop, grain
+from .kernel import Shutdown, Stop
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..machine.trace import Trace
@@ -64,17 +64,15 @@ class AsyncioKernel:
     channels are :class:`asyncio.Queue` instances created on first use,
     which on Python 3.9 must happen with the loop already running.
 
-    The blocking primitives poll the stop flag every ``poll_s`` (like
-    :class:`~repro.codegen.kernel.Kernel`) but park on the queue
-    between polls, so an idle executive costs no CPU; teardown both
-    sets the flag and cancels the remaining tasks.
+    A blocked primitive parks on its queue with no timeout, so an idle
+    executive arms no timer; teardown (:meth:`join_`) sets the stop flag
+    and then cancels every task, which is what unwinds a parked one.
     """
 
     def __init__(
         self,
         *,
         queue_size: int = 4,
-        poll_s: float = 0.05,
         trace: Optional["Trace"] = None,
         placement: Optional[Dict[str, str]] = None,
     ):
@@ -82,7 +80,6 @@ class AsyncioKernel:
         self._tasks: List[asyncio.Task] = []
         self.stop = _StopFlag()
         self._queue_size = queue_size
-        self._poll_s = poll_s
         self.stop_token = Stop()
         self.trace = trace
         self.placement: Dict[str, str] = placement or {}
@@ -116,34 +113,14 @@ class AsyncioKernel:
         return task
 
     async def send_(self, edge: str, value: Any) -> None:
-        channel = self.channel(edge)
-        while True:
-            if self.stop.is_set():
-                raise Shutdown
-            try:
-                channel.put_nowait(value)
-                return
-            except asyncio.QueueFull:
-                pass
-            try:
-                await asyncio.wait_for(channel.put(value), self._poll_s)
-                return
-            except asyncio.TimeoutError:
-                continue
+        if self.stop.is_set():
+            raise Shutdown
+        await self.channel(edge).put(value)
 
     async def recv_(self, edge: str) -> Any:
-        channel = self.channel(edge)
-        while True:
-            if self.stop.is_set():
-                raise Shutdown
-            try:
-                return channel.get_nowait()
-            except asyncio.QueueEmpty:
-                pass
-            try:
-                return await asyncio.wait_for(channel.get(), self._poll_s)
-            except asyncio.TimeoutError:
-                continue
+        if self.stop.is_set():
+            raise Shutdown
+        return await self.channel(edge).get()
 
     def try_send_(self, edge: str, value: Any) -> None:
         """Non-blocking send; raises ``queue.Full`` with the value not
@@ -164,9 +141,9 @@ class AsyncioKernel:
         parked in a per-edge stash and handed out by a later call, so no
         packet is ever dropped by the race.
         """
+        if self.stop.is_set():
+            raise Shutdown
         while True:
-            if self.stop.is_set():
-                raise Shutdown
             for edge in edges:
                 stash = self._alt_stash.get(edge)
                 if stash:
@@ -182,10 +159,7 @@ class AsyncioKernel:
             }
             try:
                 await asyncio.wait(
-                    list(getters),
-                    timeout=self._poll_s,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
+                    list(getters), return_when=asyncio.FIRST_COMPLETED)
             except asyncio.CancelledError:
                 for task in getters:
                     task.cancel()
@@ -252,8 +226,6 @@ class AsyncioKernel:
     def is_stop(self, value: Any) -> bool:
         return isinstance(value, Stop)
 
-    grain_ = staticmethod(grain)
-
 
 async def run_generated_async(
     mapping: Mapping,
@@ -269,7 +241,7 @@ async def run_generated_async(
     The coroutine counterpart of :func:`repro.codegen.pygen.run_generated`:
     ``kernel`` defaults to a fresh :class:`AsyncioKernel`, and any object
     implementing the awaitable kernel primitives (for instance an
-    :class:`~repro.realtime.async_kernel.AsyncRealtimeKernel` wrapper)
+    :class:`~repro.backends.policy_kernel.AsyncPolicyKernel` wrapper)
     works.  Returns the kernel blackboard.
     """
     from .pygen import load_executive, seed_arguments

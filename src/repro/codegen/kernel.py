@@ -102,11 +102,6 @@ KERNEL_PRIMITIVES: Dict[str, Tuple[str, str]] = {
     "stop_": ("(edge) -> unit", "propagate end-of-stream on a channel"),
     "alt_": ("(edges, timeout=None) -> (edge, value)",
              "wait on several channels (ALT); queue.Empty after timeout s"),
-    "grain_": (
-        "(remaining, degree) -> int",
-        "how many of a farm's remaining items the next packet carries: "
-        "max(1, remaining // (2 * degree)); more than one travel as a Chunk",
-    ),
     "join_": ("() -> unit", "wait for executive completion"),
 }
 
@@ -862,8 +857,6 @@ class Kernel:
 
     def is_stop(self, value: Any) -> bool:
         return isinstance(value, Stop)
-
-    grain_ = staticmethod(grain)
 
     # -- batching back-stops ---------------------------------------------------
     #

@@ -87,7 +87,7 @@ def _thread_ops(graph: ProcessGraph, mapping: Mapping, pid: str) -> List[str]:
         recv(0)
         recv(1)
         degree = proc.params["degree"]
-        ops.append(f"grain_(remaining, {degree})  ; items per packet")
+        ops.append(f"grain(remaining, {degree})  ; items per packet")
         for i in range(degree):
             send(1 + i, f"packet{i}")
         collect = [

@@ -74,7 +74,7 @@ class ExecutiveGenerator:
     PROVENANCE = "repro.codegen.pygen"
     PREAMBLE = (
         "from repro.core.semantics import EndOfStream, TaskOutcome",
-        "from repro.codegen.kernel import NO_PIECE, Chunk, NoPiece",
+        "from repro.codegen.kernel import NO_PIECE, Chunk, NoPiece, grain",
     )
 
     def __init__(self, mapping: Mapping, max_iterations: Optional[int]):
@@ -273,8 +273,8 @@ class ExecutiveGenerator:
         ]
         result_edges = _out_edges(self.graph, pid, 0)
         # The unit of dispatch is a chunk whose size the data decides
-        # (kernel.grain_); a chunk of one is the bare item, so a short
-        # list is the paper's one-item-per-packet farm.
+        # (the kernel module's ``grain``); a chunk of one is the bare
+        # item, so a short list is the paper's one-item-per-packet farm.
         body = f"    collect = {collect!r}\n"
         body += f"    dispatch = {dict(zip(collect, dispatch))!r}\n"
         body += "    while True:\n"
@@ -290,7 +290,7 @@ class ExecutiveGenerator:
         body += "        while True:\n"
         body += "            while idle and pos < len(work):\n"
         body += (
-            f"                n = kernel.grain_(len(work) - pos, {degree})\n"
+            f"                n = grain(len(work) - pos, {degree})\n"
         )
         body += (
             f"                {self.AWAIT}kernel.send_(dispatch[idle.pop()], "

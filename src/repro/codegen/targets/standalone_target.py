@@ -376,7 +376,7 @@ class StandaloneGenerator(ExecutiveGenerator):
     PROVENANCE = "repro emit (standalone target)"
     PREAMBLE = (
         "from skipper_kernel import "
-        "EndOfStream, TaskOutcome, NO_PIECE, Chunk, NoPiece",
+        "EndOfStream, TaskOutcome, NO_PIECE, Chunk, NoPiece, grain",
     )
 
 

@@ -12,7 +12,7 @@ This package gives the reproduction a failure story, in two halves:
   :class:`~repro.faults.farm.FarmSupervisor`, decides re-dispatch,
   quarantine, demotion, hedging, migration and probing from events and
   the instants they carry.  Two drivers feed it:
-  :class:`~repro.faults.supervisor.SupervisedKernel` wraps the kernel
+  :class:`~repro.backends.policy_kernel.PolicyKernel` wraps the kernel
   primitives (the paper's "only platform-dependent part") with
   per-packet sequence envelopes and heartbeats and passes wall-clock
   readings; the simulator passes virtual time.  So ``df``/``tf``/``scm``

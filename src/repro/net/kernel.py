@@ -33,7 +33,7 @@ import time
 from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from ..codegen.kernel import _MISS, Latch, Shutdown, _LocalChannel
-from ..realtime.kernel import StreamBoard
+from ..realtime.board import StreamBoard
 from . import codec
 from .protocol import ConnectionClosed, Frame, Link, pack_edge, pack_run
 

@@ -7,9 +7,12 @@ of a post-hoc measurement:
 * :class:`~repro.realtime.budget.LatencyBudget` — the per-frame
   deadline, the bounded in-flight window, and the overload policy
   (``block`` / ``shed-newest`` / ``shed-oldest`` / ``degrade``);
-* :class:`~repro.realtime.kernel.RealtimeKernel` — admission control,
-  pacing, and an in-flight deadline watchdog wrapped around any kernel
-  (the same primitive-hooking trick as the fault supervisor);
+* :class:`~repro.realtime.admission.AdmissionCore` — the clock-free
+  admission decisions, which
+  :class:`~repro.backends.policy_kernel.PolicyKernel` drives behind the
+  kernel primitives (admission, pacing, an in-flight deadline watchdog);
+* :class:`~repro.realtime.board.StreamBoard` — the released/delivered
+  counters and doorbell the admission and delivery sides share;
 * :class:`~repro.realtime.ledger.FrameLedger` — the frame-conservation
   ledger (delivered + shed + failed == submitted) the chaos soak
   asserts;
@@ -18,7 +21,7 @@ of a post-hoc measurement:
 """
 
 from .budget import OVERLOAD_POLICIES, LatencyBudget
-from .kernel import RealtimeKernel, StreamBoard
+from .board import StreamBoard
 from .ledger import (
     FrameLedger,
     FrameRecord,
@@ -31,7 +34,6 @@ from .topology import StreamTopology
 __all__ = [
     "OVERLOAD_POLICIES",
     "LatencyBudget",
-    "RealtimeKernel",
     "StreamBoard",
     "FrameLedger",
     "FrameRecord",

@@ -5,8 +5,8 @@ through an inter-process semaphore.  A worker that dies — in particular
 one SIGKILLed by the chaos suite — while it happens to hold that
 semaphore poisons it for every surviving process: the parent's eventual
 ``stop_event.set()`` blocks forever on a lock nobody will ever release
-(the beater thread in :mod:`repro.faults.supervisor` documents the same
-hazard).
+(the service thread of :mod:`repro.backends.policy_kernel` documents
+the same hazard).
 
 A shared *byte* has no lock to poison.  ``set()`` is one aligned store,
 ``is_set()`` one load, and the flag only ever transitions ``0 -> 1``,

@@ -109,7 +109,7 @@ class TestThousandStreamSoak:
         from repro.codegen.targets import get_target
         from repro.core.functions import FunctionTable
         from repro.pipeline import build
-        from repro.realtime.async_kernel import AsyncRealtimeKernel
+        from repro.backends.policy_kernel import AsyncPolicyKernel
         from repro.realtime.topology import StreamTopology
 
         table = FunctionTable()
@@ -137,8 +137,7 @@ class TestThousandStreamSoak:
         )
 
         async def one_stream():
-            kernel = AsyncRealtimeKernel(AsyncioKernel(), topo, budget)
-            kernel.start()
+            kernel = AsyncPolicyKernel(AsyncioKernel(), topo, budget)
             try:
                 fns = {spec.name: spec.fn for spec in table}
                 _tasks, sinks = await executive["build_executive"](

@@ -18,6 +18,7 @@ import pytest
 
 from repro.backends import BackendError, get_backend
 from repro.backends.hosting import RunBarrier, host_run, merge_run, plan_run
+from repro.backends.policy_kernel import SERVICE_THREAD
 from repro.codegen.kernel import Latch
 from repro.core import FunctionTable, ProgramBuilder
 from repro.faults import FaultPlan, FaultPolicy, FaultSpec
@@ -190,9 +191,6 @@ class CountingChannel(queue.Queue):
         self.released += 1
 
 
-SERVICE_THREADS = {"fault-heartbeat", "rt-watchdog"}
-
-
 class TestHostRunContract:
     def host(self, source_suffix=""):
         _prog, table, mapping = make_soak(
@@ -227,8 +225,7 @@ class TestHostRunContract:
     def assert_cleaned_up(self):
         assert self.stop.is_set()
         assert self.channel.released == 1
-        assert not SERVICE_THREADS & {
-            t.name for t in threading.enumerate()}
+        assert SERVICE_THREAD not in {t.name for t in threading.enumerate()}
 
     def test_supervised_budgeted_stream(self):
         payload, reported = self.host()
@@ -241,6 +238,32 @@ class TestHostRunContract:
         assert [v for _k, v in report.outputs] == [
             frame_value(k, 4) for k in range(4)]
         assert len(report.realtime.ledger.delivered) == 4
+
+    def test_one_service_thread_at_most_and_none_after(self):
+        """Besides the executive's threads a supervised, budgeted host
+        runs one thread — the wrapper's service thread, which beats and
+        admits — and leaves none behind."""
+        before = set(threading.enumerate())
+        samples, done = [], threading.Event()
+
+        def watch():
+            while not done.wait(0.001):
+                samples.append({
+                    t.name for t in threading.enumerate()
+                    if t not in before and t is not watcher
+                    and not isinstance(t, threading.Timer)})
+
+        watcher = threading.Thread(target=watch)
+        watcher.start()
+        try:
+            self.host()
+        finally:
+            done.set()
+            watcher.join()
+        services = [names - set(self.plan.placement) for names in samples]
+        assert {SERVICE_THREAD} in services
+        assert all(names <= {SERVICE_THREAD} for names in services)
+        self.assert_cleaned_up()
 
     def test_cleans_up_when_the_executive_raises(self):
         with pytest.raises(RuntimeError, match="boom"):

@@ -105,7 +105,7 @@ class TestGeneratedSource:
                 call = re.match(r"\w+", line.split("kernel.")[1]).group(0)
                 assert call in (
                     "send_", "recv_", "call_", "stop_", "alt_", "spawn_",
-                    "grain_", "is_stop", "blackboard",
+                    "is_stop", "blackboard",
                 )
 
     def test_mentions_every_process(self):

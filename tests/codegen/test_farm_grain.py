@@ -1,6 +1,6 @@
 """Guided farm dispatch: the grain rule and the chunked df/tf farm.
 
-The df/tf master sends the next idle worker ``kernel.grain_(remaining,
+The df/tf master sends the next idle worker ``grain(remaining,
 degree)`` items as one packet — ``max(1, remaining // (2 * degree))`` —
 so a 64-item list at degree 4 is 27 round trips instead of 64, and a
 list shorter than ``4 * degree`` is the paper's one-item-per-packet
@@ -24,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import get_backend
-from repro.codegen import AsyncioKernel, run_generated
+from repro.codegen import run_generated
 from repro.codegen import kernel as kernel_module
 from repro.codegen.kernel import Chunk, Kernel, grain
 from repro.codegen.targets import get_target
@@ -34,15 +34,11 @@ from repro.conformance.generator import CaseSpec, build_case
 from repro.conformance.oracle import build_mapping
 from repro.core import EndOfStream, FunctionTable, ProgramBuilder, TaskOutcome
 from repro.faults import FaultPlan, FaultPolicy, FaultSpec
-from repro.faults.supervisor import SupervisedKernel
 from repro.faults.topology import FaultTopology
 from repro.machine import FAST_TEST
 from repro.net import ClusterHarness
 from repro.pnt import expand_program
-from repro.realtime import LatencyBudget
-from repro.realtime.kernel import RealtimeKernel
 from repro.realtime.soak import frame_value, limplock_plan, make_soak
-from repro.realtime.topology import StreamTopology
 from repro.syndex import distribute, ring
 
 DEGREE = 3
@@ -82,12 +78,11 @@ class TestGrainRule:
         assert len(chunk_sizes(64, 4)) == 27
         assert chunk_sizes(9, 4) == [1] * 9
 
-    def test_both_kernels_answer_the_one_rule(self):
+    def test_grain_answers_the_one_rule(self):
         for remaining in (0, 1, 15, 16, 64, 1000):
             for degree in (1, 4, 8):
                 want = max(1, remaining // (2 * degree))
-                assert Kernel.grain_(remaining, degree) == want
-                assert AsyncioKernel.grain_(remaining, degree) == want
+                assert grain(remaining, degree) == want
 
     def test_a_chunk_is_a_list_but_a_list_is_no_chunk(self):
         assert isinstance(Chunk([1, 2]), list)
@@ -375,20 +370,6 @@ class TestSupervisedGrain:
     """The supervisor times a chunk per item (``FarmSupervisor``), so it
     leaves the grain rule alone."""
 
-    def test_both_wrappers_answer_the_kernel_grain(self):
-        _prog, _table, mapping = make_soak(nproc=4, frames=1, pieces=64)
-        topology = FaultTopology.from_mapping(mapping)
-        supervised = SupervisedKernel(Kernel(), topology)
-        try:
-            over_supervised = RealtimeKernel(
-                supervised, StreamTopology.from_mapping(mapping),
-                LatencyBudget(deadline_ms=1_000.0), start_watchdog=False)
-            for kernel in (supervised, over_supervised):
-                assert kernel.grain_(64, 4) == 8
-                assert kernel.grain_(9, 4) == 1
-        finally:
-            supervised.shutdown()
-
     def test_an_unsupervised_run_of_the_same_farm_chunks(self, chunks_built):
         prog, table, mapping = make_soak(
             nproc=4, frames=2, pieces=64, work_us=0)
@@ -439,7 +420,7 @@ def test_emitted_64_item_farm_is_byte_identical_to_the_host_run(tmp_path):
     get_target("standalone").emit(mapping, built.table, out)
     with open(os.path.join(out, "executive.py")) as handle:
         executive = handle.read()
-    assert "kernel.grain_(" in executive and "Chunk(" in executive
+    assert "grain(" in executive and "Chunk(" in executive
     host = run_generated(mapping, built.table, args=tuple(built.args))
     argv = [sys.executable, "main.py", "--timeout", "30"]
     for value in built.args:

@@ -635,18 +635,6 @@ class TestPrimitiveSet:
             for name in KERNEL_PRIMITIVES:
                 assert callable(getattr(cls, name)), (cls, name)
 
-    def test_grain_is_one_synchronous_rule_on_both_kernels(self):
-        """The generated master calls it without ``await`` in every
-        dialect, and both kernels answer with the same function."""
-        import inspect
-
-        assert "grain_" in KERNEL_PRIMITIVES
-        for cls in (Kernel, AsyncioKernel):
-            assert cls.grain_ is kernel_module.grain
-            assert not inspect.iscoroutinefunction(cls.grain_)
-        assert Kernel().grain_(64, 4) == 8
-        assert Kernel().grain_(9, 4) == 1
-
     def test_asyncio_try_send_raises_queue_full(self):
         import asyncio
 
@@ -656,6 +644,48 @@ class TestPrimitiveSet:
             with pytest.raises(queue.Full):
                 kernel.try_send_("e0", 2)
             assert await kernel.recv_("e0") == 1
+
+        asyncio.run(probe())
+
+    def test_asyncio_parked_primitives_arm_no_timer(self):
+        """A task parked in ``recv_``, on a full ``send_`` or in
+        ``alt_`` sleeps on its queue: over half a second the loop arms
+        one timer, the test's own sleep; join_ unwinds them all."""
+        import asyncio
+
+        async def probe():
+            loop = asyncio.get_running_loop()
+            armed = []
+            call_at = loop.call_at
+
+            def counting(when, *args, **kwargs):
+                armed.append(when)
+                return call_at(when, *args, **kwargs)
+
+            kernel = AsyncioKernel(queue_size=1)
+            kernel.try_send_("full", 0)
+
+            async def parked():
+                await kernel.recv_("e0")
+
+            async def sending():
+                await kernel.send_("full", 1)
+
+            async def alting():
+                await kernel.alt_(["e1", "e2"])
+
+            tasks = [kernel.spawn_(f"t{i}", body) for i, body in
+                     enumerate((parked, sending, alting))]
+            await asyncio.sleep(0)
+            loop.call_at = counting
+            try:
+                await asyncio.sleep(0.5)
+            finally:
+                del loop.call_at
+            assert len(armed) == 1
+            assert not any(task.done() for task in tasks)
+            await kernel.join_([], timeout=1.0)
+            assert all(task.done() for task in tasks)
 
         asyncio.run(probe())
 

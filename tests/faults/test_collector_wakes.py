@@ -14,8 +14,8 @@ import threading
 import pytest
 
 from repro.backends import BackendError, get_backend
+from repro.backends.policy_kernel import PolicyKernel
 from repro.faults import FaultPlan, FaultPolicy, FaultSpec
-from repro.faults.supervisor import SupervisedKernel
 from repro.health import HealthPolicy
 from repro.machine import FAST_TEST
 from repro.realtime.soak import frame_value, make_soak
@@ -35,13 +35,13 @@ def delayed_farm(delay_s):
 
 def test_a_held_packet_costs_a_few_scans(monkeypatch):
     scans = []
-    supervise = SupervisedKernel._supervise
+    supervise = PolicyKernel._supervise
 
     def counted(self, hosted, now):
         scans.append(now)
         return supervise(self, hosted, now)
 
-    monkeypatch.setattr(SupervisedKernel, "_supervise", counted)
+    monkeypatch.setattr(PolicyKernel, "_supervise", counted)
     prog, table, mapping, plan = delayed_farm(1.0)
     report = get_backend("threads").run(
         mapping, table, program=prog, costs=FAST_TEST, timeout=60.0,

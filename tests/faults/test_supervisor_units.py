@@ -6,16 +6,12 @@ flush."""
 
 import pytest
 
+from repro.backends.policy_kernel import PolicyKernel
 from repro.codegen.kernel import Kernel
-from repro.faults import FaultPolicy, FaultReport
+from repro.faults import FaultPlan, FaultPolicy, FaultReport, FaultSpec
 from repro.faults.demo import make_demo
 from repro.faults.farm import FarmSupervisor, ReleaseStop, Send
-from repro.faults.supervisor import (
-    HealthBoard,
-    Packet,
-    Result,
-    SupervisedKernel,
-)
+from repro.faults.supervisor import HealthBoard, Packet, Result
 from repro.faults.topology import FaultTopology
 from repro.health import HealthPolicy
 from repro.machine.trace import Trace
@@ -33,11 +29,11 @@ def make_core(**policy_kwargs):
 
 
 def make_supervised(**policy_kwargs):
-    """A SupervisedKernel hosting the df demo farm, no threads started."""
+    """A PolicyKernel hosting the df demo farm, no threads started."""
     _prog, _table, _args, mapping = make_demo("df")
     topo = FaultTopology.from_mapping(mapping)
-    kernel = SupervisedKernel(
-        Kernel(), topo, policy=FaultPolicy(**policy_kwargs)
+    kernel = PolicyKernel(
+        Kernel(), faults=topo, policy=FaultPolicy(**policy_kwargs)
     )
     return kernel, kernel._hosted["df0"]
 
@@ -529,3 +525,39 @@ class TestFlushSendsOverflow:
         assert state.pending_sends == []
         assert not [r for r in kernel.fault_report.records
                     if r.category == "overflow"]
+
+
+class TestDropsSkipStops:
+    """A planned drop counts messages, and a Stop is none: it is
+    delivered, not counted, not reported, and the drop waits for the
+    next real message."""
+
+    #: The df demo's plain edge from the constant source to the master.
+    EDGE = "e12"
+
+    def make(self):
+        _prog, _table, _args, mapping = make_demo("df")
+        plan = FaultPlan([FaultSpec(kind="drop", edge=self.EDGE,
+                                    occurrence=0)])
+        return PolicyKernel(Kernel(), faults=FaultTopology.from_mapping(
+            mapping), plan=plan)
+
+    def test_a_stop_on_a_plain_edge_leaves_the_drop_pending(self):
+        kernel = self.make()
+        kernel.send_(self.EDGE, kernel.stop_token)
+        assert kernel.is_stop(kernel._base.recv_(self.EDGE))
+        assert kernel.fault_report.records == []
+        assert [s.edge for s in kernel.matcher.pending()] == [self.EDGE]
+        kernel.send_(self.EDGE, "dropped")
+        kernel.send_(self.EDGE, "kept")
+        assert kernel._base.recv_(self.EDGE) == "kept"
+        assert [(r.category, r.kind, r.target)
+                for r in kernel.fault_report.records] == [
+            ("injected", "drop", self.EDGE)]
+
+    def test_stop_primitive_is_not_counted_either(self):
+        kernel = self.make()
+        kernel.stop_(self.EDGE)
+        assert kernel.is_stop(kernel._base.recv_(self.EDGE))
+        assert kernel.fault_report.records == []
+        assert kernel.matcher.pending()

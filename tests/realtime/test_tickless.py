@@ -18,14 +18,14 @@ import threading
 import pytest
 
 from repro.backends import get_backend
+from repro.backends import policy_kernel as realtime_kernel
+from repro.backends.policy_kernel import AsyncPolicyKernel, PolicyKernel
 from repro.codegen.kernel import Shutdown
 from repro.machine import FAST_TEST
 from repro.net import ClusterHarness
 from repro.net.kernel import NetStreamBoard
 from repro.realtime import LatencyBudget
-from repro.realtime.async_kernel import AsyncRealtimeKernel
-from repro.realtime import kernel as realtime_kernel
-from repro.realtime.kernel import RealtimeKernel, StreamBoard
+from repro.realtime.board import StreamBoard
 from repro.realtime.soak import frame_value, make_soak
 from repro.realtime.topology import StreamTopology
 
@@ -81,7 +81,7 @@ class FakeKernel:
         self.network.put("STOP")
 
 
-class Observed(RealtimeKernel):
+class Observed(PolicyKernel):
     """Counts service rounds and says when the grabber parks."""
 
     def __init__(self, *args, **kwargs):
@@ -116,17 +116,17 @@ def make_kernel():
         inner = FakeKernel()
         if topology is REMOTE_OUTPUT:
             inner.hosts = frozenset({"p0"})
-        kernel = Observed(inner, topology, LatencyBudget(**budget),
-                          board=board)
+        kernel = Observed(inner, stream=topology,
+                          budget=LatencyBudget(**budget), stream_board=board)
         made.append((kernel, board))
-        kernel.after_ticks(1)   # the service thread is up and asleep
         return kernel, inner
 
     yield make
     for kernel, board in made:
         kernel.stop.set()
         kernel.shutdown()
-        assert not kernel._watchdog.is_alive()
+        # Started by the first frame offered, gone at shutdown.
+        assert not kernel._service.is_alive()
         if board is not None:
             board.close()
 
@@ -142,13 +142,13 @@ def events(kernel, kind):
 def test_a_paced_run_makes_a_few_service_rounds_per_frame(
         backend, monkeypatch):
     rounds = []
-    tick = RealtimeKernel._watch_tick
+    tick = PolicyKernel._watch_tick
 
     def counting(self):
         rounds.append(1)
         return tick(self)
 
-    monkeypatch.setattr(RealtimeKernel, "_watch_tick", counting)
+    monkeypatch.setattr(PolicyKernel, "_watch_tick", counting)
     frames = 20
     prog, table, mapping = make_soak(nproc=3, frames=frames, pieces=4,
                                      work_us=100.0)
@@ -267,10 +267,11 @@ def test_a_frame_never_delivered_is_flagged_once_by_the_timer(make_kernel):
 def test_the_sleep_is_derived_from_the_earliest_open_deadline(monkeypatch):
     # A retry shorter than the open deadline below, so that it shows.
     monkeypatch.setattr(realtime_kernel, "_RETRY_S", 0.001)
+    # This test is the service thread: it runs every round itself.
+    monkeypatch.setattr(PolicyKernel, "_start_service", lambda self: None)
     inner = FakeKernel()
-    kernel = RealtimeKernel(inner, TOPOLOGY, LatencyBudget(
-        deadline_ms=40.0, policy="block", max_in_flight=1, queue_depth=4),
-        start_watchdog=False)
+    kernel = PolicyKernel(inner, stream=TOPOLOGY, budget=LatencyBudget(
+        deadline_ms=40.0, policy="block", max_in_flight=1, queue_depth=4))
     assert kernel._watch_tick() == 0.040         # idle: one deadline
     inner.clock_us = 1_000.0
     kernel.send_("e0", "a")
@@ -392,7 +393,7 @@ class AsyncFakeKernel(FakeKernel):
         self.network.put_nowait("STOP")
 
 
-class AsyncObserved(AsyncRealtimeKernel):
+class AsyncObserved(AsyncPolicyKernel):
     def __init__(self, *args, **kwargs):
         self.ticked = asyncio.Semaphore(0)
         super().__init__(*args, **kwargs)
@@ -409,13 +410,12 @@ class AsyncObserved(AsyncRealtimeKernel):
 
 
 def on_a_loop(scenario, **budget):
-    """Run ``scenario(kernel, inner)`` against a started async wrapper."""
+    """Run ``scenario(kernel, inner)`` against an async wrapper (its
+    service task starts with the first frame offered)."""
     async def main():
         inner = AsyncFakeKernel()
         kernel = AsyncObserved(inner, TOPOLOGY, LatencyBudget(**budget))
-        kernel.start()
         try:
-            await kernel.after_ticks(1)
             await scenario(kernel, inner)
         finally:
             await kernel.ashutdown()
