@@ -28,6 +28,7 @@ from ..codegen.pygen import (
     generate_python, load_executive, seed_arguments, thread_name,
 )
 from ..core.functions import FunctionTable
+from ..faults.inject import check_plan
 from ..faults.policy import FaultPolicy
 from ..faults.report import FaultReport
 from ..faults.topology import FaultTopology
@@ -96,9 +97,10 @@ def plan_run(
 ) -> RunPlan:
     """Decide a run before anything starts.
 
-    Raises ``ValueError`` on an argument-arity mismatch and
-    :class:`BackendError` for a latency budget on a program without a
-    stream.  ``source`` supplies a pre-generated executive (it must come
+    Raises ``ValueError`` on an argument-arity mismatch,
+    :class:`~repro.faults.plan.PlanError` for a fault the program gives
+    no place to fire, and :class:`BackendError` for a latency budget on
+    a program without a stream.  ``source`` supplies a pre-generated executive (it must come
     from the same mapping and ``max_iterations``): the serving layer
     passes its cached artefact so a warm run performs zero codegen.
     """
@@ -112,6 +114,10 @@ def plan_run(
                 "a latency budget needs a stream program (no stream "
                 "input/output in this mapping)"
             )
+    topology = None
+    if fault_plan is not None:
+        topology = FaultTopology.from_mapping(mapping)
+        check_plan(fault_plan, topology)
     if source is None:
         source = generate_python(mapping, max_iterations=max_iterations)
     edge_aliases, fused_threads = fused_routers(mapping, fault_plan)
@@ -147,9 +153,7 @@ def plan_run(
         record_spans=record_spans,
         fault_plan=fault_plan,
         fault_policy=fault_policy,
-        fault_topology=(
-            None if fault_plan is None
-            else FaultTopology.from_mapping(mapping)),
+        fault_topology=topology,
         budget=budget,
         stream_topology=stream,
     )
@@ -172,14 +176,13 @@ def fused_routers(
     simulator's model of routers and the wrapper kernels are untouched
     — they keep addressing the generated edge names.
 
-    A router the ``fault_plan`` names — as ``process``, or through
-    either of its edges — keeps its thread, so every injection site
-    stays where it was.  Returns ``(edge aliases, fused thread names)``.
+    A router one of whose edges the ``fault_plan`` names keeps its
+    thread, so the drop happens on the edge the plan names.  Returns
+    ``(edge aliases, fused thread names)``.
     """
     graph = mapping.graph
-    named = set()
-    for spec in (fault_plan.events if fault_plan is not None else ()):
-        named.update(t for t in (spec.process, spec.edge) if t)
+    named = {spec.edge for spec in (
+        fault_plan.events if fault_plan is not None else ())}
     ins: Dict[str, List[int]] = {}
     outs: Dict[str, List[int]] = {}
     for idx, edge in enumerate(graph.edges):
@@ -199,7 +202,7 @@ def fused_routers(
                 worker, near, far = graph.edges[i].src, i, o
             if mapping.processor_of(worker) != mapping.processor_of(router.id):
                 continue
-            if named & {router.id, f"e{i}", f"e{o}"}:
+            if named & {f"e{i}", f"e{o}"}:
                 continue
             aliases[f"e{near}"] = f"e{far}"
             fused.add(thread_name(router.id))

@@ -25,10 +25,12 @@ substrate) and drives two clock-free policy cores with what it sees:
   hosted each delivery is stamped and counted on the shared
   :class:`~repro.realtime.board.StreamBoard`, whose doorbell releases
   the next frame.  The grabber is paced to ``frame_period_ms``.
-* **Injection** — the fault plan's events happen where they are keyed:
-  crash / stall / delay / slow-worker / limplock in ``call_``, drops in
-  ``send_``, credit starvation in ``recv_``, burst and input surge at
-  the grabber's pacing wait.
+* **Injection** — the run's :class:`~repro.faults.inject.Injector`
+  decides every planned fault and writes it down; this wrapper only
+  carries it out: a farm worker's ``call_`` pauses, stretches, parks or
+  raises :class:`~repro.faults.supervisor.WorkerCrash`, its packet
+  receive parks holding the packet, a send is swallowed, and the
+  grabber's pacing wait bursts or surges.
 
 Each primitive looks its edge (``call_``: its thread) up in a table
 built at construction; an edge neither core polices costs that lookup
@@ -50,9 +52,10 @@ import time
 from collections import deque
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from ..codegen.kernel import Shutdown
+from ..codegen.kernel import NoPiece, Shutdown
 from ..faults.farm import Abandon, FarmSupervisor, Send
-from ..faults.plan import EDGE_KINDS, FaultPlan, PlanMatcher
+from ..faults.inject import Injector
+from ..faults.plan import FaultPlan
 from ..faults.policy import FaultPolicy
 from ..faults.report import FaultReport
 from ..faults.supervisor import HealthBoard, Packet, Result, WorkerCrash
@@ -78,9 +81,6 @@ _RETRY_S = 0.02
 
 #: The name of the one service thread (the loop task, on a loop).
 SERVICE_THREAD = "policy-service"
-
-#: The plan's kinds that fire on a computation.
-_COMPUTE_KINDS = ("crash", "stall", "delay", "slow-worker", "limplock")
 
 
 class _Hosted:
@@ -140,8 +140,8 @@ class PolicyKernel:
         self._base = base
         hosts = getattr(base, "hosts", None)
         self.fault_report = FaultReport()
-        self.matcher = (PlanMatcher(plan) if faults is not None and plan
-                        else None)
+        self.injector = (Injector(plan, faults, self.fault_report)
+                         if faults is not None and plan else None)
         #: The heartbeat board stamps ``time.monotonic``: supervision
         #: instants are that clock, read once here, plus :meth:`now_us`.
         self._epoch = time.monotonic() - base.now_us() * 1e-6
@@ -161,21 +161,32 @@ class PolicyKernel:
         # -- supervision and injection: the per-edge / per-thread tables --
         self._topology = faults
         self._health = health_board
-        #: Latched persistent slowdowns: pid/processor -> factor.
-        self._limp_factors: Dict[str, float] = {}
         self._hosted: Dict[str, _Hosted] = {}
         self._dispatch: Dict[str, Tuple[_Hosted, FarmWorker]] = {}
         self._collect: Dict[str, Tuple[_Hosted, FarmWorker]] = {}
         self._beat_slot: Dict[str, int] = {}
-        self._compute_threads: frozenset = frozenset()
-        self._droppable: frozenset = frozenset()
-        self._starvation = False
+        #: What the plan can touch: thread -> worker pid for computations,
+        #: work-in edge -> worker pid for starvation, the droppable edges.
+        self._compute_threads: Dict[str, str] = {}
+        self._starved: Dict[str, str] = {}
+        self._drops: frozenset = frozenset()
         self._on_send: Dict[str, Callable[[str, Any], None]] = {}
         self._on_recv: Dict[str, Callable[[str], Any]] = {}
         if faults is not None:
             self._host_farms(faults, hosts, policy or FaultPolicy())
-            if self.matcher is not None:
-                self._plan_injection(plan)
+        injector = self.injector
+        if injector is not None:
+            self._compute_threads = {
+                thread: pid for thread, pid in faults.thread_to_pid.items()
+                if pid in injector.compute_pids}
+            self._starved = {w.work_in_edge: w.pid for farm in faults.farms
+                             for w in farm.workers
+                             if w.pid in injector.starved_pids}
+            self._drops = injector.drop_edges
+            for edge in self._starved:
+                self._on_recv.setdefault(edge, self._recv_work)
+            for edge in self._drops:
+                self._on_send.setdefault(edge, self._send_plain)
 
         # -- admission and delivery --
         self._topo = stream
@@ -202,8 +213,8 @@ class PolicyKernel:
             self._delivery_edge = stream.delivery_edge
             self._on_recv[stream.delivery_edge] = self._recv_delivered
         #: The threads whose ``call_`` is policed: injection, pacing.
-        self._call_threads = self._compute_threads | (
-            {self._input_thread} if self._input_thread else set())
+        self._call_threads = set(self._compute_threads) | (
+            {self._input_thread} - {None})
         self._core = AdmissionCore(budget) if budget is not None else None
         #: The core's admission buffer, with each frame's edge values.
         self._pending: Deque[_PendingFrame] = deque()
@@ -213,9 +224,6 @@ class PolicyKernel:
         self._full = False        # the last drain ended on a queue.Full
         self._flushing = False    # Stop came: release past the window
         self._next_due = 0.0      # pacing clock (seconds of now_us)
-        self._pace_boost: int = 0       # grabs left at burst speed
-        self._surge_left: int = 0       # grabs left at surged rate
-        self._surge_factor: float = 1.0
         #: Delivery stamps (single writer: the output thread).
         self._stamps: List[float] = []
 
@@ -243,29 +251,11 @@ class PolicyKernel:
         for edge in topology.work_in_edges:
             self._on_recv[edge] = self._recv_work
         for edge in self._collect:
-            self._on_recv[edge] = self._recv_port
+            self._on_recv[edge] = self._recv_collect
         for edge in topology.work_out_edges:
             self._on_send[edge] = self._send_result
         for edge in self._dispatch:
             self._on_send[edge] = self._send_dispatch
-
-    def _plan_injection(self, plan: FaultPlan) -> None:
-        """Which edges may drop, which threads' computations and
-        receives the plan can touch: the only ones that consult it."""
-        topology = self._topology
-        self._droppable = frozenset(
-            s.edge for s in plan.events if s.kind in EDGE_KINDS)
-        for edge in self._droppable:
-            self._on_send.setdefault(edge, self._send_plain)
-        self._starvation = any(
-            s.kind == "credit-starvation" for s in plan.events)
-        compute = [s for s in plan.events if s.kind in _COMPUTE_KINDS]
-        pids = {s.process for s in compute}
-        processors = {s.processor for s in compute}
-        self._compute_threads = frozenset(
-            thread for thread, pid in topology.thread_to_pid.items()
-            if pid in pids
-            or topology.pid_to_processor.get(pid) in processors)
 
     # -- what generated code and host_run read of a kernel -------------------
 
@@ -299,15 +289,6 @@ class PolicyKernel:
     # -- the primitives --------------------------------------------------------
 
     def spawn_(self, name: str, body: Callable[[], None]) -> Any:
-        if name in self._compute_threads:
-            inner = body
-
-            def body() -> None:
-                try:
-                    inner()
-                except WorkerCrash:
-                    pass  # the injected death of this executive thread
-
         thread = self._base.spawn_(name, body)
         slot = self._beat_slot.get(name)
         if slot is not None and isinstance(thread, threading.Thread):
@@ -331,8 +312,6 @@ class PolicyKernel:
         return hook(edge, value)
 
     def recv_(self, edge: str) -> Any:
-        if self._starvation:
-            self._inject_starvation(edge)
         hook = self._on_recv.get(edge)
         if hook is None:
             return self._base.recv_(edge)
@@ -363,13 +342,17 @@ class PolicyKernel:
     def _call_policed(self, name: str, func: Callable, *args: Any) -> Any:
         if name == self._input_thread:
             self._pace()
-        if name not in self._compute_threads:
+        pid = self._compute_threads.get(name)
+        if pid is None:
             return self._base.call_(func, *args)
-        self._inject_compute()
-        pid, proc = self._identity()
-        factor = self._limp_factors.get(pid) or (
-            self._limp_factors.get(proc) if proc else None)
-        if factor is None:
+        verdict = self.injector.compute(pid, self.now_us())
+        if verdict.fatal == "crash":
+            raise WorkerCrash(pid)
+        if verdict.fatal == "stall":
+            self._pause(None)  # wedged, and heartbeating, until teardown
+        if verdict.delay_us:
+            self._pause(verdict.delay_us / 1e6)
+        if verdict.factor == 1.0:
             return self._base.call_(func, *args)
         # A limping worker: the computation itself is untouched (results
         # stay bit-identical), but its *service time* is multiplied —
@@ -378,7 +361,7 @@ class PolicyKernel:
         try:
             return self._base.call_(func, *args)
         finally:
-            stretch = (self.now_us() - start) * 1e-6 * (factor - 1.0)
+            stretch = (self.now_us() - start) * 1e-6 * (verdict.factor - 1.0)
             if stretch > 0:
                 self._pause(stretch)
 
@@ -402,37 +385,11 @@ class PolicyKernel:
         whatever way suits its substrate — and then calls
         :meth:`_pace_advance`.
         """
-        if self.matcher is not None:
-            specs = self.matcher.fire(
-                process=self._topo.input_pid,
-                processor=self._topo.input_processor,
-                kinds=("burst", "input-surge"),
-            )
-            for spec in specs:
-                self.fault_report.add(
-                    "injected", spec.kind, self._topo.input_pid,
-                    self.now_us(), processor=self._topo.input_processor,
-                    note=(f"x{spec.factor:g} rate"
-                          if spec.kind == "input-surge"
-                          else "back-to-back frame"),
-                )
-                if spec.kind == "burst":
-                    self._pace_boost += 1
-                else:
-                    self._surge_left += 1
-                    self._surge_factor = max(self._surge_factor,
-                                             spec.factor)
         period = self._budget.frame_period_s
+        if self.injector is not None:
+            period *= self.injector.grab(self._topo.input_pid, self.now_us())
         if period <= 0:
             return None
-        if self._pace_boost > 0:
-            self._pace_boost -= 1
-            return None  # burst: release this frame immediately
-        if self._surge_left > 0:
-            self._surge_left -= 1
-            period = period / self._surge_factor
-            if self._surge_left == 0:
-                self._surge_factor = 1.0
         if self._next_due == 0.0:
             self._next_due = self.now_us() * 1e-6
         return period
@@ -443,95 +400,9 @@ class PolicyKernel:
         self._next_due = max(self._next_due + period,
                              self.now_us() * 1e-6 - period)
 
-    # -- injection -------------------------------------------------------------
-
-    def _identity(self) -> Tuple[Optional[str], Optional[str]]:
-        """(process id, processor) of the calling executive thread."""
-        name = threading.current_thread().name
-        pid = self._topology.thread_to_pid.get(name)
-        proc = self._topology.pid_to_processor.get(pid) if pid else None
-        return pid, proc
-
-    def _dropped(self, edge: str) -> bool:
-        """Count one message on ``edge`` against the plan's drops; True:
-        swallow it."""
-        if edge not in self._droppable:
-            return False
-        specs = self.matcher.fire(edge=edge, kinds=EDGE_KINDS)
-        for spec in specs:
-            pid, proc = self._identity()
-            self.fault_report.add(
-                "injected", spec.kind, edge, self.now_us(), processor=proc,
-                note=f"sent by {pid or 'unknown'}"
-                + (" (link stalled one direction)"
-                   if spec.kind == "partial-partition" else ""),
-            )
-        return bool(specs)
-
-    def _inject_compute(self) -> None:
-        pid, proc = self._identity()
-        specs = self.matcher.fire(
-            process=pid, processor=proc, kinds=_COMPUTE_KINDS)
-        if not specs:
-            return
-        for spec in specs:
-            if spec.kind == "limplock":
-                # Latch: from here on *every* computation by this target
-                # runs ``factor`` times slower (see call_), while its
-                # heartbeat stays perfectly fresh — the gray failure.
-                self._limp_factors[pid or spec.target] = spec.factor
-                self.fault_report.add(
-                    "injected", "limplock", pid or spec.target,
-                    self.now_us(), processor=proc,
-                    note=f"x{spec.factor:g} slowdown latched",
-                )
-            elif spec.kind in ("delay", "slow-worker"):
-                self.fault_report.add(
-                    "injected", spec.kind, pid or spec.target,
-                    self.now_us(),
-                    processor=proc, note=f"{spec.delay_us:.0f} us",
-                )
-                self._pause(spec.delay_us / 1e6)
-        if any(s.kind == "stall" for s in specs):
-            self.fault_report.add(
-                "injected", "stall", pid or "?", self.now_us(),
-                processor=proc,
-            )
-            # Park forever (until teardown): the thread stays alive and
-            # keeps heartbeating, exactly like a wedged computation.
-            self._base.stop.wait()
-            raise Shutdown
-        if any(s.kind == "crash" for s in specs):
-            self.fault_report.add(
-                "injected", "crash", pid or "?", self.now_us(),
-                processor=proc,
-            )
-            raise WorkerCrash(pid or "?")
-
-    def _inject_starvation(self, edge: str) -> None:
-        """``credit-starvation``: the consumer parks *before* dequeuing.
-
-        Nothing is consumed from this edge again, so the queue backs up
-        and — on the tcp backend, where credits are granted per dequeue
-        — no flow-control credit ever returns to the senders.  The
-        worker's heartbeat keeps beating throughout: upstream sees BEAT
-        fresh, COUNT flat, the textbook gray failure.
-        """
-        pid, proc = self._identity()
-        specs = self.matcher.fire(
-            process=pid, processor=proc, kinds=("credit-starvation",))
-        if not specs:
-            return
-        self.fault_report.add(
-            "injected", "credit-starvation", pid or specs[0].target,
-            self.now_us(), processor=proc,
-            note=f"consumer stopped draining {edge}",
-        )
-        self._base.stop.wait()
-        raise Shutdown
-
-    def _pause(self, seconds: float) -> None:
-        """An injected delay, cut short by the run's stop."""
+    def _pause(self, seconds: Optional[float]) -> None:
+        """An injected delay, cut short by the run's stop (``None``:
+        parked until it)."""
         if self._base.stop.wait(seconds):
             raise Shutdown
 
@@ -539,18 +410,17 @@ class PolicyKernel:
 
     def _send_plain(self, edge: str, value: Any) -> None:
         """A send the plan may drop; a Stop is never counted."""
-        if not self._base.is_stop(value) and self._dropped(edge):
+        if (edge in self._drops and not self._base.is_stop(value)
+                and self.injector.drop(edge, self.now_us())):
             return None
         return self._base.send_(edge, value)
 
     def _send_result(self, edge: str, value: Any) -> None:
         """A worker's answer: tagged with the packet it answers."""
         seq = getattr(self._local, "seq", None)
-        if seq is None or self._base.is_stop(value):
-            return self._send_plain(edge, value)
-        if self._dropped(edge):
-            return None
-        return self._base.send_(edge, Result(seq, value))
+        if seq is not None and not self._base.is_stop(value):
+            value = Result(seq, value)
+        return self._send_plain(edge, value)
 
     def _send_dispatch(self, edge: str, value: Any) -> None:
         hosted, worker = self._dispatch[edge]
@@ -570,23 +440,23 @@ class PolicyKernel:
             self._abandon()
         if stopping:
             return self._base.send_(edge, value)
-        if self._dropped(edge):
-            return None  # in-flight record stays: the core recovers
-        return self._base.send_(
-            hosted.farm.workers[decision.worker].dispatch_edge,
-            Packet(decision.seq, value))
+        return self._send_plain(hosted.farm.workers[decision.worker]
+                                .dispatch_edge, Packet(decision.seq, value))
 
     def _recv_work(self, edge: str) -> Any:
-        """A worker's receive: unwrap the packet, remember its seq."""
+        """A worker's receive: unwrap the packet, remember its seq.  A
+        worker the plan starves parks holding the packet that did it."""
         value = self._base.recv_(edge)
         if isinstance(value, Packet):
             self._local.seq = value.seq
-            return value.value
-        return value  # Stop (or plain value) passes through
-
-    def _recv_port(self, edge: str) -> Any:
-        hosted, worker = self._collect[edge]
-        return self._recv_collect(hosted, worker.index)
+            value = value.value
+        elif self._base.is_stop(value):
+            return value
+        pid = self._starved.get(edge)
+        if (pid is not None and not isinstance(value, NoPiece)
+                and self.injector.starve(pid, self.now_us())):
+            self._pause(None)
+        return value
 
     def _recv_delivered(self, edge: str) -> Any:
         return self._delivered(self._base.recv_(edge))
@@ -608,8 +478,10 @@ class PolicyKernel:
             if got is not None and got[1] is not None:
                 return got[0], got[2]
 
-    def _recv_collect(self, hosted: _Hosted, slot: int) -> Any:
+    def _recv_collect(self, edge: str) -> Any:
         """scm merge collect: port-ordered, stash reorders origins."""
+        hosted, worker = self._collect[edge]
+        slot = worker.index
         edges = [w.collect_edge for w in hosted.farm.workers]
         while slot not in hosted.stash:
             got = self._arrival(hosted, edges)
@@ -668,9 +540,11 @@ class PolicyKernel:
             if isinstance(decision, Abandon):
                 self._abandon()
             if isinstance(decision, Send):
-                hosted.pending_sends.append(
-                    (workers[decision.worker].dispatch_edge,
-                     Packet(decision.seq, decision.value)))
+                edge = workers[decision.worker].dispatch_edge
+                if not (edge in self._drops
+                        and self.injector.drop(edge, self.now_us())):
+                    hosted.pending_sends.append(
+                        (edge, Packet(decision.seq, decision.value)))
             else:  # ReleaseStop
                 hosted.pending_sends.append(
                     (workers[decision.port].dispatch_edge,

@@ -3,10 +3,10 @@
 This package gives the reproduction a failure story, in two halves:
 
 * **Injection** — :class:`FaultPlan` describes deterministic, seeded
-  crash/stall/delay/drop events.  The same JSON plan drives the
-  discrete-event simulator (virtual time) and the threads/processes
-  backends (real injected failures), so a chaos scenario is replayable
-  across every execution layer.
+  crash/stall/delay/drop events.  One clock-free injector
+  (:mod:`repro.faults.inject`) decides them for the discrete-event
+  simulator (virtual time) and the threads/processes backends (real
+  injected failures) alike, so a chaos scenario replays everywhere.
 
 * **Supervision** — one clock-free policy core per farm,
   :class:`~repro.faults.farm.FarmSupervisor`, decides re-dispatch,

@@ -21,7 +21,7 @@ from ..core import FunctionTable, ProgramBuilder, TaskOutcome
 from ..machine import FAST_TEST
 from ..pnt import ProcessKind, expand_program
 from ..syndex import distribute, ring
-from .plan import EDGE_KINDS, FaultPlan, PlanError
+from .plan import FaultPlan, PlanError
 from .policy import FaultPolicy
 from .topology import FaultTopology
 
@@ -175,14 +175,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         except (OSError, PlanError) as err:
             raise SystemExit(f"error: cannot load plan: {err}")
     else:
-        edges = None
-        if args.kind in EDGE_KINDS:
-            topo = FaultTopology.from_mapping(mapping)
-            edges = [
-                w.dispatch_edge
-                for farm in topo.farms for w in farm.workers
-                if w.dispatch_edge
-            ]
+        edges = [w.dispatch_edge for farm in FaultTopology.from_mapping(
+            mapping).farms for w in farm.workers]
         plan = FaultPlan.random(
             args.seed, workers=workers, kinds=(args.kind,),
             delay_us=5_000.0, max_count=3, factor=8.0, edges=edges,

@@ -26,7 +26,7 @@ now)``                      ``None`` for a duplicate (first result wins)
                             anything, ``None`` when only an event can
 ==========================  ==================================================
 
-Two drivers exist: :class:`~repro.faults.supervisor.SupervisedKernel`
+Two drivers exist: :class:`~repro.backends.policy_kernel.PolicyKernel`
 passes ``time.monotonic()`` and holds its per-farm lock around every
 call (the core is single-threaded by contract);
 :class:`~repro.machine.executive.Executive` passes virtual seconds.

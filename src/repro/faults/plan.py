@@ -3,11 +3,19 @@
 A :class:`FaultPlan` is a *seeded, reproducible* description of what
 should go wrong during a run: crash/stall/delay/message-drop events
 keyed by process id, processor, or edge, each firing at its n-th
-matching occurrence.  The same plan file drives every execution layer —
-the discrete-event simulator charges fault costs in virtual time, the
-threads and processes kernels inject real crashes and stalls — so a
-scenario debugged on the simulator reproduces bit-for-bit on real
-workers.
+matching occurrence.  The same plan file drives every execution layer
+through one :class:`~repro.faults.inject.Injector` — the discrete-event
+simulator charges its verdicts in virtual time, the threads and
+processes kernels inject real crashes and stalls — so a scenario
+debugged on the simulator reproduces bit-for-bit on real workers.
+
+The occurrence rule is the same on every backend.  Compute kinds fire
+on **farm workers only**, one occurrence per computation: a master,
+split, merge, input or router has nobody to re-dispatch its work, so a
+plan naming one is refused before the run.  ``credit-starvation``
+counts a worker's packet receives (the starved worker holds the packet
+that fired it), edge kinds the messages sent on the edge, overload
+kinds the stream input's grabs — and a Stop is never an occurrence.
 
 Plans serialise to a small JSON document (``repro run --faults
 PLAN.json``)::
@@ -33,7 +41,6 @@ __all__ = [
     "FAULT_KINDS",
     "OVERLOAD_KINDS",
     "EDGE_KINDS",
-    "PERSISTENT_KINDS",
     "FaultSpec",
     "FaultPlan",
     "PlanMatcher",
@@ -79,9 +86,6 @@ OVERLOAD_KINDS = ("slow-worker", "burst", "input-surge",
 
 #: Kinds that target an edge rather than a process/processor.
 EDGE_KINDS = ("drop", "partial-partition")
-
-#: Kinds that latch on first firing and persist to the end of the run.
-PERSISTENT_KINDS = ("limplock", "credit-starvation")
 
 
 class PlanError(ValueError):
@@ -319,8 +323,8 @@ class FaultPlan:
 class PlanMatcher:
     """Stateful runtime matcher: counts occurrences, fires each window.
 
-    Injection sites call :meth:`fire` with what they know about the
-    current event (the firing process, its processor, the edge being
+    The run's :class:`~repro.faults.inject.Injector` calls :meth:`fire`
+    with what it knows about the current event (the firing process, its processor, the edge being
     sent on) and get back the specs that trigger *now*.  Each spec keeps
     its own match counter and fires on occurrences ``occurrence ..
     occurrence + count - 1`` — once for the classic kinds (count=1), a
@@ -347,17 +351,10 @@ class PlanMatcher:
         triggered: List[FaultSpec] = []
         with self._lock:
             for i, spec in enumerate(self.plan.events):
-                if kinds is not None and spec.kind not in kinds:
+                if (kinds is not None and spec.kind not in kinds) or (
+                        spec.target != (edge if spec.edge else process
+                                        if spec.process else processor)):
                     continue
-                if spec.edge is not None:
-                    if edge is None or spec.edge != edge:
-                        continue
-                elif spec.process is not None:
-                    if process is None or spec.process != process:
-                        continue
-                else:
-                    if processor is None or spec.processor != processor:
-                        continue
                 count = self._counts[i]
                 self._counts[i] = count + 1
                 if spec.occurrence <= count < spec.occurrence + spec.count:

@@ -12,6 +12,8 @@ from __future__ import annotations
 import time
 from typing import Any
 
+from ..codegen.kernel import Shutdown
+
 __all__ = [
     "Packet",
     "Result",
@@ -20,8 +22,9 @@ __all__ = [
 ]
 
 
-class WorkerCrash(Exception):
-    """An injected crash: kills the raising executive thread only."""
+class WorkerCrash(Shutdown):
+    """An injected crash: kills the raising executive thread only (its
+    kernel ends it as quietly as a teardown)."""
 
 
 class Packet:

@@ -16,7 +16,7 @@ Edge names follow the generated code: ``e<i>`` indexes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from ..codegen.pygen import thread_name
 from ..pnt.graph import ProcessKind
@@ -62,14 +62,18 @@ class FaultTopology:
     """Edge-role map of every farm in one mapped program."""
 
     def __init__(self, farms: List[Farm], thread_to_pid: Dict[str, str],
-                 pid_to_processor: Dict[str, str]):
+                 pid_to_processor: Dict[str, str], edge_src: Dict[str, str],
+                 inputs: FrozenSet[str]):
         self.farms = farms
         self.thread_to_pid = thread_to_pid
         self.pid_to_processor = pid_to_processor
+        #: Edge name -> the pid that sends on it.
+        self.edge_src = edge_src
+        #: The stream input pids (a frame grab is theirs).
+        self.inputs = inputs
         self.n_slots = sum(f.degree for f in farms)
         # Role lookups over supervised farms only: unsupervised farms run
         # the plain un-enveloped protocol in every process.
-        self.dispatch_edges: Dict[str, Tuple[Farm, FarmWorker]] = {}
         self.work_in_edges: Dict[str, Tuple[Farm, FarmWorker]] = {}
         self.work_out_edges: Dict[str, Tuple[Farm, FarmWorker]] = {}
         self.collect_edges: Dict[str, Tuple[Farm, FarmWorker]] = {}
@@ -77,14 +81,9 @@ class FaultTopology:
             if not farm.supervised:
                 continue
             for worker in farm.workers:
-                self.dispatch_edges[worker.dispatch_edge] = (farm, worker)
                 self.work_in_edges[worker.work_in_edge] = (farm, worker)
                 self.work_out_edges[worker.work_out_edge] = (farm, worker)
                 self.collect_edges[worker.collect_edge] = (farm, worker)
-
-    @property
-    def worker_pids(self) -> List[str]:
-        return [w.pid for farm in self.farms for w in farm.workers]
 
     def farm_of_collect_edges(self, edges) -> Optional[Farm]:
         """The single supervised farm owning *all* of ``edges``, if any."""
@@ -173,5 +172,8 @@ class FaultTopology:
             farms.append(farm)
 
         thread_to_pid = {thread_name(pid): pid for pid in graph.processes}
-        pid_to_processor = dict(mapping.assignment)
-        return cls(farms, thread_to_pid, pid_to_processor)
+        return cls(
+            farms, thread_to_pid, dict(mapping.assignment),
+            {edge_name[id(e)]: e.src for e in graph.edges},
+            frozenset(p.id for p in graph.by_kind(ProcessKind.INPUT)
+                      if p.func is not None))

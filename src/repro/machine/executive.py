@@ -34,7 +34,7 @@ from ..core.functions import FunctionTable
 from ..core.semantics import EndOfStream, TaskOutcome
 from ..core.sizes import HEADER_BYTES, payload_bytes
 from ..faults.farm import Abandon, FarmSupervisor
-from ..faults.plan import PlanMatcher
+from ..faults.inject import Injector, check_plan
 from ..faults.policy import FaultPolicy
 from ..faults.report import FaultReport
 from ..faults.topology import FaultTopology
@@ -260,27 +260,27 @@ class Executive:
         self.routing: RoutingTable = route_mapping(mapping)
         self._edge_index = {id(e): i for i, e in enumerate(self.graph.edges)}
 
-        # Fault model: the FaultPlan that drives the real kernels makes
-        # the same faults happen here (a crashed worker never answers
-        # and stops beating, a limping one computes ``factor`` times
-        # slower, a dropped message is never delivered), and what is
-        # *done* about them is decided by the kernels' own policy core,
-        # one per supervised farm, driven in virtual seconds.
-        self._matcher = None
+        # Fault model: the kernels' own injector decides which faults
+        # happen, their own policy core (one per supervised farm) what is
+        # done about them; both are driven here in virtual time.
+        self._injector: Optional[Injector] = None
+        self._drops: frozenset = frozenset()  # edge indices it may drop
         self.fault_report = None
         #: Worker pid -> the fault that silenced it for good.
         self._silent: Dict[str, str] = {}
-        #: Latched limplock factors, per worker pid.
-        self._limp_factors: Dict[str, float] = {}
         self._sups: List[_Supervised] = []
         self._dispatchers: Dict[str, _Supervised] = {}
         self._owners: Dict[str, _Supervised] = {}
         self._worker_core: Dict[str, Tuple[FarmSupervisor, int]] = {}
         if fault_plan is not None:
-            self._matcher = PlanMatcher(fault_plan)
+            topology = FaultTopology.from_mapping(mapping)
+            check_plan(fault_plan, topology)
             self.fault_report = FaultReport()
+            self._injector = Injector(fault_plan, topology, self.fault_report)
+            self._drops = frozenset(
+                int(e[1:]) for e in self._injector.drop_edges)
             policy = fault_policy or FaultPolicy()
-            for farm in FaultTopology.from_mapping(mapping).farms:
+            for farm in topology.farms:
                 if not farm.supervised:
                     continue  # e.g. an scm whose split/merge are separated
                 core = FarmSupervisor(farm, policy, self.fault_report)
@@ -383,7 +383,7 @@ class Executive:
             if edge.src != pid or edge.src_port != port:
                 continue
             idx = self._edge_index[id(edge)]
-            if self._matcher is not None and self._drop(idx, time):
+            if idx in self._drops and self._injector.drop(f"e{idx}", time):
                 continue  # the message is lost in transit
             if payload is None:
                 payload = payload_bytes(value)
@@ -487,50 +487,24 @@ class Executive:
             end = self._compute(pid, self._now, self.costs.local_delivery)
             self._send(pid, 0, _enveloped(seq, _NO_PIECE), end)
             return
-        delay_us = 0.0
-        if self._matcher is not None:
-            proc = self._processor_of(pid)
-            specs = self._matcher.fire(
-                process=pid, processor=proc,
-                kinds=("crash", "stall", "delay", "slow-worker",
-                       "limplock", "credit-starvation"),
-            )
-            for spec in specs:
-                if spec.kind in ("delay", "slow-worker"):
-                    delay_us += spec.delay_us
-                    self.fault_report.add(
-                        "injected", spec.kind, pid, self._now,
-                        processor=proc, note=f"{spec.delay_us:.0f} us",
-                    )
-                elif spec.kind == "limplock":
-                    # Persistent gray failure: every subsequent firing of
-                    # this worker is stretched by the latched factor.
-                    self._limp_factors[pid] = spec.factor
-                    self.fault_report.add(
-                        "injected", "limplock", pid, self._now,
-                        processor=proc,
-                        note=f"x{spec.factor:g} slowdown latched",
-                    )
-            fatal = next(
-                (s for s in specs
-                 if s.kind in ("crash", "stall", "credit-starvation")),
-                None,
-            )
+        cost = self._func_cost(process.func, x)
+        if self._injector is not None:
+            fatal = ("credit-starvation"
+                     if self._injector.starve(pid, self._now) else None)
+            if fatal is None:
+                verdict = self._injector.compute(pid, self._now)
+                fatal = verdict.fatal
+                cost = cost * verdict.factor + verdict.delay_us
             if fatal is not None:
-                # The worker consumed the packet and will never answer.
-                # A crashed one also stops beating; a stalled or starved
+                # The worker holds the packet and will never answer. A
+                # crashed one also stops beating; a stalled or starved
                 # one beats on — BEAT fresh, COUNT flat.
-                self.fault_report.add(
-                    "injected", fatal.kind, pid, self._now, processor=proc,
-                )
-                self._silent[pid] = fatal.kind
-                if fatal.kind == "crash" and pid in self._worker_core:
+                self._silent[pid] = fatal
+                if fatal == "crash" and pid in self._worker_core:
                     core, index = self._worker_core[pid]
                     core.beat(index, self._now * 1e-6)
                 return
         spec = self.table[process.func]
-        cost = (self._func_cost(process.func, x)
-                * self._limp_factors.get(pid, 1.0) + delay_us)
         end = self._compute(pid, self._now, cost)
         self._send(pid, 0, _enveloped(seq, self._call(pid, spec, x)), end)
 
@@ -700,15 +674,6 @@ class Executive:
                                      self.costs.master_dispatch)
             self._send(sup.dispatcher, sup.out_base + decision.worker,
                        _Envelope(decision.seq, decision.value), time)
-
-    def _drop(self, edge_idx: int, time: float) -> bool:
-        """Lose one planned message (the farm's core will miss it)."""
-        name = f"e{edge_idx}"
-        specs = self._matcher.fire(edge=name,
-                                   kinds=("drop", "partial-partition"))
-        if specs:
-            self.fault_report.add("injected", specs[0].kind, name, time)
-        return bool(specs)
 
     def _next_tick(self, rescue_only: bool) -> Tuple[float, Any]:
         """(when, which farm) of the earliest supervision scan that

@@ -15,7 +15,7 @@ event that moves either count.  A miss is flagged once, when ``now -
 admitted > deadline``: by ``tick`` while the frame is on its way, or at
 the latest when it is settled.
 
-Drivers: :class:`~repro.realtime.kernel.RealtimeKernel` under its
+Drivers: :class:`~repro.backends.policy_kernel.PolicyKernel` under its
 admission lock, :class:`~repro.serve.tenancy.Tenant` under the
 scheduler's; the core is single-threaded by contract.
 """

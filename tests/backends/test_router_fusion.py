@@ -103,13 +103,11 @@ class TestFusionTable:
         assert worker.work_in_edge not in aliases
         assert thread_name("df0.wm0") in fused
 
-    @pytest.mark.parametrize("how", ["process", "in-edge", "out-edge"])
+    @pytest.mark.parametrize("how", ["in-edge", "out-edge"])
     def test_a_router_the_plan_names_keeps_its_thread(self, how):
         _prog, _table, _args, mapping = make_demo("df")
         worker = FaultTopology.from_mapping(mapping).farms[0].workers[1]
         spec = {
-            "process": FaultSpec(kind="delay", process="df0.mw1",
-                                 delay_us=10.0),
             "in-edge": FaultSpec(kind="drop", edge=worker.dispatch_edge),
             "out-edge": FaultSpec(kind="drop", edge=worker.work_in_edge),
         }[how]
@@ -168,8 +166,9 @@ class TestRouterThreadsAreGone:
     """Per backend: a fused router's thread never starts; one the fault
     plan names keeps its thread."""
 
-    NAMED = FaultPlan([
-        FaultSpec(kind="delay", process="df0.wm0", delay_us=10.0)])
+    #: Names df0.wm0's out-edge (to the master) in the df demo, at an
+    #: occurrence that never comes.
+    NAMED = FaultPlan([FaultSpec(kind="drop", edge="e3", occurrence=10**6)])
 
     def test_threads(self, monkeypatch):
         monkeypatch.setattr(hosting, "Kernel", SpyKernel)

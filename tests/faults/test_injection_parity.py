@@ -36,18 +36,9 @@ COMPUTE = {
 
 SKELETONS = ("df", "scm", "tf")
 
-#: Cases whose records still differ between the two backends.
-DIVERGING = {
-    f"{sk}-{case}" for sk in SKELETONS
-    for case in ("credit-starvation-process", "credit-starvation-processor",
-                 "drop-edge", "partial-partition-edge")
-} | {"scm-credit-starvation-process-occurrence1"}
-
 
 def _param(skeleton, event, case_id):
-    marks = ([pytest.mark.xfail(strict=True, reason="two injectors")]
-             if case_id in DIVERGING else [])
-    return pytest.param(skeleton, event, id=case_id, marks=marks)
+    return pytest.param(skeleton, event, id=case_id)
 
 
 def _cases():

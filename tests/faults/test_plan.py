@@ -316,3 +316,67 @@ class TestRandomPlans:
             assert event.process in workers
             assert event.kind == "delay"
             assert event.delay_us > 0
+
+
+class TestUnfireableTargets:
+    """A spec whose target gives it no place to fire is refused before
+    the run starts, naming the spec and the closest valid target."""
+
+    @staticmethod
+    def check(mapping, **spec):
+        from repro.faults.inject import check_plan
+        from repro.faults.topology import FaultTopology
+
+        check_plan(FaultPlan([FaultSpec(**spec)]),
+                   FaultTopology.from_mapping(mapping))
+
+    @pytest.mark.parametrize("backend", ["simulate", "threads", "processes"])
+    def test_a_crash_on_the_master_is_refused_at_once(self, backend):
+        import time
+
+        from repro.backends import get_backend
+        from repro.faults.demo import make_demo
+        from repro.machine import FAST_TEST
+
+        prog, table, args, mapping = make_demo("df")
+        plan = FaultPlan([FaultSpec(kind="crash", process="df0.master")])
+        began = time.monotonic()
+        with pytest.raises(PlanError, match="'df0.master' is not a farm "
+                                            "worker"):
+            get_backend(backend).run(
+                mapping, table, program=prog, costs=FAST_TEST, args=args,
+                timeout=10.0, fault_plan=plan)
+        assert time.monotonic() - began < 1.0
+
+    def test_compute_and_starvation_need_a_worker(self):
+        from repro.faults.demo import make_demo
+
+        mapping = make_demo("df")[3]
+        for kind in ("stall", "credit-starvation"):
+            with pytest.raises(PlanError, match="did you mean 'df0.worker1'"):
+                self.check(mapping, kind=kind, process="df0.wrker1")
+            with pytest.raises(PlanError, match="processor hosting a farm"):
+                self.check(mapping, kind=kind, processor="p0")
+        self.check(mapping, kind="stall", processor="p2")
+
+    def test_edges_must_exist(self):
+        from repro.faults.demo import make_demo
+
+        mapping = make_demo("df")[3]
+        with pytest.raises(PlanError, match="'e99' is not an edge"):
+            self.check(mapping, kind="drop", edge="e99")
+        self.check(mapping, kind="partial-partition", edge="e14")
+
+    def test_overload_needs_the_stream_input(self):
+        from repro.faults.demo import make_demo
+        from repro.realtime.soak import make_soak
+
+        _prog, _table, mapping = make_soak()
+        source = "stream.input"
+        self.check(mapping, kind="burst", process=source)
+        self.check(mapping, kind="input-surge",
+                   processor=mapping.processor_of(source))
+        with pytest.raises(PlanError, match="not the stream input"):
+            self.check(mapping, kind="burst", process="df0.worker0")
+        with pytest.raises(PlanError, match="not the stream input"):
+            self.check(make_demo("df")[3], kind="burst", process="in.xs")

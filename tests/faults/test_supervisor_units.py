@@ -9,7 +9,7 @@ import pytest
 from repro.backends.policy_kernel import PolicyKernel
 from repro.codegen.kernel import Kernel
 from repro.faults import FaultPlan, FaultPolicy, FaultReport, FaultSpec
-from repro.faults.demo import make_demo
+from repro.faults.demo import make_demo, worker_pids
 from repro.faults.farm import FarmSupervisor, ReleaseStop, Send
 from repro.faults.supervisor import HealthBoard, Packet, Result
 from repro.faults.topology import FaultTopology
@@ -120,7 +120,7 @@ class TestTopologyExtraction:
         flat = [e for quad in edges for e in quad]
         assert len(set(flat)) == len(flat)
         for w in farm.workers:
-            assert topo.dispatch_edges[w.dispatch_edge] == (farm, w)
+            assert topo.work_in_edges[w.work_in_edge] == (farm, w)
             assert topo.collect_edges[w.collect_edge] == (farm, w)
 
     def test_scm_farm_roles(self):
@@ -144,8 +144,7 @@ class TestTopologyExtraction:
 
     def test_worker_pids(self):
         _prog, _table, _args, mapping = make_demo("df")
-        topo = FaultTopology.from_mapping(mapping)
-        assert topo.worker_pids == [
+        assert worker_pids(mapping) == [
             "df0.worker0", "df0.worker1", "df0.worker2",
         ]
 
@@ -170,7 +169,7 @@ class TestTopologyExtraction:
         (farm,) = topo.farms
         assert not farm.supervised
         assert farm.workers  # workers still enumerated for slot layout
-        assert topo.dispatch_edges == {}  # but no supervised role lookups
+        assert topo.work_in_edges == {}  # but no supervised role lookups
 
 
 class TestFaultReport:
@@ -547,7 +546,7 @@ class TestDropsSkipStops:
         kernel.send_(self.EDGE, kernel.stop_token)
         assert kernel.is_stop(kernel._base.recv_(self.EDGE))
         assert kernel.fault_report.records == []
-        assert [s.edge for s in kernel.matcher.pending()] == [self.EDGE]
+        assert [s.edge for s in kernel.injector.pending()] == [self.EDGE]
         kernel.send_(self.EDGE, "dropped")
         kernel.send_(self.EDGE, "kept")
         assert kernel._base.recv_(self.EDGE) == "kept"
@@ -560,4 +559,4 @@ class TestDropsSkipStops:
         kernel.stop_(self.EDGE)
         assert kernel.is_stop(kernel._base.recv_(self.EDGE))
         assert kernel.fault_report.records == []
-        assert kernel.matcher.pending()
+        assert kernel.injector.pending()

@@ -1,6 +1,6 @@
 """Realtime budgets and the chaos soak over the tcp backend.
 
-The admission half of :class:`~repro.realtime.kernel.RealtimeKernel`
+The admission half of :class:`~repro.backends.policy_kernel.PolicyKernel`
 runs on the worker that hosts the stream input, the delivery half on the
 worker that hosts the output, and their released/delivered counters ride
 the coordinator as COUNT frames — these tests prove the two ledger

@@ -5,7 +5,7 @@ cleanup, no flush, possibly *between the seqlock stamps* of a
 half-written slot.  The publish-last protocol makes that slot invisible
 (the tail store never happened), so the claims under test are:
 
-1. the ``SupervisedKernel`` quarantines the killed worker on heartbeat
+1. the ``PolicyKernel`` quarantines the killed worker on heartbeat
    staleness and the master re-dispatches its outstanding packets;
 2. no survivor ever reads a torn slot (a ``TornRead`` anywhere would
    fail the run loudly);
