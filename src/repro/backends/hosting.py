@@ -100,9 +100,10 @@ def plan_run(
     Raises ``ValueError`` on an argument-arity mismatch,
     :class:`~repro.faults.plan.PlanError` for a fault the program gives
     no place to fire, and :class:`BackendError` for a latency budget on
-    a program without a stream.  ``source`` supplies a pre-generated executive (it must come
-    from the same mapping and ``max_iterations``): the serving layer
-    passes its cached artefact so a warm run performs zero codegen.
+    a program without a stream.  ``source`` supplies a pre-generated
+    executive (it must come from the same mapping and
+    ``max_iterations``): the serving layer passes its cached artefact so
+    a warm run performs zero codegen.
     """
     graph = mapping.graph
     seed = seed_arguments(graph, args)

@@ -324,8 +324,8 @@ class PlanMatcher:
     """Stateful runtime matcher: counts occurrences, fires each window.
 
     The run's :class:`~repro.faults.inject.Injector` calls :meth:`fire`
-    with what it knows about the current event (the firing process, its processor, the edge being
-    sent on) and get back the specs that trigger *now*.  Each spec keeps
+    with the current event (the firing process, its processor, the edge
+    sent on) and gets back the specs that trigger *now*.  Each spec keeps
     its own match counter and fires on occurrences ``occurrence ..
     occurrence + count - 1`` — once for the classic kinds (count=1), a
     consecutive window for the overload kinds — deterministic regardless

@@ -37,23 +37,19 @@ COMPUTE = {
 SKELETONS = ("df", "scm", "tf")
 
 
-def _param(skeleton, event, case_id):
-    return pytest.param(skeleton, event, id=case_id)
-
-
 def _cases():
     for sk in SKELETONS:
         for kind, extra in COMPUTE.items():
-            yield _param(sk, dict(kind=kind, process=f"{sk}0.worker1",
-                                  **extra), f"{sk}-{kind}-process")
-            yield _param(sk, dict(kind=kind, processor="p2", **extra),
-                         f"{sk}-{kind}-processor")
+            yield pytest.param(sk, dict(kind=kind, process=f"{sk}0.worker1",
+                                        **extra), id=f"{sk}-{kind}-process")
+            yield pytest.param(sk, dict(kind=kind, processor="p2", **extra),
+                               id=f"{sk}-{kind}-processor")
         for kind in ("drop", "partial-partition"):
-            yield _param(sk, dict(kind=kind, edge="dispatch1"),
-                         f"{sk}-{kind}-edge")
-    yield _param("scm", dict(kind="credit-starvation",
-                             process="scm0.worker1", occurrence=1),
-                 "scm-credit-starvation-process-occurrence1")
+            yield pytest.param(sk, dict(kind=kind, edge="dispatch1"),
+                               id=f"{sk}-{kind}-edge")
+    yield pytest.param("scm", dict(kind="credit-starvation",
+                                   process="scm0.worker1", occurrence=1),
+                       id="scm-credit-starvation-process-occurrence1")
 
 
 def injected(backend, skeleton, event):

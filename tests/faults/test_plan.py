@@ -1,8 +1,16 @@
 """Unit tests for fault plans: validation, serialisation, matching."""
 
+import time
+
 import pytest
 
+from repro.backends import get_backend
 from repro.faults import FaultPlan, FaultSpec, PlanError, PlanMatcher
+from repro.faults.demo import make_demo
+from repro.faults.inject import check_plan
+from repro.faults.topology import FaultTopology
+from repro.machine import FAST_TEST
+from repro.realtime.soak import make_soak
 
 
 class TestFaultSpecValidation:
@@ -324,20 +332,11 @@ class TestUnfireableTargets:
 
     @staticmethod
     def check(mapping, **spec):
-        from repro.faults.inject import check_plan
-        from repro.faults.topology import FaultTopology
-
         check_plan(FaultPlan([FaultSpec(**spec)]),
                    FaultTopology.from_mapping(mapping))
 
     @pytest.mark.parametrize("backend", ["simulate", "threads", "processes"])
     def test_a_crash_on_the_master_is_refused_at_once(self, backend):
-        import time
-
-        from repro.backends import get_backend
-        from repro.faults.demo import make_demo
-        from repro.machine import FAST_TEST
-
         prog, table, args, mapping = make_demo("df")
         plan = FaultPlan([FaultSpec(kind="crash", process="df0.master")])
         began = time.monotonic()
@@ -349,8 +348,6 @@ class TestUnfireableTargets:
         assert time.monotonic() - began < 1.0
 
     def test_compute_and_starvation_need_a_worker(self):
-        from repro.faults.demo import make_demo
-
         mapping = make_demo("df")[3]
         for kind in ("stall", "credit-starvation"):
             with pytest.raises(PlanError, match="did you mean 'df0.worker1'"):
@@ -360,17 +357,12 @@ class TestUnfireableTargets:
         self.check(mapping, kind="stall", processor="p2")
 
     def test_edges_must_exist(self):
-        from repro.faults.demo import make_demo
-
         mapping = make_demo("df")[3]
         with pytest.raises(PlanError, match="'e99' is not an edge"):
             self.check(mapping, kind="drop", edge="e99")
         self.check(mapping, kind="partial-partition", edge="e14")
 
     def test_overload_needs_the_stream_input(self):
-        from repro.faults.demo import make_demo
-        from repro.realtime.soak import make_soak
-
         _prog, _table, mapping = make_soak()
         source = "stream.input"
         self.check(mapping, kind="burst", process=source)
